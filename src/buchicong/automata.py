@@ -9,7 +9,7 @@ decompositions and every operation here is invariant under redecomposition.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -210,18 +210,7 @@ def _find_accepting_lasso(
                 order.append(nxt)
                 dq.append(nxt)
 
-    comp = _tarjan_components(order, adj)
-    cyclic: set[int] = set()
-    comp_sizes: dict[int, int] = {}
-    for node in order:
-        comp_sizes[comp[node]] = comp_sizes.get(comp[node], 0) + 1
-    for node in order:
-        cid = comp[node]
-        if comp_sizes[cid] > 1:
-            cyclic.add(cid)
-        elif any(nxt == node for _, nxt in adj[node]):
-            cyclic.add(cid)
-
+    comp, cyclic = cyclic_components(order, adj)
     target = None
     for node in order:
         if is_acc(node) and comp[node] in cyclic:
@@ -280,8 +269,11 @@ def _find_accepting_lasso(
     return tuple(stem_nodes), tuple(stem_letters), tuple(cycle_nodes), tuple(cycle_letters)
 
 
-def _tarjan_components(order: list, adj: dict) -> dict:
-    """Iterative Tarjan SCC; returns node -> component id."""
+def cyclic_components(order: list, adj: dict) -> tuple[dict, set[int]]:
+    """Strongly connected components of the graph whose edges are
+    adj[node] = [(letter, successor), ...], found by iterative Tarjan from
+    the nodes of `order`.  Returns (node -> component id, ids of the cyclic
+    components: those with more than one node or with a self-loop)."""
     index: dict = {}
     low: dict = {}
     onstack: set = set()
@@ -325,7 +317,13 @@ def _tarjan_components(order: list, adj: dict) -> dict:
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
-    return comp
+    sizes = Counter(comp.values())
+    cyclic = {
+        comp[node]
+        for node in order
+        if sizes[comp[node]] > 1 or any(nxt == node for _, nxt in adj[node])
+    }
+    return comp, cyclic
 
 
 def lasso_membership(a: Nbw, w: UpWord) -> MembershipVerdict:

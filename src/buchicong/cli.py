@@ -2,8 +2,9 @@
 
 Every reporting subcommand emits TSV on stdout (header row first) and the
 same data as one JSON document with --json.  Reports are byte-identical
-across runs for the same inputs and flags; wall-clock columns only appear
-where an interface pins them (classes) or where --timings asks for them.
+across runs for the same inputs and flags, except for wall-clock columns:
+`classes` always emits `elapsed_ms`; `complement`, `bounds-suite` and
+`equiv-suite` add it only with --timings.
 
 Exit codes: 0 success, 1 a bound/equivalence/saturation/containment check
 failed, 2 malformed input or usage, 3 class budget exceeded.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -33,7 +35,6 @@ from .automata import (
 )
 from .families import gen_bn, gen_bn_dbw, random_nbw
 from .fdfw import (
-    Fdfw,
     accepts_upword,
     check_saturation_sampled,
     complement_fdfw_improved,
@@ -254,7 +255,7 @@ def cmd_to_nbw(args) -> int:
         "within_bound": len(nbw.states) <= bound,
     }
     _emit(["source", "nbw_states", "state_bound", "within_bound"], [row], args.json)
-    return EXIT_OK
+    return EXIT_OK if row["within_bound"] else EXIT_CHECK_FAILED
 
 
 # --- member / contains ---------------------------------------------------------
@@ -371,6 +372,16 @@ class StatsRow:
     elapsed_ms: int | None = None
 
 
+def _arrangement_count(n: int) -> int:
+    """Number of arrangements over n states, the payload space of the
+    optimal leading congruence: ordered partitions (Fubini numbers) of every
+    subset, so 2, 6, 26, 150 for n = 1..4."""
+    fubini = [1]
+    for k in range(1, n + 1):
+        fubini.append(sum(math.comb(k, i) * fubini[k - i] for i in range(1, k + 1)))
+    return sum(math.comb(n, k) * fubini[k] for k in range(n + 1))
+
+
 def run_bounds_suite(automata: list[tuple[str, Nbw]], budget: int) -> list[StatsRow]:
     """Compute every congruence per automaton, check the per-relation class
     bounds, and account complement macrostates per variant."""
@@ -388,40 +399,35 @@ def run_bounds_suite(automata: list[tuple[str, Nbw]], budget: int) -> list[Stats
                 blown.append(phase)
                 return None
 
-        cls = guarded("classical", lambda: len(classical_congruence(a, budget)))
-        row.classical = cls
-
-        lead = guarded("subset", lambda: subset_congruence(a, budget))
-        if lead is not None:
-            row.subset = len(lead)
-            sizes = []
-            for c in lead.classes:
-                got = guarded(
-                    f"improved[{_join_word(c.witness)}]",
-                    lambda c=c: len(progress_congruence_improved(a, c.payload, budget)),
+        def measure(lead_phase, build_lead, progress_phase, build_progress):
+            """(leading classes, progress max, progress sum, macrostates), None
+            for what a blown budget left unknown."""
+            lead = guarded(lead_phase, lambda: build_lead(a, budget))
+            if lead is None:
+                return None, None, None, None
+            sizes = [
+                guarded(
+                    f"{progress_phase}[{_join_word(c.witness)}]",
+                    lambda c=c: len(build_progress(a, c.payload, budget)),
                 )
-                if got is not None:
-                    sizes.append(got)
-            if len(sizes) == len(lead.classes):
-                row.improved_max = max(sizes)
-                row.improved_sum = sum(sizes)
-                row.macro_improved = row.subset + row.improved_sum
+                for c in lead.classes
+            ]
+            if None in sizes:
+                return len(lead), None, None, None
+            return len(lead), max(sizes), sum(sizes), len(lead) + sum(sizes)
 
-        olead = guarded("optimal", lambda: optimal_leading_congruence(a, budget))
-        if olead is not None:
-            row.optimal = len(olead)
-            sizes = []
-            for c in olead.classes:
-                got = guarded(
-                    f"optimal-progress[{_join_word(c.witness)}]",
-                    lambda c=c: len(optimal_progress_congruence(a, c.payload, budget)),
-                )
-                if got is not None:
-                    sizes.append(got)
-            if len(sizes) == len(olead.classes):
-                row.optimal_progress_max = max(sizes)
-                row.optimal_progress_sum = sum(sizes)
-                row.macro_optimal = row.optimal + row.optimal_progress_sum
+        row.classical = guarded("classical", lambda: len(classical_congruence(a, budget)))
+        row.subset, row.improved_max, row.improved_sum, row.macro_improved = measure(
+            "subset", subset_congruence, "improved", progress_congruence_improved
+        )
+        row.optimal, row.optimal_progress_max, row.optimal_progress_sum, row.macro_optimal = (
+            measure(
+                "optimal",
+                optimal_leading_congruence,
+                "optimal-progress",
+                optimal_progress_congruence,
+            )
+        )
 
         checks = []
         if row.classical is not None:
@@ -433,7 +439,7 @@ def run_bounds_suite(automata: list[tuple[str, Nbw]], budget: int) -> list[Stats
             if row.deterministic:
                 checks.append(row.improved_sum <= 2 * n * n)
         if row.optimal is not None:
-            checks.append(row.optimal <= n**n)
+            checks.append(row.optimal <= _arrangement_count(n))
         if row.optimal_progress_max is not None:
             checks.append(row.optimal_progress_max <= n**n * (n + 1) ** n)
         row.bounds_ok = all(checks)
@@ -486,8 +492,9 @@ def cmd_bounds_suite(args) -> int:
         cols.append("elapsed_ms")
     dicts = [dataclasses.asdict(r) for r in rows]
     _emit(cols, dicts, args.json)
-    failed = any(r.bounds_ok is False for r in rows)
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    if any(not r.bounds_ok for r in rows):
+        return EXIT_CHECK_FAILED
+    return EXIT_BUDGET if any(r.budget_exceeded for r in rows) else EXIT_OK
 
 
 # --- equivalence suite -------------------------------------------------------------
@@ -580,7 +587,10 @@ def cmd_equiv_suite(args) -> int:
         cols.append("elapsed_ms")
     dicts = [dataclasses.asdict(r) for r in rows]
     _emit(cols, dicts, args.json)
-    failed = any(r.fdfw_mismatches or r.nbw_mismatches or not r.disjoint for r in rows)
+    failed = any(
+        r.fdfw_mismatches or r.nbw_mismatches or not r.disjoint or not r.nbw_within_bound
+        for r in rows
+    )
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 

@@ -14,6 +14,25 @@ import random
 from .automata import Alphabet, Nbw
 
 
+def _permutation_core(
+    n: int,
+) -> tuple[Alphabet, tuple[str, ...], dict[tuple[str, str], frozenset[str]]]:
+    """Alphabet 0..n, states q, q1..qn, q0, and the transitions both families
+    share: symbol i in 1..n swaps the roles of q and qi, and 0 funnels all of
+    them into q0.  q0's own transitions are left to the caller."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    alphabet = Alphabet(tuple(str(i) for i in range(n + 1)))
+    mids = tuple(f"q{i}" for i in range(1, n + 1))
+    trans: dict[tuple[str, str], frozenset[str]] = {("q", "0"): frozenset({"q0"})}
+    for i, qi in enumerate(mids, start=1):
+        trans[("q", str(i))] = frozenset({qi})
+        trans[(qi, "0")] = frozenset({"q0"})
+        for j in range(1, n + 1):
+            trans[(qi, str(j))] = frozenset({"q"} if j == i else {qi})
+    return alphabet, ("q",) + mids + ("q0",), trans
+
+
 def gen_bn(n: int) -> Nbw:
     """Permutation family member with states q, q1..qn, q0, qm1 over 0..n.
 
@@ -21,60 +40,20 @@ def gen_bn(n: int) -> Nbw:
     q0, which then feeds the accepting sink qm1 while also persisting.  The
     hub keeps a copy of itself on every letter so its subset row never decays.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    q, q0, qm1 = "q", "q0", "qm1"
-    mids = tuple(f"q{i}" for i in range(1, n + 1))
-    states = (q,) + mids + (q0, qm1)
-    symbols = tuple(str(i) for i in range(n + 1))
-    trans: dict[tuple[str, str], frozenset[str]] = {}
-    trans[(q, "0")] = frozenset({q0})
-    for i in range(1, n + 1):
-        trans[(q, str(i))] = frozenset({f"q{i}"})
-    for i in range(1, n + 1):
-        qi = f"q{i}"
-        trans[(qi, "0")] = frozenset({q0})
-        for j in range(1, n + 1):
-            trans[(qi, str(j))] = frozenset({q} if j == i else {qi})
-    for sym in symbols:
-        trans[(q0, sym)] = frozenset({q0, qm1})
-        trans[(qm1, sym)] = frozenset({qm1})
-    return Nbw(
-        Alphabet(symbols),
-        states,
-        frozenset({q}),
-        trans,
-        frozenset({q, qm1}),
-    )
+    alphabet, states, trans = _permutation_core(n)
+    for sym in alphabet:
+        trans[("q0", sym)] = frozenset({"q0", "qm1"})
+        trans[("qm1", sym)] = frozenset({"qm1"})
+    return Nbw(alphabet, states + ("qm1",), frozenset({"q"}), trans, frozenset({"q", "qm1"}))
 
 
 def gen_bn_dbw(n: int) -> Nbw:
     """Deterministic complete variant: same permutation core, q0 a rejecting
     sink, and only the hub q accepting."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    q, q0 = "q", "q0"
-    mids = tuple(f"q{i}" for i in range(1, n + 1))
-    states = (q,) + mids + (q0,)
-    symbols = tuple(str(i) for i in range(n + 1))
-    trans: dict[tuple[str, str], frozenset[str]] = {}
-    trans[(q, "0")] = frozenset({q0})
-    for i in range(1, n + 1):
-        trans[(q, str(i))] = frozenset({f"q{i}"})
-    for i in range(1, n + 1):
-        qi = f"q{i}"
-        trans[(qi, "0")] = frozenset({q0})
-        for j in range(1, n + 1):
-            trans[(qi, str(j))] = frozenset({q} if j == i else {qi})
-    for sym in symbols:
-        trans[(q0, sym)] = frozenset({q0})
-    return Nbw(
-        Alphabet(symbols),
-        states,
-        frozenset({q}),
-        trans,
-        frozenset({q}),
-    )
+    alphabet, states, trans = _permutation_core(n)
+    for sym in alphabet:
+        trans[("q0", sym)] = frozenset({"q0"})
+    return Nbw(alphabet, states, frozenset({"q"}), trans, frozenset({"q"}))
 
 
 def random_nbw(seed: int, n_states: int, symbols: tuple[str, ...] = ("a", "b")) -> Nbw:

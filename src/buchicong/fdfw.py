@@ -18,7 +18,7 @@ which keeps it sound for any saturated family, not only the constructed ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Hashable, Iterator, Mapping
 
 from .automata import (
     Alphabet,
@@ -27,29 +27,21 @@ from .automata import (
     UpWord,
     Word,
     _meaningful_lines,
+    cyclic_components,
     enumerate_upwords,
     intersect,
     is_empty,
     lasso_membership,
 )
-from .preorder import (
-    OptProgressState,
-    optimal_leading_congruence,
-    optimal_progress_congruence,
-)
+from .preorder import optimal_leading_congruence, optimal_progress_congruence
 from .profiles import (
     DEFAULT_CLASS_BUDGET,
     CongruenceDfw,
     DfwClass,
-    RestrictedProfile,
     periodic_membership_from_profile,
     progress_congruence_improved,
     subset_congruence,
 )
-
-# A decomposition of an ultimately periodic word is the same (prefix, period)
-# data as the word itself, viewed as one of its cuts.
-Decomposition = UpWord
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,24 +93,29 @@ def accepts_decomposition(f: Fdfw, prefix: Word, period: Word) -> bool:
 # --- acceptance over all decompositions -------------------------------------
 
 
-def _accepting_power(f: Fdfw, m: int, rot: Word) -> int | None:
-    """Smallest j >= 1 such that rot^j both returns to leading class m and is
-    captured there, or None when no power works.  The walk over (leading,
-    progress) state pairs cycles within |leading| * |progress| steps."""
+def _normalized_powers(f: Fdfw, m: int, rot: Word) -> Iterator[tuple[int, bool]]:
+    """(j, captured) for every power rot^j, j >= 1, that returns to leading
+    class m, in increasing j.  The walk over (leading, progress) state pairs
+    stops at the first repeated pair, within |leading| * |progress| steps;
+    later powers only revisit pairs already reported."""
     lead = f.leading
     prog = f.progress[m]
     seen: set[tuple[int, int]] = set()
     mm, pp = m, prog.initial
-    j = 0
     while True:
         mm = lead.run(rot, start=mm)
         pp = prog.run(rot, start=pp)
-        j += 1
-        if mm == m and pp in prog.accepting:
-            return j
         if (mm, pp) in seen:
-            return None
+            return
         seen.add((mm, pp))
+        if mm == m:
+            yield len(seen), pp in prog.accepting
+
+
+def _accepting_power(f: Fdfw, m: int, rot: Word) -> int | None:
+    """Smallest j >= 1 such that rot^j both returns to leading class m and is
+    captured there, or None when no power works."""
+    return next((j for j, captured in _normalized_powers(f, m, rot) if captured), None)
 
 
 def _positions(f: Fdfw, w: UpWord) -> Iterator[tuple[Word, Word, int]]:
@@ -230,24 +227,13 @@ def _normalized_verdicts(
     """Normalized decompositions of canonical w split by capturedness, each
     list truncated to `cap` entries.  Positions are not deduplicated, so the
     reported examples keep their natural cut points."""
-    lead = f.leading
     captured: list[UpWord] = []
     uncaptured: list[UpWord] = []
     for prefix, rot, m in _positions(f, w):
-        prog = f.progress[m]
-        seen: set[tuple[int, int]] = set()
-        mm, pp = m, prog.initial
-        while True:
-            mm = lead.run(rot, start=mm)
-            pp = prog.run(rot, start=pp)
-            if (mm, pp) in seen:
-                break
-            seen.add((mm, pp))
-            if mm == m:
-                j = len(seen)  # powers checked so far, current included
-                target = captured if pp in prog.accepting else uncaptured
-                if len(target) < cap:
-                    target.append(UpWord(prefix, rot * j))
+        for j, hit in _normalized_powers(f, m, rot):
+            target = captured if hit else uncaptured
+            if len(target) < cap:
+                target.append(UpWord(prefix, rot * j))
         if len(captured) >= cap and len(uncaptured) >= cap:
             break
     return captured, uncaptured
@@ -286,6 +272,23 @@ def containment(a: Nbw, b: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> tuple[boo
 # --- complement builders -----------------------------------------------------
 
 
+def _complement_family(
+    a: Nbw,
+    lead: CongruenceDfw,
+    build_progress: Callable[[Hashable], CongruenceDfw],
+    accepting: Callable[[DfwClass, DfwClass], bool],
+) -> Fdfw:
+    """Saturated family over `lead`: per leading class, the progress DFW
+    built from its payload, accepting the progress classes for which
+    accepting(leading class, progress class) holds."""
+    progress: dict[int, CongruenceDfw] = {}
+    for cls in lead.classes:
+        prog = build_progress(cls.payload)
+        acc = frozenset(p.cid for p in prog.classes if accepting(cls, p))
+        progress[cls.cid] = prog.with_accepting(acc)
+    return Fdfw(a.alphabet, lead, progress, saturated=True)
+
+
 def complement_fdfw_optimal(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw:
     """Complement family over the ordered-subset congruences.  A progress
     class is accepting when its payload returns to the base arrangement
@@ -293,23 +296,19 @@ def complement_fdfw_optimal(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw:
     non-empty member yields a word outside L(a), checked with the lasso
     oracle.  Classes whose only member is the empty word never matter as
     periods and are left non-accepting."""
-    lead = optimal_leading_congruence(a, budget)
-    progress: dict[int, CongruenceDfw] = {}
-    for cls in lead.classes:
-        base = cls.payload
-        prog = optimal_progress_congruence(a, base, budget)
-        acc: set[int] = set()
-        for pcls in prog.classes:
-            st: OptProgressState = pcls.payload
-            if st.blocks != base:
-                continue
-            v = pcls.witness or (pcls.alternates[0] if pcls.alternates else None)
-            if v is None:
-                continue
-            if not lasso_membership(a, UpWord(cls.witness, v)).accepted:
-                acc.add(pcls.cid)
-        progress[cls.cid] = prog.with_accepting(frozenset(acc))
-    return Fdfw(a.alphabet, lead, progress, saturated=True)
+
+    def accepting(cls: DfwClass, pcls: DfwClass) -> bool:
+        if pcls.payload.blocks != cls.payload:
+            return False
+        v = pcls.witness or (pcls.alternates[0] if pcls.alternates else None)
+        return v is not None and not lasso_membership(a, UpWord(cls.witness, v)).accepted
+
+    return _complement_family(
+        a,
+        optimal_leading_congruence(a, budget),
+        lambda base: optimal_progress_congruence(a, base, budget),
+        accepting,
+    )
 
 
 def complement_fdfw_improved(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw:
@@ -317,21 +316,17 @@ def complement_fdfw_improved(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw
     pair profiles.  Acceptance is read off the payload alone: the profile
     image must re-create the source set and the folded periodic membership
     test must fail."""
-    lead = subset_congruence(a, budget)
-    progress: dict[int, CongruenceDfw] = {}
-    for cls in lead.classes:
-        sources: frozenset[str] = cls.payload
-        src_ids = frozenset(a.index(q) for q in sources)
-        prog = progress_congruence_improved(a, sources, budget)
-        acc: set[int] = set()
-        for pcls in prog.classes:
-            rp: RestrictedProfile = pcls.payload
-            if rp.image() != src_ids:
-                continue
-            if not periodic_membership_from_profile(a, rp):
-                acc.add(pcls.cid)
-        progress[cls.cid] = prog.with_accepting(frozenset(acc))
-    return Fdfw(a.alphabet, lead, progress, saturated=True)
+
+    def accepting(cls: DfwClass, pcls: DfwClass) -> bool:
+        rp = pcls.payload
+        return rp.image() == rp.sources and not periodic_membership_from_profile(a, rp)
+
+    return _complement_family(
+        a,
+        subset_congruence(a, budget),
+        lambda sources: progress_congruence_improved(a, sources, budget),
+        accepting,
+    )
 
 
 def complement_saturated_fdfw(f: Fdfw) -> Fdfw:
@@ -478,8 +473,6 @@ def _trim_to_accepting_cycles(
     accepting: set[str],
     init_name: str,
 ) -> Nbw | None:
-    from .automata import _tarjan_components
-
     adj = {
         name: [
             (sym, tgt)
@@ -488,16 +481,8 @@ def _trim_to_accepting_cycles(
         ]
         for name in order
     }
-    comp = _tarjan_components(order, adj)
-    sizes: dict[int, int] = {}
-    for name in order:
-        sizes[comp[name]] = sizes.get(comp[name], 0) + 1
-    seeds = [
-        name
-        for name in order
-        if name in accepting
-        and (sizes[comp[name]] > 1 or any(t == name for _, t in adj[name]))
-    ]
+    comp, cyclic = cyclic_components(order, adj)
+    seeds = [name for name in order if name in accepting and comp[name] in cyclic]
     if not seeds:
         return None
     rev: dict[str, list[str]] = {name: [] for name in order}

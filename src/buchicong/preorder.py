@@ -7,14 +7,14 @@ whether some run from that strongest block meets acceptance on the way.
 The acceptance flag is what makes periodic membership a class invariant:
 two periods that shuffle the same states back to the same arrangement can
 still differ on whether the loop passes an accepting state, and dropping
-the flag would merge them.  Leading classes number at most n^n; progress
+the flag would merge them.  Leading classes number at most the arrangements
+over n states, sum over k of C(n, k) times the k-th Fubini number; progress
 classes stay within n^n (n+1)^n on everything the suite measures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from .automata import Nbw, Word
 from .profiles import (
@@ -100,53 +100,6 @@ def ordered_reach(a: Nbw, word: Word) -> PreorderedSubset:
     return ps
 
 
-# --- independent reference: reduced run DAG ---------------------------------
-
-
-@dataclass(frozen=True)
-class OrderedRunDag:
-    """Levelled reduced run DAG over a finite word: one PreorderedSubset per
-    prefix length plus, per level, the flags saying which blocks are made of
-    accepting states.  Built by an explicit partition/keep-rightmost sweep,
-    deliberately not sharing code with ordered_step, so the two can check
-    each other."""
-
-    levels: tuple[PreorderedSubset, ...]
-
-
-def ordered_run_dag(a: Nbw, word: Word) -> OrderedRunDag:
-    acc_ids = {a.index(q) for q in a.accepting}
-    init = sorted(a.index(q) for q in a.initial)
-    lvl_blocks: list[tuple[frozenset[int], ...]] = []
-    first_na = frozenset(i for i in init if i not in acc_ids)
-    first_a = frozenset(i for i in init if i in acc_ids)
-    lvl_blocks.append(tuple(b for b in (first_na, first_a) if b))
-    for sym in word:
-        prev = lvl_blocks[-1]
-        # raw successor blocks in preorder position: for block j (0-based),
-        # non-accepting successors precede accepting successors of the same
-        # block, and later blocks dominate earlier ones entirely
-        raw: list[set[int]] = []
-        for block in prev:
-            succ: set[int] = set()
-            for qi in block:
-                q = a.states[qi]
-                for r in a.successors(q, sym):
-                    succ.add(a.index(r))
-            raw.append(succ - acc_ids)
-            raw.append(succ & acc_ids)
-        # keep only the rightmost occurrence of every state
-        claimed: set[int] = set()
-        kept: list[frozenset[int]] = []
-        for grp in reversed(raw):
-            grp2 = frozenset(grp - claimed)
-            claimed |= grp2
-            kept.append(grp2)
-        kept.reverse()
-        lvl_blocks.append(tuple(b for b in kept if b))
-    return OrderedRunDag(tuple(PreorderedSubset(bs) for bs in lvl_blocks))
-
-
 # --- leading congruence ------------------------------------------------------
 
 
@@ -165,67 +118,61 @@ def optimal_leading_congruence(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Co
 
 @dataclass(frozen=True)
 class OptProgressState:
-    """Progress payload for one leading class with base arrangement `origin`:
-    the ordered successor arrangement of the word read so far, a map from
-    each current state to the index of the base block its run started in
-    (maximised over runs), and the set of current states with a run from
-    that strongest base block that visits acceptance at one of its steps.
+    """Progress payload for one leading class: the ordered successor
+    arrangement of the word read so far, the index of the base block each
+    current state's run started in (maximised over runs), and the set of
+    current states with a run from that strongest base block that visits
+    acceptance at one of its steps.  `back` is indexed by state id and holds
+    -1 for states that are not current.  The base arrangement is the same
+    for every payload of one progress DFW, so it is not part of the value.
 
     The run start itself is never counted as a visit: a length-0 segment
     contributes nothing, and the visit a state makes by standing at the end
     of one segment already belongs to that segment."""
 
-    origin: tuple[frozenset[int], ...]
     blocks: PreorderedSubset
-    back: Mapping[int, int]
+    back: tuple[int, ...]
     via_acc: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "back", dict(self.back))
-        if set(self.back) != set(self.blocks.states()):
+        tracked = frozenset(qi for qi, bi in enumerate(self.back) if bi >= 0)
+        if tracked != self.blocks.states():
             raise ValueError("back map must cover exactly the current states")
-        if not self.via_acc <= set(self.back):
+        if not self.via_acc <= tracked:
             raise ValueError("acceptance flags must sit on current states")
 
-    def __hash__(self):
-        return hash(
-            (self.origin, self.blocks, tuple(sorted(self.back.items())), self.via_acc)
-        )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, OptProgressState)
-            and self.origin == other.origin
-            and self.blocks == other.blocks
-            and dict(self.back) == dict(other.back)
-            and self.via_acc == other.via_acc
-        )
-
-
-def initial_progress_state(base: PreorderedSubset) -> OptProgressState:
-    back = {q: bi for bi, b in enumerate(base.blocks) for q in b}
-    return OptProgressState(base.blocks, base, back, frozenset())
+def initial_progress_state(a: Nbw, base: PreorderedSubset) -> OptProgressState:
+    back = [-1] * len(a.states)
+    for bi, b in enumerate(base.blocks):
+        for q in b:
+            back[q] = bi
+    return OptProgressState(base, tuple(back), frozenset())
 
 
 def progress_step(a: Nbw, st: OptProgressState, sym: str) -> OptProgressState:
     nxt = ordered_step(a, st.blocks, sym)
     acc_ids = {a.index(q) for q in a.accepting}
-    back: dict[int, int] = {}
-    hit: dict[int, bool] = {}
-    for qi, bi in st.back.items():
+    back = [-1] * len(st.back)
+    hit = [False] * len(st.back)
+    for qi, bi in enumerate(st.back):
+        if bi < 0:
+            continue
         q = a.states[qi]
         qhit = qi in st.via_acc
         for r in a.successors(q, sym):
             ri = a.index(r)
-            if ri not in back or bi > back[ri]:
+            if bi > back[ri]:
                 # stronger origin found: its flag replaces any weaker one
                 back[ri] = bi
                 hit[ri] = qhit
             elif bi == back[ri] and qhit:
                 hit[ri] = True
-    via_acc = frozenset(ri for ri in back if hit[ri] or ri in acc_ids)
+    via_acc = frozenset(
+        ri for ri, bi in enumerate(back) if bi >= 0 and (hit[ri] or ri in acc_ids)
+    )
     # successors of tracked states are exactly the states of nxt
-    return OptProgressState(st.origin, nxt, back, via_acc)
+    return OptProgressState(nxt, tuple(back), via_acc)
 
 
 def optimal_progress_congruence(
@@ -234,36 +181,8 @@ def optimal_progress_congruence(
     """Progress congruence for the leading class whose payload is `base`."""
     return build_congruence_dfw(
         a.alphabet,
-        initial_progress_state(base),
+        initial_progress_state(a, base),
         lambda st, sym: progress_step(a, st, sym),
         budget,
     )
 
-
-def max_class_map_direct(
-    a: Nbw, base: PreorderedSubset, word: Word
-) -> dict[int, tuple[int, bool]]:
-    """Reference computation of the back map and acceptance flags: one
-    plain reach set and one acceptance-touched reach set per base block,
-    pushed level by level without the incremental trick.  Used to
-    cross-check progress_step in tests."""
-    acc_ids = {a.index(q) for q in a.accepting}
-    reach: list[set[int]] = [set(b) for b in base.blocks]
-    touched: list[set[int]] = [set() for _ in base.blocks]
-    for sym in word:
-        for bi in range(len(base.blocks)):
-            nxt_r: set[int] = set()
-            nxt_t: set[int] = set()
-            for qi in reach[bi]:
-                for r in a.successors(a.states[qi], sym):
-                    ri = a.index(r)
-                    nxt_r.add(ri)
-                    if ri in acc_ids or qi in touched[bi]:
-                        nxt_t.add(ri)
-            reach[bi], touched[bi] = nxt_r, nxt_t
-    out: dict[int, tuple[int, bool]] = {}
-    for bi in range(len(base.blocks)):
-        for qi in reach[bi]:
-            if qi not in out or bi > out[qi][0]:
-                out[qi] = (bi, qi in touched[bi])
-    return out

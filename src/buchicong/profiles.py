@@ -22,7 +22,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Mapping
 
-from .automata import Alphabet, Nbw, Word, reach
+from .automata import Alphabet, Nbw, Word, step
 
 DEFAULT_CLASS_BUDGET = 200_000
 
@@ -299,14 +299,9 @@ def classical_congruence(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Congruen
 def subset_congruence(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> CongruenceDfw:
     """Right congruence refined by the successor set of the initial states.
     Payloads are frozensets of state ids."""
-
-    def step_payload(s: frozenset[str], sym: str) -> frozenset[str]:
-        out: set[str] = set()
-        for q in s:
-            out |= a.successors(q, sym)
-        return frozenset(out)
-
-    return build_congruence_dfw(a.alphabet, a.initial, step_payload, budget)
+    return build_congruence_dfw(
+        a.alphabet, a.initial, lambda s, sym: step(a, s, sym), budget
+    )
 
 
 def progress_congruence_improved(
@@ -322,8 +317,3 @@ def progress_congruence_improved(
         lambda rp, sym: compose_restricted(rp, letters[sym]),
         budget,
     )
-
-
-def source_set_of(a: Nbw, word: Word) -> frozenset[str]:
-    """Convenience: successor set of the initial states along a word."""
-    return reach(a, word)

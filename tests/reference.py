@@ -1,0 +1,81 @@
+"""Independent reference computations the tests compare the library against.
+Each is written without sharing code with the construction it checks."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from buchicong import Nbw, PreorderedSubset, Word
+
+
+@dataclass(frozen=True)
+class OrderedRunDag:
+    """Levelled reduced run DAG over a finite word: one PreorderedSubset per
+    prefix length plus, per level, the flags saying which blocks are made of
+    accepting states.  Built by an explicit partition/keep-rightmost sweep,
+    deliberately not sharing code with ordered_step, so the two can check
+    each other."""
+
+    levels: tuple[PreorderedSubset, ...]
+
+
+def ordered_run_dag(a: Nbw, word: Word) -> OrderedRunDag:
+    acc_ids = {a.index(q) for q in a.accepting}
+    init = sorted(a.index(q) for q in a.initial)
+    lvl_blocks: list[tuple[frozenset[int], ...]] = []
+    first_na = frozenset(i for i in init if i not in acc_ids)
+    first_a = frozenset(i for i in init if i in acc_ids)
+    lvl_blocks.append(tuple(b for b in (first_na, first_a) if b))
+    for sym in word:
+        prev = lvl_blocks[-1]
+        # raw successor blocks in preorder position: for block j (0-based),
+        # non-accepting successors precede accepting successors of the same
+        # block, and later blocks dominate earlier ones entirely
+        raw: list[set[int]] = []
+        for block in prev:
+            succ: set[int] = set()
+            for qi in block:
+                q = a.states[qi]
+                for r in a.successors(q, sym):
+                    succ.add(a.index(r))
+            raw.append(succ - acc_ids)
+            raw.append(succ & acc_ids)
+        # keep only the rightmost occurrence of every state
+        claimed: set[int] = set()
+        kept: list[frozenset[int]] = []
+        for grp in reversed(raw):
+            grp2 = frozenset(grp - claimed)
+            claimed |= grp2
+            kept.append(grp2)
+        kept.reverse()
+        lvl_blocks.append(tuple(b for b in kept if b))
+    return OrderedRunDag(tuple(PreorderedSubset(bs) for bs in lvl_blocks))
+
+
+def max_class_map_direct(
+    a: Nbw, base: PreorderedSubset, word: Word
+) -> dict[int, tuple[int, bool]]:
+    """Reference computation of the back map and acceptance flags: one
+    plain reach set and one acceptance-touched reach set per base block,
+    pushed level by level without the incremental trick.  Used to
+    cross-check progress_step in tests."""
+    acc_ids = {a.index(q) for q in a.accepting}
+    reach: list[set[int]] = [set(b) for b in base.blocks]
+    touched: list[set[int]] = [set() for _ in base.blocks]
+    for sym in word:
+        for bi in range(len(base.blocks)):
+            nxt_r: set[int] = set()
+            nxt_t: set[int] = set()
+            for qi in reach[bi]:
+                for r in a.successors(a.states[qi], sym):
+                    ri = a.index(r)
+                    nxt_r.add(ri)
+                    if ri in acc_ids or qi in touched[bi]:
+                        nxt_t.add(ri)
+            reach[bi], touched[bi] = nxt_r, nxt_t
+    out: dict[int, tuple[int, bool]] = {}
+    for bi in range(len(base.blocks)):
+        for qi in reach[bi]:
+            if qi not in out or bi > out[qi][0]:
+                out[qi] = (bi, qi in touched[bi])
+    return out

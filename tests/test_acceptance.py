@@ -21,12 +21,12 @@ from buchicong import (
     lasso_membership,
     nbw_state_bound,
     ordered_reach,
-    ordered_run_dag,
     periodic_membership_from_profile,
     progress_congruence_improved,
     subset_congruence,
 )
 from conftest import pool_automaton, record_criterion, single_word_family
+from reference import ordered_run_dag
 
 
 def bn_payloads(n: int) -> set[frozenset[str]]:

@@ -202,6 +202,13 @@ def test_to_nbw_from_variant_and_from_file(b3_file, tmp_path, capsys):
     parse_nbw(nbw_out.read_text())
 
 
+def test_to_nbw_exits_1_on_a_bound_breach(b3_file, capsys, monkeypatch):
+    monkeypatch.setattr("buchicong.cli.nbw_state_bound", lambda f: 0)
+    code, out = run(capsys, "to-nbw", "--in", b3_file, "--variant", "optimal")
+    assert code == 1
+    assert tsv_rows(out)[0]["within_bound"] == "no"
+
+
 def test_to_nbw_needs_some_input(capsys):
     code, _ = run(capsys, "to-nbw")
     assert code == 2
@@ -254,6 +261,34 @@ def test_bounds_suite_reports_and_passes(capsys):
     assert all(r["bounds_ok"] == "yes" for r in rows.values())
 
 
+def test_bounds_suite_caps_optimal_by_the_arrangement_count(capsys):
+    # rnd1741n2 reaches 5 arrangements, above 2**2 but within the 6 that
+    # exist over two states
+    code, out = run(capsys, "bounds-suite", "--bn", "", "--random", "13")
+    assert code == 0
+    rows = {r["id"]: r for r in tsv_rows(out)}
+    assert rows["rnd1741n2"]["optimal"] == "5"
+    assert rows["rnd1741n2"]["bounds_ok"] == "yes"
+
+
+def test_bounds_suite_exits_3_after_the_whole_table_on_a_blown_budget(capsys):
+    code, out = run(
+        capsys, "bounds-suite", "--bn", "3", "--random", "2", "--budget", "2"
+    )
+    assert code == 3
+    rows = tsv_rows(out)
+    assert [r["id"] for r in rows] == ["bn3", "rnd1729n2", "rnd1730n3"]
+    assert rows[0]["budget_exceeded"] == "classical;subset;optimal"
+    assert rows[1]["budget_exceeded"] == ""
+
+
+def test_readme_reproduction_commands_pass(capsys):
+    code, _ = run(capsys, "bounds-suite", "--bn", "2,3", "--bn-dbw", "2,3", "--random", "20")
+    assert code == 0
+    code, _ = run(capsys, "equiv-suite", "--bn", "2,3", "--random", "15")
+    assert code == 0
+
+
 def test_reports_are_byte_identical(capsys):
     argv = ("bounds-suite", "--bn", "1", "--random", "2")
     code1, out1 = run(capsys, *argv)
@@ -277,6 +312,15 @@ def test_equiv_suite_exit_reflects_agreement(capsys):
         assert row["nbw_mismatches"] == "0"
         assert row["disjoint"] == "yes"
         assert row["nbw_within_bound"] == "yes"
+
+
+def test_equiv_suite_counts_a_bound_breach_as_failure(capsys, monkeypatch):
+    monkeypatch.setattr("buchicong.cli.nbw_state_bound", lambda f: 0)
+    code, out = run(
+        capsys, "equiv-suite", "--bn", "", "--random", "1", "--max-u", "1", "--max-v", "1"
+    )
+    assert code == 1
+    assert {r["nbw_within_bound"] for r in tsv_rows(out)} == {"no"}
 
 
 # --- budgets and failure modes ------------------------------------------------------------

@@ -15,17 +15,13 @@ from buchicong import (
     optimal_leading_congruence,
     optimal_progress_congruence,
     ordered_reach,
-    ordered_run_dag,
     ordered_step,
     reach,
 )
 from buchicong import random_nbw
-from buchicong.preorder import (
-    initial_progress_state,
-    max_class_map_direct,
-    progress_step,
-)
+from buchicong.preorder import initial_progress_state, progress_step
 from conftest import seeded_nbws, words
+from reference import max_class_map_direct, ordered_run_dag
 from test_automata import inf_many
 
 
@@ -123,9 +119,10 @@ def test_arrangement_count_refines_subset_count(a):
 
 
 def test_dead_class_pushes_two_state_arrangements_past_the_live_cap():
-    # A two-state automaton reaches at most 4 live arrangements, the cap the
-    # bounds suite checks per state count.  An incomplete one also reaches the
-    # dead arrangement, so the total class count lands one past that cap.
+    # A two-state automaton reaches at most 4 = 2**2 live arrangements.  An
+    # incomplete one also reaches the dead arrangement, so the total class
+    # count lands one past n**n (the bounds suite caps it by the 6
+    # arrangements that exist over two states instead).
     # The bound pool in conftest therefore starts at three states, where the
     # cap exceeds the total number of arrangements outright.
     a = random_nbw(1741, 2)
@@ -175,19 +172,21 @@ def test_acceptance_flag_separates_silent_and_visiting_loops(b3):
 def test_progress_state_validates_its_maps():
     base = PreorderedSubset((frozenset({0}),))
     with pytest.raises(ValueError):
-        OptProgressState(base.blocks, base, {}, frozenset())
+        OptProgressState(base, (-1,), frozenset())
     with pytest.raises(ValueError):
-        OptProgressState(base.blocks, base, {0: 0}, frozenset({1}))
+        OptProgressState(base, (0,), frozenset({1}))
 
 
 @given(seeded_nbws(), words(max_len=2), words(max_len=4))
 def test_progress_payload_matches_reference_map(a, u, w):
     base = ordered_reach(a, u)
-    state = initial_progress_state(base)
+    state = initial_progress_state(a, base)
     for sym in w:
         state = progress_step(a, state, sym)
     direct = max_class_map_direct(a, base, w)
-    assert dict(state.back) == {qi: bi for qi, (bi, _) in direct.items()}
+    assert {qi: bi for qi, bi in enumerate(state.back) if bi >= 0} == {
+        qi: bi for qi, (bi, _) in direct.items()
+    }
     assert state.via_acc == frozenset(
         qi for qi, (_, hit) in direct.items() if hit
     )
