@@ -183,6 +183,40 @@ def reach(a: Nbw, word: Iterable[str]) -> frozenset[str]:
     return cur
 
 
+def explore(inits: Iterable, expand: Callable[[object], list[tuple[str, object]]]):
+    """Breadth-first search of the edge-labelled graph with edges
+    expand(node) = [(letter, successor), ...] from the nodes `inits`.
+    Returns (order, adj, parent): the reachable nodes in discovery order,
+    node -> its expanded edges, and node -> (predecessor, letter) of the
+    edge that discovered it (None for an initial node)."""
+    order: list = []
+    parent: dict = {}
+    for node in inits:
+        if node not in parent:
+            parent[node] = None
+            order.append(node)
+    adj: dict = {}
+    for node in order:  # the loop visits the nodes appended while it runs
+        edges = adj[node] = expand(node)
+        for letter, nxt in edges:
+            if nxt not in parent:
+                parent[nxt] = (node, letter)
+                order.append(nxt)
+    return order, adj, parent
+
+
+def path_to(parent: dict, node) -> tuple[tuple, Word]:
+    """(nodes, letters) of the path that `parent`, as returned by explore,
+    records from a root to `node`."""
+    nodes: list = [node]
+    letters: list[str] = []
+    while parent[node] is not None:
+        node, letter = parent[node]
+        nodes.append(node)
+        letters.append(letter)
+    return tuple(reversed(nodes)), tuple(reversed(letters))
+
+
 def _find_accepting_lasso(
     inits: list,
     expand: Callable[[object], list[tuple[str, object]]],
@@ -191,52 +225,21 @@ def _find_accepting_lasso(
     """Search a finite edge-labelled graph for a reachable cycle through a node
     satisfying is_acc.  Returns (stem_nodes, stem_letters, cycle_nodes,
     cycle_letters) or None.  Deterministic: nodes are explored in BFS order."""
-    adj: dict = {}
-    parent: dict = {}
-    order: list = []
-    dq = deque()
-    for node in inits:
-        if node not in parent:
-            parent[node] = None
-            order.append(node)
-            dq.append(node)
-    while dq:
-        node = dq.popleft()
-        edges = expand(node)
-        adj[node] = edges
-        for letter, nxt in edges:
-            if nxt not in parent:
-                parent[nxt] = (node, letter)
-                order.append(nxt)
-                dq.append(nxt)
-
+    order, adj, parent = explore(inits, expand)
     comp, cyclic = cyclic_components(order, adj)
-    target = None
-    for node in order:
-        if is_acc(node) and comp[node] in cyclic:
-            target = node
-            break
+    target = next((n for n in order if is_acc(n) and comp[n] in cyclic), None)
     if target is None:
         return None
-
-    stem_nodes: list = [target]
-    stem_letters: list[str] = []
-    cur = target
-    while parent[cur] is not None:
-        cur, letter = parent[cur]
-        stem_nodes.append(cur)
-        stem_letters.append(letter)
-    stem_nodes.reverse()
-    stem_letters.reverse()
+    stem_nodes, stem_letters = path_to(parent, target)
 
     # Shortest way back to the target inside its own component.
     tgt_comp = comp[target]
-    back: dict = {}
+    back: dict = {target: None}
     dq = deque()
     found = None
     for letter, nxt in adj[target]:
         if nxt == target:
-            found = (target, letter, None)
+            found = (target, letter)
             break
         if comp.get(nxt) == tgt_comp and nxt not in back:
             back[nxt] = (target, letter)
@@ -245,28 +248,16 @@ def _find_accepting_lasso(
         node = dq.popleft()
         for letter, nxt in adj[node]:
             if nxt == target:
-                found = (node, letter, back)
+                found = (node, letter)
                 break
             if comp.get(nxt) == tgt_comp and nxt not in back:
                 back[nxt] = (node, letter)
                 dq.append(nxt)
-        if found:
-            break
     assert found is not None, "node in cyclic component must close a cycle"
 
-    last, last_letter, _ = found
-    cycle_nodes: list = []
-    cycle_letters: list[str] = [last_letter]
-    cur = last
-    while cur != target:
-        cycle_nodes.append(cur)
-        prev, letter = back[cur]
-        cycle_letters.append(letter)
-        cur = prev
-    cycle_nodes.append(target)
-    cycle_nodes.reverse()
-    cycle_letters.reverse()
-    return tuple(stem_nodes), tuple(stem_letters), tuple(cycle_nodes), tuple(cycle_letters)
+    last, last_letter = found
+    cycle_nodes, cycle_letters = path_to(back, last)
+    return stem_nodes, stem_letters, cycle_nodes, cycle_letters + (last_letter,)
 
 
 def cyclic_components(order: list, adj: dict) -> tuple[dict, set[int]]:
@@ -613,7 +604,10 @@ def _parse_hoa(lines: list[tuple[int, str]]) -> Nbw:
             break
         if line.startswith("State:"):
             rest = line.split(":", 1)[1].split()
-            idx = int(rest[0])
+            try:
+                idx = int(rest[0])
+            except (IndexError, ValueError):
+                raise ParseError("expected 'State: <index>'", no) from None
             if not 0 <= idx < n_states:
                 raise ParseError(f"state index {idx} out of range", no)
             cur = states[idx]

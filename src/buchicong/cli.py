@@ -64,23 +64,17 @@ EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
 
 
-def _env_budget() -> int:
-    raw = os.environ.get("CONGRUENCE_BUDGET")
-    if raw is None:
-        return DEFAULT_CLASS_BUDGET
+def _positive_budget(raw: str) -> int:
+    """The class budget given by --budget or CONGRUENCE_BUDGET."""
     try:
         val = int(raw)
-        if val < 1:
-            raise ValueError
     except ValueError:
-        raise SystemExit(
-            f"CONGRUENCE_BUDGET must be a positive integer, got {raw!r}"
-        ) from None
+        val = 0
+    if val < 1:
+        raise argparse.ArgumentTypeError(
+            f"--budget and CONGRUENCE_BUDGET must be positive integers, got {raw!r}"
+        )
     return val
-
-
-def _budget(args) -> int:
-    return args.budget if args.budget is not None else _env_budget()
 
 
 def _read_text(path: str) -> str:
@@ -172,7 +166,7 @@ def _max_witness_len(dfw: CongruenceDfw) -> int:
 
 def cmd_classes(args) -> int:
     a = _load_nbw(args.infile)
-    budget = _budget(args)
+    budget = args.budget
     context = parse_word(a.alphabet, args.u)
     if args.dump and args.relation == "all":
         print("--dump needs one concrete --relation", file=sys.stderr)
@@ -213,7 +207,7 @@ _VARIANTS = {"optimal": complement_fdfw_optimal, "improved": complement_fdfw_imp
 def cmd_complement(args) -> int:
     a = _load_nbw(args.infile)
     t0 = time.perf_counter()
-    f = _VARIANTS[args.variant](a, _budget(args))
+    f = _VARIANTS[args.variant](a, args.budget)
     elapsed = int(round((time.perf_counter() - t0) * 1000))
     if args.out:
         _write_text(args.out, serialize_fdfw(f))
@@ -242,7 +236,7 @@ def cmd_to_nbw(args) -> int:
             print("to-nbw needs --in with --variant, or --fdfw", file=sys.stderr)
             return EXIT_BAD_INPUT
         a = _load_nbw(args.infile)
-        f = _VARIANTS[args.variant](a, _budget(args))
+        f = _VARIANTS[args.variant](a, args.budget)
         source = args.variant
     nbw = fdfw_to_nbw(f)
     if args.out:
@@ -283,7 +277,7 @@ def cmd_member(args) -> int:
     else:
         # the complement family accepts exactly the words outside L(A), so
         # membership is its negated verdict
-        f = _VARIANTS[args.via.removeprefix("complement-")](a, _budget(args))
+        f = _VARIANTS[args.via.removeprefix("complement-")](a, args.budget)
         row["accepted"] = not accepts_upword(f, w)
         cols = ["u", "v", "via", "accepted"]
     _emit(cols, [row], args.json)
@@ -293,7 +287,7 @@ def cmd_member(args) -> int:
 def cmd_contains(args) -> int:
     a = _load_nbw(args.left)
     b = _load_nbw(args.right)
-    holds, cex = containment(a, b, _budget(args))
+    holds, cex = containment(a, b, args.budget)
     row = {
         "holds": holds,
         "counterexample_prefix": _join_word(cex.prefix) if cex else None,
@@ -332,7 +326,7 @@ def cmd_saturation_check(args) -> int:
             print("saturation-check needs --in with --variant, or --fdfw", file=sys.stderr)
             return EXIT_BAD_INPUT
         a = _load_nbw(args.infile)
-        f = _VARIANTS[args.variant](a, _budget(args))
+        f = _VARIANTS[args.variant](a, args.budget)
     violations = check_saturation_sampled(f, args.max_u, args.max_v, cap=args.cap)
     rows = [
         {
@@ -486,7 +480,7 @@ def _suite_automata(args) -> list[tuple[str, Nbw]]:
 
 
 def cmd_bounds_suite(args) -> int:
-    rows = run_bounds_suite(_suite_automata(args), _budget(args))
+    rows = run_bounds_suite(_suite_automata(args), args.budget)
     cols = list(_BOUNDS_COLUMNS)
     if args.timings:
         cols.append("elapsed_ms")
@@ -574,7 +568,7 @@ _EQUIV_COLUMNS = [
 
 
 def cmd_equiv_suite(args) -> int:
-    budget = _budget(args)
+    budget = args.budget
     rows: list[EquivRow] = []
     if args.infile:
         rows.extend(
@@ -599,7 +593,13 @@ def cmd_equiv_suite(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser, budget: bool = True, json_flag: bool = True):
     if budget:
-        p.add_argument("--budget", type=int, default=None, help="class budget override")
+        p.add_argument(
+            "--budget",
+            type=_positive_budget,
+            # argparse passes a string default through `type` as well
+            default=os.environ.get("CONGRUENCE_BUDGET", DEFAULT_CLASS_BUDGET),
+            help=f"class budget (default: $CONGRUENCE_BUDGET, else {DEFAULT_CLASS_BUDGET})",
+        )
     if json_flag:
         p.add_argument("--json", action="store_true", help="emit JSON instead of TSV")
 

@@ -29,9 +29,11 @@ from .automata import (
     _meaningful_lines,
     cyclic_components,
     enumerate_upwords,
+    explore,
     intersect,
     is_empty,
     lasso_membership,
+    path_to,
 )
 from .preorder import optimal_leading_congruence, optimal_progress_congruence
 from .profiles import (
@@ -377,141 +379,67 @@ def fdfw_to_nbw(f: Fdfw) -> Nbw:
     every block of a run ends in that same class; mixing unrelated accepting
     classes is unsound.  Relays between blocks are the accepting states.
     The result is trimmed to states that can still reach an accepting
-    cycle."""
+    cycle.  States are named L<m> (leading copy), G<q>.<fa>.<p>.<m> (gadget)
+    and R<q>.<fa> (relay), in the order the search discovered them."""
     lead = f.leading
-    la = f.alphabet
     # fa == -1 marks a shared gadget closing at any accepting class
-    shared = {
-        cls.cid: _accepting_composition_closed(f, cls.cid) for cls in lead.classes
+    pins = {
+        m: [-1] if _accepting_composition_closed(f, m) else sorted(prog.accepting)
+        for m, prog in f.progress.items()
+        if prog.accepting
     }
 
-    def close_ids(q: int, fa: int) -> frozenset[int]:
-        return f.progress[q].accepting if fa == -1 else frozenset({fa})
+    def gadget_step(q: int, fa: int, p: int, m: int, sym: str) -> list:
+        prog = f.progress[q]
+        p2, m2 = prog.table[(p, sym)], lead.table[(m, sym)]
+        out = [(sym, ("G", q, fa, p2, m2))]
+        if m2 == q and (p2 == fa or fa == -1 and p2 in prog.accepting):
+            out.append((sym, ("R", q, fa)))
+        return out
 
-    def lname(m: int) -> str:
-        return f"L{m}"
-
-    def gname(q: int, fa: int, p: int, m: int) -> str:
-        return f"G{q}.{fa}.{p}.{m}"
-
-    def rname(q: int, fa: int) -> str:
-        return f"R{q}.{fa}"
-
-    accepting: set[str] = set()
-    trans: dict[tuple[str, str], set[str]] = {}
-    init_name = lname(lead.initial)
-    order: list[str] = []
-    kind: dict[str, tuple] = {}
-
-    def discover(name: str, info: tuple) -> str:
-        if name not in kind:
-            kind[name] = info
-            order.append(name)
-        return name
-
-    discover(init_name, ("L", lead.initial))
-    i = 0
-    while i < len(order):
-        name = order[i]
-        i += 1
-        info = kind[name]
-        for sym in la:
-            targets: list[str] = []
-            if info[0] == "L":
-                m = info[1]
-                m2 = lead.table[(m, sym)]
-                targets.append(discover(lname(m2), ("L", m2)))
-                # the next letter may instead start the first block at class m
-                if f.progress[m].accepting:
-                    pins = [-1] if shared[m] else sorted(f.progress[m].accepting)
-                    for fa in pins:
-                        targets.extend(
-                            _block_entries(f, m, fa, close_ids(m, fa), sym, discover, gname, rname)
-                        )
-            elif info[0] == "G":
-                q, fa, p, m = info[1:]
-                prog = f.progress[q]
-                p2 = prog.table[(p, sym)]
-                m2 = lead.table[(m, sym)]
-                targets.append(discover(gname(q, fa, p2, m2), ("G", q, fa, p2, m2)))
-                if p2 in close_ids(q, fa) and m2 == q:
-                    targets.append(discover(rname(q, fa), ("R", q, fa)))
+    def expand(node: tuple) -> list:
+        kind, q = node[0], node[1]
+        # a relay starts the next block exactly like a gadget at its start
+        if kind == "R":
+            node = ("G", *node[1:], f.progress[q].initial, q)
+        out = []
+        for sym in f.alphabet:
+            if kind == "L":
+                out.append((sym, ("L", lead.table[(q, sym)])))
+                # the next letter may instead start the first block at class q
+                for fa in pins.get(q, ()):
+                    out += gadget_step(q, fa, f.progress[q].initial, q, sym)
             else:
-                q, fa = info[1:]
-                targets.extend(
-                    _block_entries(f, q, fa, close_ids(q, fa), sym, discover, gname, rname)
-                )
-            if targets:
-                trans[(name, sym)] = set(targets)
-    for name, info in kind.items():
-        if info[0] == "R":
-            accepting.add(name)
+                out += gadget_step(*node[1:], sym)
+        return out
 
-    trimmed = _trim_to_accepting_cycles(la, order, trans, accepting, init_name)
-    if trimmed is None:
-        return Nbw(la, ("dead",), frozenset({"dead"}), {}, frozenset())
-    return trimmed
-
-
-def _block_entries(
-    f: Fdfw, q: int, fa: int, closes: frozenset[int], sym: str, discover, gname, rname
-) -> list[str]:
-    """Targets for the first letter of a block of gadget (q, fa)."""
-    prog = f.progress[q]
-    p1 = prog.table[(prog.initial, sym)]
-    m1 = f.leading.table[(q, sym)]
-    out = [discover(gname(q, fa, p1, m1), ("G", q, fa, p1, m1))]
-    if p1 in closes and m1 == q:
-        out.append(discover(rname(q, fa), ("R", q, fa)))
-    return out
-
-
-def _trim_to_accepting_cycles(
-    alphabet: Alphabet,
-    order: list[str],
-    trans: dict[tuple[str, str], set[str]],
-    accepting: set[str],
-    init_name: str,
-) -> Nbw | None:
-    adj = {
-        name: [
-            (sym, tgt)
-            for sym in alphabet
-            for tgt in sorted(trans.get((name, sym), ()))
-        ]
-        for name in order
-    }
+    init = ("L", lead.initial)
+    order, adj, _ = explore([init], expand)
     comp, cyclic = cyclic_components(order, adj)
-    seeds = [name for name in order if name in accepting and comp[name] in cyclic]
-    if not seeds:
-        return None
-    rev: dict[str, list[str]] = {name: [] for name in order}
-    for name in order:
-        for _, tgt in adj[name]:
-            rev[tgt].append(name)
-    useful: set[str] = set(seeds)
-    stack = list(seeds)
-    while stack:
-        node = stack.pop()
-        for pred in rev[node]:
-            if pred not in useful:
-                useful.add(pred)
-                stack.append(pred)
-    if init_name not in useful:
-        return None
-    kept = tuple(name for name in order if name in useful)
-    kept_set = set(kept)
-    new_trans = {
-        (name, sym): frozenset(t for t in tgts if t in kept_set)
-        for (name, sym), tgts in trans.items()
-        if name in kept_set and any(t in kept_set for t in tgts)
+    # trim: keep the nodes from which a relay on a cycle is reachable
+    rev: dict = {node: [] for node in order}
+    for node in order:
+        for sym, nxt in adj[node]:
+            rev[nxt].append((sym, node))
+    seeds = [node for node in order if node[0] == "R" and comp[node] in cyclic]
+    useful = explore(seeds, rev.__getitem__)[2]
+    if init not in useful:
+        return Nbw(f.alphabet, ("dead",), frozenset({"dead"}), {}, frozenset())
+    # kept nodes get their names once, in discovery order
+    name = {
+        node: node[0] + ".".join(map(str, node[1:])) for node in order if node in useful
     }
+    trans: dict[tuple[str, str], set[str]] = {}
+    for node, src in name.items():
+        for sym, nxt in adj[node]:
+            if nxt in useful:
+                trans.setdefault((src, sym), set()).add(name[nxt])
     return Nbw(
-        alphabet,
-        kept,
-        frozenset({init_name}),
-        new_trans,
-        frozenset(a for a in accepting if a in kept_set),
+        f.alphabet,
+        tuple(name.values()),
+        frozenset({name[init]}),
+        {key: frozenset(tgts) for key, tgts in trans.items()},
+        frozenset(name[node] for node in name if node[0] == "R"),
     )
 
 
@@ -619,29 +547,14 @@ def _parse_dfw_block(
             if nm not in ids:
                 raise ParseError(f"undeclared accepting state {nm!r}")
         acc_ids = frozenset(ids[nm] for nm in acc_set)
-    witnesses = _bfs_witnesses(alphabet, table, ids[initial], len(names))
+    parent = explore(
+        [ids[initial]], lambda c: [(sym, table[(c, sym)]) for sym in alphabet]
+    )[2]
     classes = tuple(
-        DfwClass(i, witnesses[i], names[i]) for i in range(len(names))
+        DfwClass(i, path_to(parent, i)[1] if i in parent else None, names[i])
+        for i in range(len(names))
     )
     return CongruenceDfw(alphabet, classes, table, ids[initial], acc_ids)
-
-
-def _bfs_witnesses(
-    alphabet: Alphabet, table: dict[tuple[int, str], int], initial: int, n: int
-) -> list[Word | None]:
-    out: list[Word | None] = [None] * n
-    out[initial] = ()
-    queue = [initial]
-    qi = 0
-    while qi < len(queue):
-        cur = queue[qi]
-        qi += 1
-        for sym in alphabet:
-            nxt = table[(cur, sym)]
-            if out[nxt] is None:
-                out[nxt] = out[cur] + (sym,)
-                queue.append(nxt)
-    return out
 
 
 def parse_fdfw(text: str | bytes) -> Fdfw:

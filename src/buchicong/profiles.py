@@ -298,7 +298,7 @@ def classical_congruence(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Congruen
 
 def subset_congruence(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> CongruenceDfw:
     """Right congruence refined by the successor set of the initial states.
-    Payloads are frozensets of state ids."""
+    Payloads are frozensets of state names."""
     return build_congruence_dfw(
         a.alphabet, a.initial, lambda s, sym: step(a, s, sym), budget
     )

@@ -261,3 +261,10 @@ def test_parse_rejects_malformed_input():
         parse_nbw("nbw\nalphabet: a\nstates: p\ninitial: q\naccepting:\n")
     with pytest.raises(ParseError):
         parse_nbw("nbw\nalphabet: a a\nstates: p\ninitial: p\naccepting:\n")
+    with pytest.raises(ParseError) as exc:
+        # a HOA state line without its index
+        parse_nbw(
+            "HOA: v1\nStates: 1\nStart: 0\nAlphabet: a\n"
+            "Acceptance: Buchi\n--BODY--\nState:\na 0\n--END--\n"
+        )
+    assert exc.value.line == 7

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import buchicong
 from buchicong import parse_fdfw, parse_nbw, serialize_fdfw, serialize_nbw
 from buchicong.cli import main
 from conftest import single_word_family
@@ -53,10 +56,15 @@ def test_family_writes_a_parseable_automaton(tmp_path, capsys):
 
 
 def test_module_entry_point_runs():
+    # the child imports the package from where this process found it, which
+    # need not be on the inherited PYTHONPATH (pytest's `pythonpath` setting)
+    package_root = str(Path(buchicong.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "buchicong", "family", "--variant", "bn", "--n", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("nbw\n")
@@ -343,9 +351,18 @@ def test_budget_env_override(b3_file, capsys, monkeypatch):
 
 
 def test_budget_env_rejects_garbage(b3_file, capsys, monkeypatch):
-    monkeypatch.setenv("CONGRUENCE_BUDGET", "zero")
-    with pytest.raises(SystemExit):
-        run(capsys, "classes", "--in", b3_file, "--relation", "subset")
+    for raw in ("zero", "0", "-3"):
+        monkeypatch.setenv("CONGRUENCE_BUDGET", raw)
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "classes", "--in", b3_file, "--relation", "subset")
+        assert exc.value.code == 2
+
+
+def test_budget_flag_rejects_non_positive_values(b3_file, capsys):
+    for raw in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "classes", "--in", b3_file, "--relation", "subset", f"--budget={raw}")
+        assert exc.value.code == 2
 
 
 def test_missing_file_is_bad_input(capsys):

@@ -3,6 +3,8 @@ probing, and the translation back to a Büchi automaton."""
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from buchicong import (
@@ -20,6 +22,7 @@ from buchicong import (
     complement_saturated_fdfw,
     containment,
     fdfw_to_nbw,
+    gen_bn,
     gen_bn_dbw,
     intersect,
     is_captured,
@@ -30,6 +33,7 @@ from buchicong import (
     normalize_decomposition,
     parse_fdfw,
     serialize_fdfw,
+    serialize_nbw,
 )
 from buchicong.fdfw import _accepting_composition_closed
 from conftest import canonical_corpus, mixed_blocks_nbw, single_word_family
@@ -200,6 +204,31 @@ def test_separate_blocks_for_unrelated_accepting_classes():
         assert len(nbw.states) <= nbw_state_bound(f)
 
 
+# sha256 of serialize_nbw(fdfw_to_nbw(f)): any change to the translated
+# states, their names or order, or the transitions shows here
+TRANSLATION_DIGESTS = {
+    ("bn3", "optimal"): "d7ff12eede77941a474e210501e1b62b71554c0a48d9c22dc9c79a0786c90db8",
+    ("bn3", "improved"): "d7ff12eede77941a474e210501e1b62b71554c0a48d9c22dc9c79a0786c90db8",
+    ("bn-dbw3", "optimal"): "1e675988e5ea6c8ad0276c877221e04363f9b9a1e53d208246116a21dc7f9be9",
+    ("bn-dbw3", "improved"): "1e675988e5ea6c8ad0276c877221e04363f9b9a1e53d208246116a21dc7f9be9",
+    ("mixed", "optimal"): "9bfff24a3c705b97d231334a60cd3d8c97775f0e6b1270e55902d5b18279bcd0",
+    ("mixed", "improved"): "0018b382c253558afbfbce91f84ed2d72cb6bc8a4e607dfad7ca498d6f10c94c",
+}
+
+
+@pytest.mark.parametrize("aid, variant", sorted(TRANSLATION_DIGESTS))
+def test_translation_bytes_are_pinned(aid, variant):
+    a = {"bn3": gen_bn(3), "bn-dbw3": gen_bn_dbw(3), "mixed": mixed_blocks_nbw()}[aid]
+    build = {"optimal": complement_fdfw_optimal, "improved": complement_fdfw_improved}
+    nbw = fdfw_to_nbw(build[variant](a))
+    text = serialize_nbw(nbw)
+    assert hashlib.sha256(text.encode()).hexdigest() == TRANSLATION_DIGESTS[aid, variant]
+    # the improved family of mixed_blocks_nbw() is the one that pins gadgets
+    # to single accepting classes (a gadget G<q>.<fa>... with fa != -1)
+    pinned = any(q[0] in "GR" and q.split(".")[1] != "-1" for q in nbw.states)
+    assert pinned == ((aid, variant) == ("mixed", "improved"))
+
+
 # --- containment ------------------------------------------------------------------------
 
 
@@ -228,6 +257,46 @@ def test_family_round_trip_preserves_semantics(b3):
     for w in canonical_corpus(b3.alphabet, 1, 1):
         assert accepts_upword(g, w) == accepts_upword(f, w)
     assert serialize_fdfw(g) == text
+
+
+def _progress_text(alphabet: str) -> str:
+    """One-leading-class family whose progress block declares its states and
+    transitions out of order; n3 has three shortest words, n4 none."""
+    return f"""fdfw
+alphabet: {alphabet}
+leading:
+states: m0
+initial: m0
+trans: m0 a -> m0
+trans: m0 b -> m0
+progress m0:
+states: n3 n4 n2 n1 n0
+initial: n0
+accepting: n3
+trans: n4 a -> n0
+trans: n4 b -> n4
+trans: n3 a -> n3
+trans: n3 b -> n1
+trans: n2 a -> n3
+trans: n2 b -> n3
+trans: n1 a -> n3
+trans: n1 b -> n0
+trans: n0 b -> n2
+trans: n0 a -> n1
+"""
+
+
+def test_parsed_witnesses_are_shortest_in_alphabet_order():
+    for alphabet, n3 in (("a b", ("a", "a")), ("b a", ("b", "b"))):
+        prog = parse_fdfw(_progress_text(alphabet)).progress[0]
+        witness = {c.payload: c.witness for c in prog.classes}
+        assert witness == {
+            "n0": (),
+            "n1": ("a",),
+            "n2": ("b",),
+            "n3": n3,
+            "n4": None,
+        }
 
 
 def test_family_parse_rejects_malformed_blocks():
