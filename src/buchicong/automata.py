@@ -129,6 +129,7 @@ class Nbw:
     transitions: Mapping[tuple[str, str], frozenset[str]]
     accepting: frozenset[str]
     _order: dict = field(init=False, repr=False, compare=False, default=None)
+    _masks: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if len(set(self.states)) != len(self.states):
@@ -156,6 +157,19 @@ class Nbw:
     def successors(self, q: str, a: str) -> frozenset[str]:
         return self.transitions.get((q, a), frozenset())
 
+    def bitmasks(self) -> tuple[dict[str, tuple[int, ...]], int]:
+        """(symbol -> successor mask of each state index, accepting mask),
+        with bit i standing for the state of index i; compiled on first use."""
+        if self._masks is None:
+            order = self._order
+            succ = {
+                sym: tuple(sum(1 << order[r] for r in self.successors(q, sym)) for q in self.states)
+                for sym in self.alphabet
+            }
+            acc = sum(1 << order[q] for q in self.accepting)
+            object.__setattr__(self, "_masks", (succ, acc))
+        return self._masks
+
     def is_deterministic(self) -> bool:
         return len(self.initial) <= 1 and all(
             len(v) <= 1 for v in self.transitions.values()
@@ -169,10 +183,7 @@ class Nbw:
 
 def step(a: Nbw, subset: frozenset[str], sym: str) -> frozenset[str]:
     """One-symbol successor of a state set."""
-    out: set[str] = set()
-    for q in subset:
-        out |= a.successors(q, sym)
-    return frozenset(out)
+    return frozenset().union(*(a.successors(q, sym) for q in subset))
 
 
 def reach(a: Nbw, word: Iterable[str]) -> frozenset[str]:
@@ -569,9 +580,16 @@ def _parse_native(lines: list[tuple[int, str]]) -> Nbw:
     )
 
 
+def _hoa_int(tok: str, what: str, no: int) -> int:
+    """The non-negative integer `tok`, else a ParseError at line `no`."""
+    if not tok.isdecimal():
+        raise ParseError(f"expected {what}, got {tok!r}", no)
+    return int(tok)
+
+
 def _parse_hoa(lines: list[tuple[int, str]]) -> Nbw:
     n_states: int | None = None
-    starts: list[int] = []
+    starts: list[tuple[int, int]] = []  # (line number, start index)
     alphabet: Alphabet | None = None
     acceptance_ok = False
     body_at = None
@@ -580,9 +598,10 @@ def _parse_hoa(lines: list[tuple[int, str]]) -> Nbw:
             body_at = i + 1
             break
         if line.startswith("States:"):
-            n_states = int(line.split(":", 1)[1])
+            n_states = _hoa_int(line.split(":", 1)[1].strip(), "a state count", no)
         elif line.startswith("Start:"):
-            starts.extend(int(t) for t in line.split(":", 1)[1].split())
+            for t in line.split(":", 1)[1].split():
+                starts.append((no, _hoa_int(t, "a start index", no)))
         elif line.startswith("Alphabet:"):
             try:
                 alphabet = Alphabet(tuple(line.split(":", 1)[1].split()))
@@ -604,10 +623,7 @@ def _parse_hoa(lines: list[tuple[int, str]]) -> Nbw:
             break
         if line.startswith("State:"):
             rest = line.split(":", 1)[1].split()
-            try:
-                idx = int(rest[0])
-            except (IndexError, ValueError):
-                raise ParseError("expected 'State: <index>'", no) from None
+            idx = _hoa_int(rest[0] if rest else "", "'State: <index>'", no)
             if not 0 <= idx < n_states:
                 raise ParseError(f"state index {idx} out of range", no)
             cur = states[idx]
@@ -619,19 +635,19 @@ def _parse_hoa(lines: list[tuple[int, str]]) -> Nbw:
             toks = line.split()
             if len(toks) != 2:
                 raise ParseError("expected '<symbol> <target-index>'", no)
-            sym, tgt = toks[0], int(toks[1])
+            sym, tgt = toks[0], _hoa_int(toks[1], "a target index", no)
             if sym not in alphabet:
                 raise ParseError(f"undeclared symbol {sym!r}", no)
             if not 0 <= tgt < n_states:
                 raise ParseError(f"state index {tgt} out of range", no)
             trans.setdefault((cur, sym), set()).add(states[tgt])
-    for s in starts:
+    for no, s in starts:
         if not 0 <= s < n_states:
-            raise ParseError(f"start index {s} out of range")
+            raise ParseError(f"start index {s} out of range", no)
     return Nbw(
         alphabet,
         states,
-        frozenset(states[s] for s in starts),
+        frozenset(states[s] for _, s in starts),
         {k: frozenset(v) for k, v in trans.items()},
         frozenset(accepting),
     )

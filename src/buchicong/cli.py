@@ -123,40 +123,30 @@ def _join_word(word) -> str:
 # --- classes -----------------------------------------------------------------
 
 
+_LEADING_AND_PROGRESS = (
+    ("subset", subset_congruence, "improved-progress", progress_congruence_improved),
+    ("optimal", optimal_leading_congruence, "optimal-progress", optimal_progress_congruence),
+)
+
+
 def _relation_builders(a: Nbw, relation: str, context: tuple[str, ...], budget: int):
-    """(relation name, zero-argument builder) pairs for one --relation choice."""
-    if relation == "classical":
+    """(relation name, zero-argument builder) pairs for one --relation choice:
+    a progress relation names the class of `context`, and `all` lists every
+    relation with the progress relations of every leading class."""
+    if relation in ("classical", "all"):
         yield "classical", lambda: classical_congruence(a, budget)
-    elif relation == "subset":
-        yield "subset", lambda: subset_congruence(a, budget)
-    elif relation == "optimal":
-        yield "optimal", lambda: optimal_leading_congruence(a, budget)
-    elif relation == "improved-progress":
-        lead = subset_congruence(a, budget)
-        cls = lead.classes[lead.run(context)]
-        name = f"improved-progress[{_join_word(cls.witness)}]"
-        yield name, lambda: progress_congruence_improved(a, cls.payload, budget)
-    elif relation == "optimal-progress":
-        lead = optimal_leading_congruence(a, budget)
-        cls = lead.classes[lead.run(context)]
-        name = f"optimal-progress[{_join_word(cls.witness)}]"
-        yield name, lambda: optimal_progress_congruence(a, cls.payload, budget)
-    else:  # all
-        yield "classical", lambda: classical_congruence(a, budget)
-        lead = subset_congruence(a, budget)
-        yield "subset", lambda: lead
-        for cls in lead.classes:
-            yield (
-                f"improved-progress[{_join_word(cls.witness)}]",
-                lambda cls=cls: progress_congruence_improved(a, cls.payload, budget),
-            )
-        olead = optimal_leading_congruence(a, budget)
-        yield "optimal", lambda: olead
-        for cls in olead.classes:
-            yield (
-                f"optimal-progress[{_join_word(cls.witness)}]",
-                lambda cls=cls: optimal_progress_congruence(a, cls.payload, budget),
-            )
+    for lead_name, build_lead, progress_name, build_progress in _LEADING_AND_PROGRESS:
+        if relation == lead_name:
+            yield lead_name, lambda build=build_lead: build(a, budget)
+        elif relation in (progress_name, "all"):
+            lead = build_lead(a, budget)
+            if relation == "all":
+                yield lead_name, lambda lead=lead: lead
+            for m in range(len(lead)) if relation == "all" else [lead.run(context)]:
+                yield (
+                    f"{progress_name}[{_join_word(lead.classes[m].witness)}]",
+                    lambda b=build_progress, lead=lead, m=m: b(a, lead, m, budget),
+                )
 
 
 def _max_witness_len(dfw: CongruenceDfw) -> int:
@@ -402,7 +392,7 @@ def run_bounds_suite(automata: list[tuple[str, Nbw]], budget: int) -> list[Stats
             sizes = [
                 guarded(
                     f"{progress_phase}[{_join_word(c.witness)}]",
-                    lambda c=c: len(build_progress(a, c.payload, budget)),
+                    lambda c=c: len(build_progress(a, lead, c.cid, budget)),
                 )
                 for c in lead.classes
             ]

@@ -18,7 +18,7 @@ which keeps it sound for any saturated family, not only the constructed ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .automata import (
     Alphabet,
@@ -71,10 +71,6 @@ class Fdfw:
     def size(self) -> tuple[int, int]:
         """(leading classes, total progress classes)."""
         return len(self.leading), sum(len(p) for p in self.progress.values())
-
-
-def leading_class(f: Fdfw, word: Word) -> int:
-    return f.leading.run(word)
 
 
 def is_normalized(f: Fdfw, prefix: Word, period: Word) -> bool:
@@ -277,15 +273,16 @@ def containment(a: Nbw, b: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> tuple[boo
 def _complement_family(
     a: Nbw,
     lead: CongruenceDfw,
-    build_progress: Callable[[Hashable], CongruenceDfw],
+    build_progress: Callable[[Nbw, CongruenceDfw, int, int], CongruenceDfw],
     accepting: Callable[[DfwClass, DfwClass], bool],
+    budget: int,
 ) -> Fdfw:
-    """Saturated family over `lead`: per leading class, the progress DFW
-    built from its payload, accepting the progress classes for which
-    accepting(leading class, progress class) holds."""
+    """Saturated family over `lead`: per leading class m, the progress DFW
+    build_progress(a, lead, m, budget), accepting the progress classes for
+    which accepting(leading class, progress class) holds."""
     progress: dict[int, CongruenceDfw] = {}
     for cls in lead.classes:
-        prog = build_progress(cls.payload)
+        prog = build_progress(a, lead, cls.cid, budget)
         acc = frozenset(p.cid for p in prog.classes if accepting(cls, p))
         progress[cls.cid] = prog.with_accepting(acc)
     return Fdfw(a.alphabet, lead, progress, saturated=True)
@@ -293,23 +290,20 @@ def _complement_family(
 
 def complement_fdfw_optimal(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw:
     """Complement family over the ordered-subset congruences.  A progress
-    class is accepting when its payload returns to the base arrangement
+    class is accepting when its payload returns to the base leading class
     (normalized for every member) and pairing the leading witness with a
     non-empty member yields a word outside L(a), checked with the lasso
     oracle.  Classes whose only member is the empty word never matter as
     periods and are left non-accepting."""
 
     def accepting(cls: DfwClass, pcls: DfwClass) -> bool:
-        if pcls.payload.blocks != cls.payload:
+        if pcls.payload.lead != cls.cid:
             return False
         v = pcls.witness or (pcls.alternates[0] if pcls.alternates else None)
         return v is not None and not lasso_membership(a, UpWord(cls.witness, v)).accepted
 
     return _complement_family(
-        a,
-        optimal_leading_congruence(a, budget),
-        lambda base: optimal_progress_congruence(a, base, budget),
-        accepting,
+        a, optimal_leading_congruence(a, budget), optimal_progress_congruence, accepting, budget
     )
 
 
@@ -324,10 +318,7 @@ def complement_fdfw_improved(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw
         return rp.image() == rp.sources and not periodic_membership_from_profile(a, rp)
 
     return _complement_family(
-        a,
-        subset_congruence(a, budget),
-        lambda sources: progress_congruence_improved(a, sources, budget),
-        accepting,
+        a, subset_congruence(a, budget), progress_congruence_improved, accepting, budget
     )
 
 

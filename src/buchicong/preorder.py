@@ -1,8 +1,9 @@
 """Ordered-subset congruences: the leading equivalence tracks a sequence of
 disjoint state blocks rather than a flat set, ordering blocks by how recently
-their runs touched acceptance.  The progress side adds, per current state,
-the strongest block of origin it is reachable from and one flag saying
-whether some run from that strongest block meets acceptance on the way.
+their runs touched acceptance.  A progress payload holds the leading class
+reached so far, whose arrangement the leading DFW already stores, and per
+base block a bitmask of the current states whose strongest origin it is,
+plus a bitmask of the states whose run from that origin meets acceptance.
 
 The acceptance flag is what makes periodic membership a class invariant:
 two periods that shuffle the same states back to the same arrangement can
@@ -14,7 +15,8 @@ classes stay within n^n (n+1)^n on everything the suite measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .automata import Nbw, Word
 from .profiles import (
@@ -28,9 +30,11 @@ from .profiles import (
 class PreorderedSubset:
     """Disjoint non-empty blocks of states, least-recently-accepting first.
     State ids are automaton indices; blocks are frozensets.  The rightmost
-    block is the maximal one under the tracked preorder."""
+    block is the maximal one under the tracked preorder.  `mask` has bit i
+    set for every state i of some block."""
 
     blocks: tuple[frozenset[int], ...]
+    mask: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -40,18 +44,7 @@ class PreorderedSubset:
             if b & seen:
                 raise ValueError("blocks must be disjoint")
             seen |= b
-
-    def states(self) -> frozenset[int]:
-        out: set[int] = set()
-        for b in self.blocks:
-            out |= b
-        return frozenset(out)
-
-    def block_of(self, q: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if q in b:
-                return i
-        raise KeyError(q)
+        object.__setattr__(self, "mask", sum(1 << q for q in seen))
 
     def pretty(self, names: tuple[str, ...]) -> str:
         parts = []
@@ -106,6 +99,7 @@ def ordered_reach(a: Nbw, word: Word) -> PreorderedSubset:
 def optimal_leading_congruence(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> CongruenceDfw:
     """Right congruence with PreorderedSubset payloads."""
     return build_congruence_dfw(
+        "optimal",
         a.alphabet,
         initial_preordered(a),
         lambda ps, sym: ordered_step(a, ps, sym),
@@ -116,73 +110,73 @@ def optimal_leading_congruence(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Co
 # --- progress congruence ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OptProgressState:
-    """Progress payload for one leading class: the ordered successor
-    arrangement of the word read so far, the index of the base block each
-    current state's run started in (maximised over runs), and the set of
-    current states with a run from that strongest base block that visits
-    acceptance at one of its steps.  `back` is indexed by state id and holds
-    -1 for states that are not current.  The base arrangement is the same
-    for every payload of one progress DFW, so it is not part of the value.
+class OptProgressState(NamedTuple):
+    """Progress payload for leading class m with base arrangement B: the
+    leading class id of u.v, for u in m and v the word read so far; per
+    block b of B, the mask of current states whose strongest run starts in
+    b; and the mask of current states with a run from that strongest block
+    that visits acceptance at one of its steps.  Bit i is state index i.  B
+    is fixed for one progress DFW, so it is not part of the value.
 
     The run start itself is never counted as a visit: a length-0 segment
     contributes nothing, and the visit a state makes by standing at the end
     of one segment already belongs to that segment."""
 
-    blocks: PreorderedSubset
+    lead: int
     back: tuple[int, ...]
-    via_acc: frozenset[int]
+    via_acc: int
 
-    def __post_init__(self):
-        tracked = frozenset(qi for qi, bi in enumerate(self.back) if bi >= 0)
-        if tracked != self.blocks.states():
+    def check(self, states_mask: int) -> "OptProgressState":
+        """self, after checking it against the state mask of its leading class."""
+        tracked = 0
+        for mask in self.back:
+            tracked |= mask
+        if tracked != states_mask:
             raise ValueError("back map must cover exactly the current states")
-        if not self.via_acc <= tracked:
+        if self.via_acc & ~tracked:
             raise ValueError("acceptance flags must sit on current states")
+        return self
 
 
-def initial_progress_state(a: Nbw, base: PreorderedSubset) -> OptProgressState:
-    back = [-1] * len(a.states)
-    for bi, b in enumerate(base.blocks):
-        for q in b:
-            back[q] = bi
-    return OptProgressState(base, tuple(back), frozenset())
+def initial_progress_state(lead: CongruenceDfw, m: int) -> OptProgressState:
+    base = lead.classes[m].payload
+    back = tuple(sum(1 << q for q in b) for b in base.blocks)
+    return OptProgressState(m, back, 0).check(base.mask)
 
 
-def progress_step(a: Nbw, st: OptProgressState, sym: str) -> OptProgressState:
-    nxt = ordered_step(a, st.blocks, sym)
-    acc_ids = {a.index(q) for q in a.accepting}
-    back = [-1] * len(st.back)
-    hit = [False] * len(st.back)
-    for qi, bi in enumerate(st.back):
-        if bi < 0:
-            continue
-        q = a.states[qi]
-        qhit = qi in st.via_acc
-        for r in a.successors(q, sym):
-            ri = a.index(r)
-            if bi > back[ri]:
-                # stronger origin found: its flag replaces any weaker one
-                back[ri] = bi
-                hit[ri] = qhit
-            elif bi == back[ri] and qhit:
-                hit[ri] = True
-    via_acc = frozenset(
-        ri for ri, bi in enumerate(back) if bi >= 0 and (hit[ri] or ri in acc_ids)
-    )
-    # successors of tracked states are exactly the states of nxt
-    return OptProgressState(nxt, tuple(back), via_acc)
+def progress_step(a: Nbw, lead: CongruenceDfw, st: OptProgressState, sym: str) -> OptProgressState:
+    """One-letter successor: the arrangement is looked up in the leading DFW;
+    base blocks claim successors from the strongest down, and a claimed state
+    is flagged when accepting or reached from a flagged state of its block."""
+    succ, acc = a.bitmasks()
+    post = succ[sym]
+    nxt = lead.table[(st.lead, sym)]
+    back = list(st.back)
+    claimed = via = 0
+    for b in range(len(back) - 1, -1, -1):
+        img = img_via = 0
+        src = back[b]
+        while src:
+            low = src & -src
+            row = post[low.bit_length() - 1]
+            img |= row
+            if low & st.via_acc:
+                img_via |= row
+            src ^= low
+        back[b] = img & ~claimed
+        claimed |= img
+        via |= back[b] & (img_via | acc)
+    return OptProgressState(nxt, tuple(back), via).check(lead.classes[nxt].payload.mask)
 
 
 def optimal_progress_congruence(
-    a: Nbw, base: PreorderedSubset, budget: int = DEFAULT_CLASS_BUDGET
+    a: Nbw, lead: CongruenceDfw, m: int, budget: int = DEFAULT_CLASS_BUDGET
 ) -> CongruenceDfw:
-    """Progress congruence for the leading class whose payload is `base`."""
+    """Progress congruence for class m of the optimal leading congruence `lead`."""
     return build_congruence_dfw(
+        f"optimal-progress[{' '.join(lead.classes[m].witness)}]",
         a.alphabet,
-        initial_progress_state(a, base),
-        lambda st, sym: progress_step(a, st, sym),
+        initial_progress_state(lead, m),
+        lambda st, sym: progress_step(a, lead, st, sym),
         budget,
     )
-

@@ -29,12 +29,14 @@ DEFAULT_CLASS_BUDGET = 200_000
 
 class BudgetExceededError(RuntimeError):
     """Raised when a congruence exploration would exceed its class budget.
-    `count` is the number of classes discovered before giving up."""
+    `count` is the number of classes discovered before giving up; `phase`
+    names the relation, as `subset` or `optimal-progress[<leading witness>]`."""
 
-    def __init__(self, count: int, budget: int):
+    def __init__(self, count: int, budget: int, phase: str):
         self.count = count
         self.budget = budget
-        super().__init__(f"class budget exceeded: {count} classes, budget {budget}")
+        self.phase = phase
+        super().__init__(f"class budget exceeded in {phase}: {count} classes, budget {budget}")
 
 
 # --- pair profiles ---------------------------------------------------------
@@ -100,28 +102,17 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def epsilon_profile(a: Nbw) -> Profile:
-    n = len(a.states)
-    reach = tuple(1 << i for i in range(n))
-    reach_f = tuple(
-        1 << i if a.states[i] in a.accepting else 0 for i in range(n)
-    )
-    return Profile(n, reach, reach_f)
+    diagonal = tuple(1 << i for i in range(len(a.states)))
+    return Profile(len(diagonal), diagonal, tuple(d & a.bitmasks()[1] for d in diagonal))
 
 
 def letter_profile(a: Nbw, sym: str) -> Profile:
     """Single-letter profile.  A pair (q, r) with r a successor of q counts as
     visiting acceptance when either endpoint is accepting."""
-    n = len(a.states)
-    reach = [0] * n
-    reach_f = [0] * n
-    for i, q in enumerate(a.states):
-        q_acc = q in a.accepting
-        for r in a.successors(q, sym):
-            j = a.index(r)
-            reach[i] |= 1 << j
-            if q_acc or r in a.accepting:
-                reach_f[i] |= 1 << j
-    return Profile(n, tuple(reach), tuple(reach_f))
+    succ, acc = a.bitmasks()
+    rows = succ[sym]
+    reach_f = tuple(row if acc >> i & 1 else row & acc for i, row in enumerate(rows))
+    return Profile(len(rows), rows, reach_f)
 
 
 def _row_compose(row_r: int, row_rf: int, second: Profile) -> tuple[int, int]:
@@ -155,10 +146,6 @@ def restrict(p: Profile, sources: frozenset[int]) -> RestrictedProfile:
     reach = tuple(p.reach[i] if i in sources else 0 for i in range(p.size))
     reach_f = tuple(p.reach_f[i] if i in sources else 0 for i in range(p.size))
     return RestrictedProfile(sources, Profile(p.size, reach, reach_f))
-
-
-def compose_restricted(rp: RestrictedProfile, letter: Profile) -> RestrictedProfile:
-    return RestrictedProfile(rp.sources, compose(rp.profile, letter))
 
 
 def periodic_membership_from_profile(a: Nbw, rp: RestrictedProfile) -> bool:
@@ -238,6 +225,7 @@ class CongruenceDfw:
 
 
 def build_congruence_dfw(
+    phase: str,
     alphabet: Alphabet,
     initial_payload: Hashable,
     step_payload: Callable[[Hashable, str], Hashable],
@@ -247,7 +235,8 @@ def build_congruence_dfw(
     """Explore the reachable payloads of a deterministic payload-step function
     breadth first.  Witnesses are canonical: shortest, ties broken by alphabet
     order, which BFS in declaration order yields by construction.  Raises
-    BudgetExceededError when more than `budget` classes appear."""
+    BudgetExceededError, naming `phase`, when more than `budget` classes
+    appear."""
     ids: dict[Hashable, int] = {initial_payload: 0}
     payloads: list[Hashable] = [initial_payload]
     witnesses: list[Word] = [()]
@@ -265,7 +254,7 @@ def build_congruence_dfw(
             word2 = word + (sym,)
             if nid is None:
                 if len(ids) >= budget:
-                    raise BudgetExceededError(len(ids), budget)
+                    raise BudgetExceededError(len(ids), budget, phase)
                 nid = len(ids)
                 ids[nxt] = nid
                 payloads.append(nxt)
@@ -289,6 +278,7 @@ def classical_congruence(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Congruen
     """Right congruence refined by the full pair profile of the word."""
     letters = {sym: letter_profile(a, sym) for sym in a.alphabet}
     return build_congruence_dfw(
+        "classical",
         a.alphabet,
         epsilon_profile(a),
         lambda p, sym: compose(p, letters[sym]),
@@ -300,20 +290,39 @@ def subset_congruence(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> CongruenceD
     """Right congruence refined by the successor set of the initial states.
     Payloads are frozensets of state names."""
     return build_congruence_dfw(
-        a.alphabet, a.initial, lambda s, sym: step(a, s, sym), budget
+        "subset", a.alphabet, a.initial, lambda s, sym: step(a, s, sym), budget
     )
 
 
 def progress_congruence_improved(
-    a: Nbw, sources: frozenset[str], budget: int = DEFAULT_CLASS_BUDGET
+    a: Nbw, lead: CongruenceDfw, m: int, budget: int = DEFAULT_CLASS_BUDGET
 ) -> CongruenceDfw:
-    """Progress congruence for one leading class: the pair profile restricted
-    to rows in `sources` (the successor set reached by the class's words)."""
-    src_ids = frozenset(a.index(q) for q in sources)
+    """Progress congruence for class m of the subset leading congruence
+    `lead`: the pair profile restricted to rows in the class's successor
+    set.  Only source rows are composed, and each row image is computed once
+    per build."""
+    cls = lead.classes[m]
+    sources = frozenset(a.index(q) for q in cls.payload)
+    n = len(a.states)
     letters = {sym: letter_profile(a, sym) for sym in a.alphabet}
+    images: dict[str, dict[tuple[int, int], tuple[int, int]]] = {sym: {} for sym in a.alphabet}
+
+    def step_profile(rp: RestrictedProfile, sym: str) -> RestrictedProfile:
+        memo = images[sym]
+        reach = [0] * n
+        reach_f = [0] * n
+        for i in sources:
+            row = rp.profile.reach[i], rp.profile.reach_f[i]
+            img = memo.get(row)
+            if img is None:
+                img = memo[row] = _row_compose(*row, letters[sym])
+            reach[i], reach_f[i] = img
+        return RestrictedProfile(sources, Profile(n, tuple(reach), tuple(reach_f)))
+
     return build_congruence_dfw(
+        f"improved-progress[{' '.join(cls.witness)}]",
         a.alphabet,
-        restrict(epsilon_profile(a), src_ids),
-        lambda rp, sym: compose_restricted(rp, letters[sym]),
+        restrict(epsilon_profile(a), sources),
+        step_profile,
         budget,
     )

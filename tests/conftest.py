@@ -177,12 +177,12 @@ def pool_relations(random_pool) -> tuple[list[PoolRelations], float]:
                 classical_congruence(a),
                 lead,
                 {
-                    c.cid: progress_congruence_improved(a, c.payload)
+                    c.cid: progress_congruence_improved(a, lead, c.cid)
                     for c in lead.classes
                 },
                 olead,
                 {
-                    c.cid: optimal_progress_congruence(a, c.payload)
+                    c.cid: optimal_progress_congruence(a, olead, c.cid)
                     for c in olead.classes
                 },
             )

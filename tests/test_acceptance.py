@@ -45,7 +45,7 @@ def test_ac01_classical_blowup_vs_progress_compactness():
             failures.append(f"n={n}: classical {classical} < {lo}")
         lead = subset_congruence(a)
         for c in lead.classes:
-            got = len(progress_congruence_improved(a, c.payload))
+            got = len(progress_congruence_improved(a, lead, c.cid))
             if got > hi:
                 failures.append(f"n={n}: progress {got} > {hi}")
     elapsed = time.perf_counter() - t0
@@ -78,7 +78,7 @@ def test_ac03_deterministic_family_progress_is_quadratic():
     for n in (3, 4, 5):
         a = gen_bn_dbw(n)
         lead = subset_congruence(a)
-        sizes = [len(progress_congruence_improved(a, c.payload)) for c in lead.classes]
+        sizes = [len(progress_congruence_improved(a, lead, c.cid)) for c in lead.classes]
         if max(sizes) > 2 * (n + 2):
             failures.append(f"n={n}: max {max(sizes)} > {2 * (n + 2)}")
         if sum(sizes) > 2 * (n + 2) ** 2:

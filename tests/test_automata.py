@@ -268,3 +268,34 @@ def test_parse_rejects_malformed_input():
             "Acceptance: Buchi\n--BODY--\nState:\na 0\n--END--\n"
         )
     assert exc.value.line == 7
+    # a non-integer or negative state count, an out-of-range start and a
+    # non-integer edge target, each reported at its own line
+    for states, start, edge, line in (
+        ("two", "0", "a 0", 2),
+        ("-2", "0", "a 0", 2),
+        ("1", "5", "a 0", 3),
+        ("1", "0", "a x", 8),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_nbw(
+                f"HOA: v1\nStates: {states}\nStart: {start}\nAlphabet: a\n"
+                f"Acceptance: Buchi\n--BODY--\nState: 0\n{edge}\n--END--\n"
+            )
+        assert exc.value.line == line
+
+
+@given(seeded_nbws(max_states=6))
+def test_compiled_masks_match_successors(a):
+    succ, acc = a.bitmasks()
+    assert a.bitmasks() is a.bitmasks()
+
+    def decode(mask: int) -> frozenset[str]:
+        assert 0 <= mask < 1 << len(a.states)
+        return frozenset(q for i, q in enumerate(a.states) if mask >> i & 1)
+
+    assert set(succ) == set(a.alphabet)
+    for sym in a.alphabet:
+        assert len(succ[sym]) == len(a.states)
+        for i, q in enumerate(a.states):
+            assert decode(succ[sym][i]) == a.successors(q, sym)
+    assert decode(acc) == a.accepting

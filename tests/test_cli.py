@@ -341,6 +341,21 @@ def test_budget_flag_exits_with_budget_code(b3_file, capsys):
     assert code == 3
 
 
+def test_budget_error_names_the_progress_phase(b3_file, capsys):
+    # bn3's leading DFWs fit both budgets; the first progress DFW to exceed
+    # one is named by its leading witness
+    for variant, budget, phase in (
+        ("optimal", "10", "optimal-progress[]"),
+        ("improved", "8", "improved-progress[1]"),
+    ):
+        code = main(["complement", "--in", b3_file, "--variant", variant, "--budget", budget])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        want = f"class budget exceeded in {phase}: {budget} classes, budget {budget}"
+        assert err == f"budget error: {want}\n"
+
+
 def test_budget_env_override(b3_file, capsys, monkeypatch):
     monkeypatch.setenv("CONGRUENCE_BUDGET", "2")
     code, _ = run(capsys, "classes", "--in", b3_file, "--relation", "subset")

@@ -32,6 +32,7 @@ from buchicong import (
     nbw_state_bound,
     normalize_decomposition,
     parse_fdfw,
+    random_nbw,
     serialize_fdfw,
     serialize_nbw,
 )
@@ -227,6 +228,30 @@ def test_translation_bytes_are_pinned(aid, variant):
     # to single accepting classes (a gadget G<q>.<fa>... with fa != -1)
     pinned = any(q[0] in "GR" and q.split(".")[1] != "-1" for q in nbw.states)
     assert pinned == ((aid, variant) == ("mixed", "improved"))
+
+
+# sha256 of serialize_fdfw(f): class counts, class order, accepting sets and
+# transitions of both complement families
+FAMILY_DIGESTS = {
+    ("bn4", "optimal"): "d2a6cb6b991e4fc0105c15e6a038f575fac5fc844a646e5af352e88bb0995e79",
+    ("bn4", "improved"): "fa3f7ff5cda139e0922d02e8335917bec0ce013034e9e99350260843fbd9544a",
+    ("bn-dbw4", "optimal"): "b527e5e691b6f3d5b3b490ed2e3234950c08b1d8668627e72bad2465cac057e8",
+    ("bn-dbw4", "improved"): "1f3265e84d33eb8001260b04af184ab3693465cf2d38345877600264ab91d907",
+    ("rnd1729n7", "optimal"): "146453b90566fb58f2d29b9d119cdc3071cf76790859bca80fa219fd4f89613a",
+    ("rnd1729n7", "improved"): "c6bdba3964d3fbaf8160be4fab4633c30f8a0a13ede1a3412b25598cfda55822",
+}
+
+
+@pytest.mark.parametrize("aid, variant", sorted(FAMILY_DIGESTS))
+def test_family_bytes_are_pinned(aid, variant):
+    a = {
+        "bn4": lambda: gen_bn(4),
+        "bn-dbw4": lambda: gen_bn_dbw(4),
+        "rnd1729n7": lambda: random_nbw(1729, 7),
+    }[aid]()
+    build = {"optimal": complement_fdfw_optimal, "improved": complement_fdfw_improved}
+    text = serialize_fdfw(build[variant](a))
+    assert hashlib.sha256(text.encode()).hexdigest() == FAMILY_DIGESTS[aid, variant]
 
 
 # --- containment ------------------------------------------------------------------------

@@ -102,7 +102,8 @@ def test_arrangement_states_equal_reachable_set(b3):
     lead = optimal_leading_congruence(b3)
     for c in lead.classes:
         ids = frozenset(b3.index(q) for q in reach(b3, c.witness))
-        assert c.payload.states() == ids
+        assert c.payload.mask == sum(1 << q for q in ids)
+        assert c.payload.mask == sum(1 << q for b in c.payload.blocks for q in b)
 
 
 @given(seeded_nbws())
@@ -115,7 +116,7 @@ def test_arrangement_count_refines_subset_count(a):
     assert len(lead) >= len(flat)
     for c in lead.classes:
         want = frozenset(a.index(q) for q in flat.classes[flat.run(c.witness)].payload)
-        assert c.payload.states() == want
+        assert c.payload.mask == sum(1 << q for q in want)
 
 
 def test_dead_class_pushes_two_state_arrangements_past_the_live_cap():
@@ -140,7 +141,7 @@ def test_dead_class_pushes_two_state_arrangements_past_the_live_cap():
 def test_progress_sizes_on_permutation_family(b3):
     lead = optimal_leading_congruence(b3)
     sizes = {
-        c.witness: len(optimal_progress_congruence(b3, c.payload))
+        c.witness: len(optimal_progress_congruence(b3, lead, c.cid))
         for c in lead.classes
     }
     assert sizes == {
@@ -157,37 +158,54 @@ def test_acceptance_flag_separates_silent_and_visiting_loops(b3):
     # both periods return {q1} to its own arrangement, but only the second
     # passes through the accepting hub on the way
     lead = optimal_leading_congruence(b3)
-    base = lead.classes[lead.run(("1",))].payload
-    prog = optimal_progress_congruence(b3, base)
+    m = lead.run(("1",))
+    prog = optimal_progress_congruence(b3, lead, m)
     silent = prog.run(("2",))
     visiting = prog.run(("1", "1"))
     assert silent != visiting
     q1 = b3.index("q1")
-    assert prog.classes[silent].payload.blocks == base
-    assert prog.classes[visiting].payload.blocks == base
-    assert prog.classes[silent].payload.via_acc == frozenset()
-    assert prog.classes[visiting].payload.via_acc == frozenset({q1})
+    assert prog.classes[silent].payload.lead == m
+    assert prog.classes[visiting].payload.lead == m
+    assert prog.classes[silent].payload.via_acc == 0
+    assert prog.classes[visiting].payload.via_acc == 1 << q1
 
 
-def test_progress_state_validates_its_maps():
-    base = PreorderedSubset((frozenset({0}),))
+def test_progress_state_validates_its_maps(b3):
+    # one base block holding state 0, checked against the state mask {0}
     with pytest.raises(ValueError):
-        OptProgressState(base, (-1,), frozenset())
+        OptProgressState(0, (0,), 0).check(0b1)
     with pytest.raises(ValueError):
-        OptProgressState(base, (0,), frozenset({1}))
+        OptProgressState(0, (0b11,), 0).check(0b1)
+    with pytest.raises(ValueError):
+        OptProgressState(0, (0b1,), 0b10).check(0b1)
+    assert OptProgressState(0, (0b1,), 0b1).check(0b1) == (0, (0b1,), 0b1)
+    # a back map tracking every state of b3 is wrong for the class of "1"
+    # (state set {q1}): its successors on 0 overshoot the states of the
+    # next leading class, which progress_step rejects
+    lead = optimal_leading_congruence(b3)
+    m = lead.run(("1",))
+    everything = OptProgressState(m, (2 ** len(b3.states) - 1,), 0)
+    with pytest.raises(ValueError):
+        progress_step(b3, lead, everything, "0")
 
 
 @given(seeded_nbws(), words(max_len=2), words(max_len=4))
 def test_progress_payload_matches_reference_map(a, u, w):
-    base = ordered_reach(a, u)
-    state = initial_progress_state(a, base)
+    lead = optimal_leading_congruence(a)
+    m = lead.run(u)
+    base = lead.classes[m].payload
+    assert base == ordered_reach(a, u)
+    state = initial_progress_state(lead, m)
     for sym in w:
-        state = progress_step(a, state, sym)
+        state = progress_step(a, lead, state, sym)
     direct = max_class_map_direct(a, base, w)
-    assert {qi: bi for qi, bi in enumerate(state.back) if bi >= 0} == {
-        qi: bi for qi, (bi, _) in direct.items()
-    }
-    assert state.via_acc == frozenset(
-        qi for qi, (_, hit) in direct.items() if hit
-    )
-    assert state.blocks == ordered_reach(a, u + w)
+    # the per-block masks are disjoint and name each state's strongest block
+    assert sum(bin(mask).count("1") for mask in state.back) == len(direct)
+    assert {
+        qi: bi
+        for bi, mask in enumerate(state.back)
+        for qi in range(len(a.states))
+        if mask >> qi & 1
+    } == {qi: bi for qi, (bi, _) in direct.items()}
+    assert state.via_acc == sum(1 << qi for qi, (_, hit) in direct.items() if hit)
+    assert lead.classes[state.lead].payload == ordered_reach(a, u + w)

@@ -192,7 +192,7 @@ def test_subset_classes_on_permutation_family(b3):
 def test_improved_progress_sizes_on_permutation_family(b3):
     lead = subset_congruence(b3)
     sizes = {
-        c.witness: len(progress_congruence_improved(b3, c.payload))
+        c.witness: len(progress_congruence_improved(b3, lead, c.cid))
         for c in lead.classes
     }
     assert sizes == {
@@ -210,6 +210,7 @@ def test_budget_stops_exploration(b3):
         subset_congruence(b3, budget=3)
     assert err.value.budget == 3
     assert err.value.count == 3
+    assert err.value.phase == "subset"
 
 
 def test_witnesses_are_shortest_lex_and_alternates_stay_in_class(b3):
