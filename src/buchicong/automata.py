@@ -447,6 +447,8 @@ def enumerate_upwords(alphabet: Alphabet, max_u: int, max_v: int) -> Iterator[Up
     ordered by (|u|, u, |v|, v) in alphabet order.  Pairs are distinct even when
     they denote the same infinite word; callers needing word identity can key by
     UpWord.canonical()."""
+    if max_u < 0:
+        raise ValueError("max_u must be at least 0")
     if max_v < 1:
         raise ValueError("max_v must be at least 1")
     for u in _words_upto(alphabet, 0, max_u):

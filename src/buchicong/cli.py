@@ -376,41 +376,33 @@ def run_bounds_suite(automata: list[tuple[str, Nbw]], budget: int) -> list[Stats
         blown: list[str] = []
         t0 = time.perf_counter()
 
-        def guarded(phase: str, thunk):
+        def guarded(thunk):
             try:
                 return thunk()
-            except BudgetExceededError:
-                blown.append(phase)
+            except BudgetExceededError as e:
+                blown.append(e.phase)
                 return None
 
-        def measure(lead_phase, build_lead, progress_phase, build_progress):
+        def measure(build_lead, build_progress):
             """(leading classes, progress max, progress sum, macrostates), None
             for what a blown budget left unknown."""
-            lead = guarded(lead_phase, lambda: build_lead(a, budget))
+            lead = guarded(lambda: build_lead(a, budget))
             if lead is None:
                 return None, None, None, None
             sizes = [
-                guarded(
-                    f"{progress_phase}[{_join_word(c.witness)}]",
-                    lambda c=c: len(build_progress(a, lead, c.cid, budget)),
-                )
+                guarded(lambda c=c: len(build_progress(a, lead, c.cid, budget)))
                 for c in lead.classes
             ]
             if None in sizes:
                 return len(lead), None, None, None
             return len(lead), max(sizes), sum(sizes), len(lead) + sum(sizes)
 
-        row.classical = guarded("classical", lambda: len(classical_congruence(a, budget)))
+        row.classical = guarded(lambda: len(classical_congruence(a, budget)))
         row.subset, row.improved_max, row.improved_sum, row.macro_improved = measure(
-            "subset", subset_congruence, "improved", progress_congruence_improved
+            subset_congruence, progress_congruence_improved
         )
         row.optimal, row.optimal_progress_max, row.optimal_progress_sum, row.macro_optimal = (
-            measure(
-                "optimal",
-                optimal_leading_congruence,
-                "optimal-progress",
-                optimal_progress_congruence,
-            )
+            measure(optimal_leading_congruence, optimal_progress_congruence)
         )
 
         checks = []

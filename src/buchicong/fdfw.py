@@ -32,7 +32,7 @@ from .automata import (
     explore,
     intersect,
     is_empty,
-    lasso_membership,
+    lasso_membership,  # noqa: F401  no builder calls it; perfbench/tracing.py patches it here
     path_to,
 )
 from .preorder import optimal_leading_congruence, optimal_progress_congruence
@@ -42,7 +42,9 @@ from .profiles import (
     DfwClass,
     periodic_membership_from_profile,
     progress_congruence_improved,
+    restrict,
     subset_congruence,
+    word_profile,
 )
 
 
@@ -242,7 +244,9 @@ def check_saturation_sampled(
 ) -> list[SaturationViolation]:
     """Scan all ultimately periodic words within the given decomposition
     bounds (up to word identity) and report every word whose normalized
-    decompositions disagree."""
+    decompositions disagree, keeping at most `cap` >= 1 examples per side."""
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
     seen: set[UpWord] = set()
     out: list[SaturationViolation] = []
     for w in enumerate_upwords(f.alphabet, max_prefix, max_period):
@@ -290,17 +294,21 @@ def _complement_family(
 
 def complement_fdfw_optimal(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw:
     """Complement family over the ordered-subset congruences.  A progress
-    class is accepting when its payload returns to the base leading class
-    (normalized for every member) and pairing the leading witness with a
-    non-empty member yields a word outside L(a), checked with the lasso
-    oracle.  Classes whose only member is the empty word never matter as
-    periods and are left non-accepting."""
+    class is accepting when its payload returns to the base leading class m
+    (normalized for every member) and the periodic membership fold fails on
+    the profile of a non-empty member v restricted to the states of m: u.v
+    and u share one arrangement, so v maps those states onto themselves, as
+    the fold needs.  Classes whose only member is the empty word never
+    matter as periods and are left non-accepting."""
 
     def accepting(cls: DfwClass, pcls: DfwClass) -> bool:
         if pcls.payload.lead != cls.cid:
             return False
         v = pcls.witness or (pcls.alternates[0] if pcls.alternates else None)
-        return v is not None and not lasso_membership(a, UpWord(cls.witness, v)).accepted
+        if v is None:
+            return False
+        states = frozenset(q for q in range(len(a.states)) if cls.payload.mask >> q & 1)
+        return not periodic_membership_from_profile(a, restrict(word_profile(a, v), states))
 
     return _complement_family(
         a, optimal_leading_congruence(a, budget), optimal_progress_congruence, accepting, budget

@@ -4,6 +4,8 @@ their runs touched acceptance.  A progress payload holds the leading class
 reached so far, whose arrangement the leading DFW already stores, and per
 base block a bitmask of the current states whose strongest origin it is,
 plus a bitmask of the states whose run from that origin meets acceptance.
+Blocks are bitmasks over state indices too, and both one-letter steps run
+the same claim: blocks take their successors from the strongest down.
 
 The acceptance flag is what makes periodic membership a class invariant:
 two periods that shuffle the same states back to the same arrangement can
@@ -29,27 +31,27 @@ from .profiles import (
 @dataclass(frozen=True)
 class PreorderedSubset:
     """Disjoint non-empty blocks of states, least-recently-accepting first.
-    State ids are automaton indices; blocks are frozensets.  The rightmost
-    block is the maximal one under the tracked preorder.  `mask` has bit i
-    set for every state i of some block."""
+    Each block is a bitmask over automaton state indices, bit i standing for
+    state i.  The rightmost block is the maximal one under the tracked
+    preorder.  `mask` is the union of the blocks."""
 
-    blocks: tuple[frozenset[int], ...]
+    blocks: tuple[int, ...]
     mask: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
-        seen: set[int] = set()
+        seen = 0
         for b in self.blocks:
             if not b:
                 raise ValueError("empty block")
             if b & seen:
                 raise ValueError("blocks must be disjoint")
             seen |= b
-        object.__setattr__(self, "mask", sum(1 << q for q in seen))
+        object.__setattr__(self, "mask", seen)
 
     def pretty(self, names: tuple[str, ...]) -> str:
         parts = []
         for b in self.blocks:
-            inner = ",".join(names[i] for i in sorted(b))
+            inner = ",".join(names[i] for i in range(len(names)) if b >> i & 1)
             parts.append("{" + inner + "}")
         return "<" + ",".join(parts) + ">"
 
@@ -58,32 +60,41 @@ def initial_preordered(a: Nbw) -> PreorderedSubset:
     """Initial states split into a non-accepting block then an accepting one,
     empty blocks dropped.  Accepting sits rightmost: a length-0 run from an
     accepting state already counts as visiting acceptance."""
-    non_acc = frozenset(a.index(q) for q in a.initial if q not in a.accepting)
-    acc = frozenset(a.index(q) for q in a.initial if q in a.accepting)
-    blocks = tuple(b for b in (non_acc, acc) if b)
-    return PreorderedSubset(blocks)
+    init = sum(1 << a.index(q) for q in a.initial)
+    acc = a.bitmasks()[1]
+    return PreorderedSubset(tuple(b for b in (init & ~acc, init & acc) if b))
+
+
+def _claim(post: list[int], acc: int, blocks: tuple[int, ...], flagged: int) -> tuple[list, int]:
+    """Successors of `blocks` under the rows `post`, claimed top down: the
+    strongest block takes its whole image, each weaker one what is left.
+    Also returns the flagged claims: claimed states that are accepting or
+    were reached from a `flagged` state of the block that claimed them."""
+    claims = [0] * len(blocks)
+    taken = hit = 0
+    for b in range(len(blocks) - 1, -1, -1):
+        img = img_flagged = 0
+        src = blocks[b]
+        while src:
+            low = src & -src
+            row = post[low.bit_length() - 1]
+            img |= row
+            if low & flagged:
+                img_flagged |= row
+            src ^= low
+        claims[b] = img & ~taken
+        taken |= img
+        hit |= claims[b] & (img_flagged | acc)
+    return claims, hit
 
 
 def ordered_step(a: Nbw, ps: PreorderedSubset, sym: str) -> PreorderedSubset:
-    """One-letter successor.  Each successor state is keyed by the highest
-    block index among its predecessors and by whether it is accepting; keys
-    sort ascending, acceptance breaking ties upward, and each state lands in
-    the block of its strongest key.  Empty groups vanish."""
-    acc_ids = {a.index(q) for q in a.accepting}
-    best: dict[int, tuple[int, int]] = {}
-    for bi, block in enumerate(ps.blocks):
-        for qi in block:
-            q = a.states[qi]
-            for r in a.successors(q, sym):
-                ri = a.index(r)
-                key = (bi, 1 if ri in acc_ids else 0)
-                if ri not in best or key > best[ri]:
-                    best[ri] = key
-    groups: dict[tuple[int, int], set[int]] = {}
-    for ri, key in best.items():
-        groups.setdefault(key, set()).add(ri)
-    blocks = tuple(frozenset(groups[k]) for k in sorted(groups))
-    return PreorderedSubset(blocks)
+    """One-letter successor.  Blocks claim successors from the strongest
+    down, and each claim splits into its non-accepting then its accepting
+    states, which rank just above; empty groups vanish."""
+    succ, acc = a.bitmasks()
+    claims, _ = _claim(succ[sym], acc, ps.blocks, 0)
+    return PreorderedSubset(tuple(g for c in claims for g in (c & ~acc, c & acc) if g))
 
 
 def ordered_reach(a: Nbw, word: Word) -> PreorderedSubset:
@@ -140,8 +151,7 @@ class OptProgressState(NamedTuple):
 
 def initial_progress_state(lead: CongruenceDfw, m: int) -> OptProgressState:
     base = lead.classes[m].payload
-    back = tuple(sum(1 << q for q in b) for b in base.blocks)
-    return OptProgressState(m, back, 0).check(base.mask)
+    return OptProgressState(m, base.blocks, 0).check(base.mask)
 
 
 def progress_step(a: Nbw, lead: CongruenceDfw, st: OptProgressState, sym: str) -> OptProgressState:
@@ -149,23 +159,8 @@ def progress_step(a: Nbw, lead: CongruenceDfw, st: OptProgressState, sym: str) -
     base blocks claim successors from the strongest down, and a claimed state
     is flagged when accepting or reached from a flagged state of its block."""
     succ, acc = a.bitmasks()
-    post = succ[sym]
+    back, via = _claim(succ[sym], acc, st.back, st.via_acc)
     nxt = lead.table[(st.lead, sym)]
-    back = list(st.back)
-    claimed = via = 0
-    for b in range(len(back) - 1, -1, -1):
-        img = img_via = 0
-        src = back[b]
-        while src:
-            low = src & -src
-            row = post[low.bit_length() - 1]
-            img |= row
-            if low & st.via_acc:
-                img_via |= row
-            src ^= low
-        back[b] = img & ~claimed
-        claimed |= img
-        via |= back[b] & (img_via | acc)
     return OptProgressState(nxt, tuple(back), via).check(lead.classes[nxt].payload.mask)
 
 

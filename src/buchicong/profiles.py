@@ -224,17 +224,20 @@ class CongruenceDfw:
         return dataclasses.replace(self, accepting=accepting)
 
 
+MAX_ALTERNATES = 3
+
+
 def build_congruence_dfw(
     phase: str,
     alphabet: Alphabet,
     initial_payload: Hashable,
     step_payload: Callable[[Hashable, str], Hashable],
     budget: int = DEFAULT_CLASS_BUDGET,
-    max_alternates: int = 3,
 ) -> CongruenceDfw:
     """Explore the reachable payloads of a deterministic payload-step function
     breadth first.  Witnesses are canonical: shortest, ties broken by alphabet
-    order, which BFS in declaration order yields by construction.  Raises
+    order, which BFS in declaration order yields by construction.  The next
+    MAX_ALTERNATES edges into a class give its alternate members.  Raises
     BudgetExceededError, naming `phase`, when more than `budget` classes
     appear."""
     ids: dict[Hashable, int] = {initial_payload: 0}
@@ -251,18 +254,17 @@ def build_congruence_dfw(
         for sym in alphabet:
             nxt = step_payload(payloads[cid], sym)
             nid = ids.get(nxt)
-            word2 = word + (sym,)
             if nid is None:
                 if len(ids) >= budget:
                     raise BudgetExceededError(len(ids), budget, phase)
                 nid = len(ids)
                 ids[nxt] = nid
                 payloads.append(nxt)
-                witnesses.append(word2)
+                witnesses.append(word + (sym,))
                 alternates.append([])
                 queue.append(nid)
-            elif len(alternates[nid]) < max_alternates and word2 != witnesses[nid]:
-                alternates[nid].append(word2)
+            elif len(alternates[nid]) < MAX_ALTERNATES:
+                alternates[nid].append(word + (sym,))
             table[(cid, sym)] = nid
     classes = tuple(
         DfwClass(cid, witnesses[cid], payloads[cid], tuple(alternates[cid]))

@@ -49,7 +49,12 @@ def ordered_run_dag(a: Nbw, word: Word) -> OrderedRunDag:
             kept.append(grp2)
         kept.reverse()
         lvl_blocks.append(tuple(b for b in kept if b))
-    return OrderedRunDag(tuple(PreorderedSubset(bs) for bs in lvl_blocks))
+    return OrderedRunDag(
+        tuple(
+            PreorderedSubset(tuple(sum(1 << qi for qi in b) for b in bs))
+            for bs in lvl_blocks
+        )
+    )
 
 
 def max_class_map_direct(
@@ -60,7 +65,9 @@ def max_class_map_direct(
     pushed level by level without the incremental trick.  Used to
     cross-check progress_step in tests."""
     acc_ids = {a.index(q) for q in a.accepting}
-    reach: list[set[int]] = [set(b) for b in base.blocks]
+    reach: list[set[int]] = [
+        {qi for qi in range(len(a.states)) if b >> qi & 1} for b in base.blocks
+    ]
     touched: list[set[int]] = [set() for _ in base.blocks]
     for sym in word:
         for bi in range(len(base.blocks)):

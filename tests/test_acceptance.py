@@ -24,7 +24,9 @@ from buchicong import (
     periodic_membership_from_profile,
     progress_congruence_improved,
     subset_congruence,
+    word_profile,
 )
+from buchicong.profiles import restrict
 from conftest import pool_automaton, record_criterion, single_word_family
 from reference import ordered_run_dag
 
@@ -256,28 +258,47 @@ def test_ac11_run_dag_levels_match_arrangements():
 
 
 def test_ac12_folded_membership_matches_oracle(pool_relations):
+    # improved classes fold their own restricted profile; optimal classes
+    # that return to their leading class fold the profile of one member,
+    # restricted to the states of that class, as complement_fdfw_optimal does
     rows, _ = pool_relations
     failures = []
-    compared = 0
+    compared = {"improved": 0, "optimal": 0}
+
+    def member(pcls):
+        if pcls.witness:
+            return pcls.witness
+        return next((alt for alt in pcls.alternates if alt), None)
+
+    def compare(kind, aid, a, u, v, folded):
+        compared[kind] += 1
+        if folded != lasso_membership(a, UpWord(u, v)).accepted:
+            failures.append(f"{aid}/{kind}: ({u}, {v})")
+
     for row in rows:
         a = row.nbw
         for c in row.subset.classes:
             src_ids = frozenset(a.index(q) for q in c.payload)
-            prog = row.improved[c.cid]
-            for pcls in prog.classes:
-                if pcls.payload.image() != src_ids:
-                    continue
-                v = pcls.witness
-                if not v:
-                    v = next((alt for alt in pcls.alternates if alt), None)
-                if not v:
+            for pcls in row.improved[c.cid].classes:
+                v = member(pcls)
+                if pcls.payload.image() != src_ids or v is None:
                     continue
                 folded = periodic_membership_from_profile(a, pcls.payload)
-                want = lasso_membership(a, UpWord(c.witness, v)).accepted
-                compared += 1
-                if folded != want:
-                    failures.append(f"{row.aid}: ({c.witness}, {v})")
+                compare("improved", row.aid, a, c.witness, v, folded)
+        for c in row.optimal.classes:
+            states = frozenset(q for q in range(len(a.states)) if c.payload.mask >> q & 1)
+            for pcls in row.optimal_progress[c.cid].classes:
+                v = member(pcls)
+                if pcls.payload.lead != c.cid or v is None:
+                    continue
+                rp = restrict(word_profile(a, v), states)
+                folded = periodic_membership_from_profile(a, rp)
+                compare("optimal", row.aid, a, c.witness, v, folded)
     record_criterion(
-        "AC-12", not failures, f"{compared} eligible class pairs against the oracle"
+        "AC-12",
+        not failures,
+        f"{compared['improved']} improved and {compared['optimal']} optimal "
+        "eligible class pairs against the oracle",
     )
     assert not failures, failures
+    assert compared["optimal"] > 0

@@ -85,6 +85,8 @@ def test_enumerate_upwords_counts_pairs():
 def test_enumerate_upwords_rejects_zero_period_bound():
     with pytest.raises(ValueError):
         list(enumerate_upwords(Alphabet(("a",)), 1, 0))
+    with pytest.raises(ValueError):
+        list(enumerate_upwords(Alphabet(("a",)), -1, 1))
 
 
 def test_parse_word_splits_tokens_and_single_chars():

@@ -253,6 +253,16 @@ def test_saturation_check_flags_the_handcrafted_family(tmp_path, capsys):
     assert "a b,a b a b" in hit[0]["uncaptured"]
 
 
+def test_saturation_check_rejects_a_zero_cap(tmp_path, capsys):
+    # with no example kept per side no word could show a disagreement, so
+    # the probe would pass vacuously
+    fam = tmp_path / "single.fdfw"
+    fam.write_text(serialize_fdfw(single_word_family()))
+    code, out = run(capsys, "saturation-check", "--fdfw", str(fam), "--cap", "0")
+    assert code == 2
+    assert out == ""
+
+
 # --- suites -----------------------------------------------------------------------------
 
 
@@ -288,6 +298,19 @@ def test_bounds_suite_exits_3_after_the_whole_table_on_a_blown_budget(capsys):
     assert [r["id"] for r in rows] == ["bn3", "rnd1729n2", "rnd1730n3"]
     assert rows[0]["budget_exceeded"] == "classical;subset;optimal"
     assert rows[1]["budget_exceeded"] == ""
+
+
+def test_bounds_suite_names_blown_relations_by_their_budget_phase(capsys):
+    code, out = run(
+        capsys, "bounds-suite", "--bn", "3", "--random", "4", "--budget", "9"
+    )
+    assert code == 3
+    rows = {r["id"]: r for r in tsv_rows(out)}
+    assert rows["rnd1730n3"]["budget_exceeded"] == (
+        "classical;improved-progress[a a];improved-progress[b b];"
+        "improved-progress[a a b]"
+    )
+    assert rows["bn3"]["budget_exceeded"] == "classical;optimal-progress[]"
 
 
 def test_readme_reproduction_commands_pass(capsys):

@@ -254,6 +254,22 @@ def test_family_bytes_are_pinned(aid, variant):
     assert hashlib.sha256(text.encode()).hexdigest() == FAMILY_DIGESTS[aid, variant]
 
 
+def test_no_builder_calls_the_oracle(monkeypatch):
+    # the oracle is ground truth for tests only: complement builders, the
+    # translation and containment must decide everything on their own
+    def oracle(*args):
+        raise AssertionError("a builder called lasso_membership")
+
+    monkeypatch.setattr("buchicong.automata.lasso_membership", oracle)
+    monkeypatch.setattr("buchicong.fdfw.lasso_membership", oracle)
+    automata = [gen_bn(3), gen_bn_dbw(3), mixed_blocks_nbw()]
+    automata += [random_nbw(seed, 3 + seed % 3) for seed in range(1729, 1735)]
+    for a in automata:
+        for build in (complement_fdfw_optimal, complement_fdfw_improved):
+            fdfw_to_nbw(build(a))
+        containment(a, a)
+
+
 # --- containment ------------------------------------------------------------------------
 
 

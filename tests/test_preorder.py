@@ -27,7 +27,7 @@ from test_automata import inf_many
 
 def arrangement(a: Nbw, *groups: tuple[str, ...]) -> PreorderedSubset:
     return PreorderedSubset(
-        tuple(frozenset(a.index(q) for q in grp) for grp in groups)
+        tuple(sum(1 << a.index(q) for q in grp) for grp in groups)
     )
 
 
@@ -36,9 +36,9 @@ def arrangement(a: Nbw, *groups: tuple[str, ...]) -> PreorderedSubset:
 
 def test_blocks_must_be_disjoint_and_non_empty():
     with pytest.raises(ValueError):
-        PreorderedSubset((frozenset(),))
+        PreorderedSubset((0,))
     with pytest.raises(ValueError):
-        PreorderedSubset((frozenset({0}), frozenset({0, 1})))
+        PreorderedSubset((0b1, 0b11))
 
 
 def test_initial_split_puts_accepting_rightmost():
@@ -103,7 +103,7 @@ def test_arrangement_states_equal_reachable_set(b3):
     for c in lead.classes:
         ids = frozenset(b3.index(q) for q in reach(b3, c.witness))
         assert c.payload.mask == sum(1 << q for q in ids)
-        assert c.payload.mask == sum(1 << q for b in c.payload.blocks for q in b)
+        assert c.payload.mask == sum(c.payload.blocks)
 
 
 @given(seeded_nbws())
