@@ -77,6 +77,17 @@ def _positive_budget(raw: str) -> int:
     return val
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer option that must be at least `low`."""
+
+    def integer(raw: str) -> int:
+        if int(raw) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {raw!r}")
+        return int(raw)
+
+    return integer
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -178,11 +189,10 @@ def cmd_classes(args) -> int:
         dumped = dfw
     if args.dump and dumped is not None:
         _write_text(args.dump, serialize_dfw(dumped))
-        wit_lines = ["class\twitness\talternates"]
+        wit_lines = ["class\twitness"]
         for c in dumped.classes:
             wit = "" if c.witness is None else _join_word(c.witness)
-            alts = "|".join(_join_word(w) for w in c.alternates)
-            wit_lines.append(f"c{c.cid}\t{wit}\t{alts}")
+            wit_lines.append(f"c{c.cid}\t{wit}")
         _write_text(args.dump + ".witnesses.tsv", "\n".join(wit_lines) + "\n")
     _emit(["relation", "classes", "max_witness_len", "elapsed_ms"], rows, args.json)
     return EXIT_OK
@@ -455,7 +465,7 @@ def _suite_automata(args) -> list[tuple[str, Nbw]]:
         out.append((f"bn-dbw{n}", gen_bn_dbw(n)))
     symbols = tuple(args.symbols.split())
     for i in range(args.random):
-        size = 2 + i % max(1, args.states - 1) if args.states > 1 else 1
+        size = 2 + i % (args.states - 1) if args.states > 1 else 1
         seed = args.seed + i
         out.append((f"rnd{seed}n{size}", random_nbw(seed, size, symbols)))
     return out
@@ -589,8 +599,8 @@ def _add_common(p: argparse.ArgumentParser, budget: bool = True, json_flag: bool
 def _add_suite_selection(p: argparse.ArgumentParser, bn_default: str, random_default: int):
     p.add_argument("--bn", default=bn_default, help="comma list of permutation family sizes")
     p.add_argument("--bn-dbw", dest="bn_dbw", default="", help="comma list of deterministic family sizes")
-    p.add_argument("--random", type=int, default=random_default, help="number of random automata")
-    p.add_argument("--states", type=int, default=4, help="max states of random automata")
+    p.add_argument("--random", type=_int_at_least(0), default=random_default, help="number of random automata")
+    p.add_argument("--states", type=_int_at_least(1), default=4, help="max states of random automata")
     p.add_argument("--symbols", default="a b", help="alphabet of random automata")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base RNG seed")
     p.add_argument("--timings", action="store_true", help="append wall-clock column")

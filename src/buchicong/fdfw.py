@@ -42,9 +42,7 @@ from .profiles import (
     DfwClass,
     periodic_membership_from_profile,
     progress_congruence_improved,
-    restrict,
     subset_congruence,
-    word_profile,
 )
 
 
@@ -278,37 +276,32 @@ def _complement_family(
     a: Nbw,
     lead: CongruenceDfw,
     build_progress: Callable[[Nbw, CongruenceDfw, int, int], CongruenceDfw],
-    accepting: Callable[[DfwClass, DfwClass], bool],
+    accepting: Callable[[DfwClass, CongruenceDfw, DfwClass], bool],
     budget: int,
 ) -> Fdfw:
     """Saturated family over `lead`: per leading class m, the progress DFW
     build_progress(a, lead, m, budget), accepting the progress classes for
-    which accepting(leading class, progress class) holds."""
+    which accepting(leading class, progress DFW, progress class) holds."""
     progress: dict[int, CongruenceDfw] = {}
     for cls in lead.classes:
         prog = build_progress(a, lead, cls.cid, budget)
-        acc = frozenset(p.cid for p in prog.classes if accepting(cls, p))
+        acc = frozenset(p.cid for p in prog.classes if accepting(cls, prog, p))
         progress[cls.cid] = prog.with_accepting(acc)
     return Fdfw(a.alphabet, lead, progress, saturated=True)
 
 
 def complement_fdfw_optimal(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw:
-    """Complement family over the ordered-subset congruences.  A progress
-    class is accepting when its payload returns to the base leading class m
-    (normalized for every member) and the periodic membership fold fails on
-    the profile of a non-empty member v restricted to the states of m: u.v
-    and u share one arrangement, so v maps those states onto themselves, as
-    the fold needs.  Classes whose only member is the empty word never
-    matter as periods and are left non-accepting."""
+    """Complement family over the ordered-subset congruences.  A progress class
+    of leading class m accepts when its payload returns to m (normalized for
+    every member) and `OptProgressState.accepts_period` rejects.  Class 0
+    with no table entry into it holds only the empty word, no period, and is
+    left non-accepting."""
 
-    def accepting(cls: DfwClass, pcls: DfwClass) -> bool:
-        if pcls.payload.lead != cls.cid:
+    def accepting(cls: DfwClass, prog: CongruenceDfw, pcls: DfwClass) -> bool:
+        st = pcls.payload
+        if st.lead != cls.cid or pcls.cid == 0 and 0 not in prog.table.values():
             return False
-        v = pcls.witness or (pcls.alternates[0] if pcls.alternates else None)
-        if v is None:
-            return False
-        states = frozenset(q for q in range(len(a.states)) if cls.payload.mask >> q & 1)
-        return not periodic_membership_from_profile(a, restrict(word_profile(a, v), states))
+        return not st.accepts_period(cls.payload.blocks)
 
     return _complement_family(
         a, optimal_leading_congruence(a, budget), optimal_progress_congruence, accepting, budget
@@ -321,7 +314,7 @@ def complement_fdfw_improved(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw
     image must re-create the source set and the folded periodic membership
     test must fail."""
 
-    def accepting(cls: DfwClass, pcls: DfwClass) -> bool:
+    def accepting(cls: DfwClass, prog: CongruenceDfw, pcls: DfwClass) -> bool:
         rp = pcls.payload
         return rp.image() == rp.sources and not periodic_membership_from_profile(a, rp)
 

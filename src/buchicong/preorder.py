@@ -7,12 +7,13 @@ plus a bitmask of the states whose run from that origin meets acceptance.
 Blocks are bitmasks over state indices too, and both one-letter steps run
 the same claim: blocks take their successors from the strongest down.
 
-The acceptance flag is what makes periodic membership a class invariant:
-two periods that shuffle the same states back to the same arrangement can
-still differ on whether the loop passes an accepting state, and dropping
-the flag would merge them.  Leading classes number at most the arrangements
-over n states, sum over k of C(n, k) times the k-th Fubini number; progress
-classes stay within n^n (n+1)^n on everything the suite measures.
+The acceptance flag is what makes periodic membership a class invariant, one
+that `OptProgressState.accepts_period` reads off the payload: two periods
+that shuffle the same states back to the same arrangement can still differ
+on whether the loop passes an accepting state, and dropping the flag would
+merge them.  Leading classes number at most the arrangements over n states,
+sum over k of C(n, k) times the k-th Fubini number; progress classes stay
+within n^n (n+1)^n on everything the suite measures.
 """
 
 from __future__ import annotations
@@ -147,6 +148,26 @@ class OptProgressState(NamedTuple):
         if self.via_acc & ~tracked:
             raise ValueError("acceptance flags must sit on current states")
         return self
+
+    def accepts_period(self, base: tuple[int, ...]) -> bool:
+        """Whether u.v^omega is in L(A), for v in this class and u in leading
+        class self.lead, when `base` holds that class's blocks: whether some
+        block b keeps states of its own (back[b] meets base[b]), one flagged.
+
+        Proof.  Each level u.v^i carries the same arrangement, every block
+        has one parent block a letter earlier, and blocks are ordered by
+        ancestor first.  So each block c has one origin o(c) a period
+        earlier, o is monotone, and its fixed points are the only cycles of
+        the block graph o(c) -> c.  States of c are flagged iff c's block
+        path from o(c) meets an accepting block: a flagged run through a
+        weaker block left that path at an acceptance split.  By the reduced
+        run DAG argument (Kähler and Wilke, ICALP 2008; Fogarty, Kupferman,
+        Vardi and Wilke, I&C 2015), u.v^omega is accepted iff some branch of
+        blocks meets acceptance infinitely often: the strongest blocks with
+        an accepting continuation form one, and König's lemma turns one into
+        a run.  Over periods a branch settles on a fixed point b of o, and
+        it meets acceptance every period iff b's states are flagged."""
+        return any(back & b & self.via_acc for back, b in zip(self.back, base))
 
 
 def initial_progress_state(lead: CongruenceDfw, m: int) -> OptProgressState:

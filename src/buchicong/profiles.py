@@ -135,13 +135,6 @@ def compose(first: Profile, second: Profile) -> Profile:
     return Profile(first.size, tuple(r for r, _ in rows), tuple(rf for _, rf in rows))
 
 
-def word_profile(a: Nbw, word: Word) -> Profile:
-    p = epsilon_profile(a)
-    for sym in word:
-        p = compose(p, letter_profile(a, sym))
-    return p
-
-
 def restrict(p: Profile, sources: frozenset[int]) -> RestrictedProfile:
     reach = tuple(p.reach[i] if i in sources else 0 for i in range(p.size))
     reach_f = tuple(p.reach_f[i] if i in sources else 0 for i in range(p.size))
@@ -182,13 +175,12 @@ def periodic_membership_from_profile(a: Nbw, rp: RestrictedProfile) -> bool:
 @dataclass(frozen=True)
 class DfwClass:
     """One class of a right congruence: its id, the canonical access word
-    (None only for classes a parsed structure declares but never reaches),
-    the payload value that defines it, and a few alternate access words."""
+    (None only for classes a parsed structure declares but never reaches)
+    and the payload value that defines it."""
 
     cid: int
     witness: Word | None
     payload: Hashable
-    alternates: tuple[Word, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -224,9 +216,6 @@ class CongruenceDfw:
         return dataclasses.replace(self, accepting=accepting)
 
 
-MAX_ALTERNATES = 3
-
-
 def build_congruence_dfw(
     phase: str,
     alphabet: Alphabet,
@@ -236,23 +225,18 @@ def build_congruence_dfw(
 ) -> CongruenceDfw:
     """Explore the reachable payloads of a deterministic payload-step function
     breadth first.  Witnesses are canonical: shortest, ties broken by alphabet
-    order, which BFS in declaration order yields by construction.  The next
-    MAX_ALTERNATES edges into a class give its alternate members.  Raises
+    order, which BFS in declaration order yields by construction.  Raises
     BudgetExceededError, naming `phase`, when more than `budget` classes
     appear."""
     ids: dict[Hashable, int] = {initial_payload: 0}
     payloads: list[Hashable] = [initial_payload]
     witnesses: list[Word] = [()]
-    alternates: list[list[Word]] = [[]]
     table: dict[tuple[int, str], int] = {}
-    queue = [0]
-    qi = 0
-    while qi < len(queue):
-        cid = queue[qi]
-        qi += 1
+    # class ids are handed out in discovery order, so the list is the queue
+    for cid, payload in enumerate(payloads):
         word = witnesses[cid]
         for sym in alphabet:
-            nxt = step_payload(payloads[cid], sym)
+            nxt = step_payload(payload, sym)
             nid = ids.get(nxt)
             if nid is None:
                 if len(ids) >= budget:
@@ -261,15 +245,8 @@ def build_congruence_dfw(
                 ids[nxt] = nid
                 payloads.append(nxt)
                 witnesses.append(word + (sym,))
-                alternates.append([])
-                queue.append(nid)
-            elif len(alternates[nid]) < MAX_ALTERNATES:
-                alternates[nid].append(word + (sym,))
             table[(cid, sym)] = nid
-    classes = tuple(
-        DfwClass(cid, witnesses[cid], payloads[cid], tuple(alternates[cid]))
-        for cid in range(len(payloads))
-    )
+    classes = tuple(DfwClass(cid, witnesses[cid], payloads[cid]) for cid in range(len(payloads)))
     return CongruenceDfw(alphabet, classes, table)
 
 

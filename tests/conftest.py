@@ -88,6 +88,13 @@ def bound_pool_automaton(i: int) -> Nbw:
     return random_nbw(DEFAULT_SEED + i, 3 + i % 2)
 
 
+def edge_members(dfw: CongruenceDfw):
+    """(class id, member) for every table edge (src, sym) -> cid: the word
+    witness(src) + (sym,) belongs to class cid."""
+    for (src, sym), cid in dfw.table.items():
+        yield cid, dfw.classes[src].witness + (sym,)
+
+
 # --- handcrafted families --------------------------------------------------------
 
 

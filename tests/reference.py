@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from buchicong import Nbw, PreorderedSubset, Word
+from buchicong import Nbw, PreorderedSubset, Profile, Word, compose, epsilon_profile, letter_profile
 
 
 @dataclass(frozen=True)
@@ -86,3 +86,12 @@ def max_class_map_direct(
             if qi not in out or bi > out[qi][0]:
                 out[qi] = (bi, qi in touched[bi])
     return out
+
+
+def word_profile(a: Nbw, word: Word) -> Profile:
+    """Pair profile of a word, composed one letter at a time from the empty
+    word's.  The profile tests check it against run enumeration."""
+    p = epsilon_profile(a)
+    for sym in word:
+        p = compose(p, letter_profile(a, sym))
+    return p

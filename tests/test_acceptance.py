@@ -24,10 +24,8 @@ from buchicong import (
     periodic_membership_from_profile,
     progress_congruence_improved,
     subset_congruence,
-    word_profile,
 )
-from buchicong.profiles import restrict
-from conftest import pool_automaton, record_criterion, single_word_family
+from conftest import edge_members, pool_automaton, record_criterion, single_word_family
 from reference import ordered_run_dag
 
 
@@ -121,18 +119,15 @@ def test_ac05_refinement_between_relations(pool_relations):
     failures = []
     for row in rows:
         # equal full-profile classes must land in equal per-source classes
-        for c in row.classical.classes:
+        for cid, member in edge_members(row.classical):
+            witness = row.classical.classes[cid].witness
             for prog in row.improved.values():
-                want = prog.run(c.witness)
-                for alt in c.alternates:
-                    if prog.run(alt) != want:
-                        failures.append(f"{row.aid}: profile class split by {alt}")
+                if prog.run(member) != prog.run(witness):
+                    failures.append(f"{row.aid}: profile class split by {member}")
         # equal arrangements must flatten to the same successor set
-        for c in row.optimal.classes:
-            want = row.subset.run(c.witness)
-            for alt in c.alternates:
-                if row.subset.run(alt) != want:
-                    failures.append(f"{row.aid}: arrangement class split by {alt}")
+        for cid, member in edge_members(row.optimal):
+            if row.subset.run(member) != row.subset.run(row.optimal.classes[cid].witness):
+                failures.append(f"{row.aid}: arrangement class split by {member}")
     record_criterion(
         "AC-5", not failures, f"refinement on all class members of {len(rows)} automata"
     )
@@ -257,18 +252,20 @@ def test_ac11_run_dag_levels_match_arrangements():
     assert not failures, failures
 
 
-def test_ac12_folded_membership_matches_oracle(pool_relations):
+def test_ac12_folded_membership_matches_oracle(pool_relations, complement_runs):
     # improved classes fold their own restricted profile; optimal classes
-    # that return to their leading class fold the profile of one member,
-    # restricted to the states of that class, as complement_fdfw_optimal does
+    # that return to their leading class read the verdict off the payload,
+    # as complement_fdfw_optimal does
     rows, _ = pool_relations
     failures = []
     compared = {"improved": 0, "optimal": 0}
 
-    def member(pcls):
-        if pcls.witness:
-            return pcls.witness
-        return next((alt for alt in pcls.alternates if alt), None)
+    def members(prog):
+        # a non-empty member per class: its witness, else the first edge in
+        out = {c.cid: c.witness for c in prog.classes if c.witness}
+        for cid, v in edge_members(prog):
+            out.setdefault(cid, v)
+        return out
 
     def compare(kind, aid, a, u, v, folded):
         compared[kind] += 1
@@ -279,26 +276,32 @@ def test_ac12_folded_membership_matches_oracle(pool_relations):
         a = row.nbw
         for c in row.subset.classes:
             src_ids = frozenset(a.index(q) for q in c.payload)
-            for pcls in row.improved[c.cid].classes:
-                v = member(pcls)
-                if pcls.payload.image() != src_ids or v is None:
-                    continue
-                folded = periodic_membership_from_profile(a, pcls.payload)
-                compare("improved", row.aid, a, c.witness, v, folded)
+            prog = row.improved[c.cid]
+            for cid, v in members(prog).items():
+                rp = prog.classes[cid].payload
+                if rp.image() == src_ids:
+                    folded = periodic_membership_from_profile(a, rp)
+                    compare("improved", row.aid, a, c.witness, v, folded)
         for c in row.optimal.classes:
-            states = frozenset(q for q in range(len(a.states)) if c.payload.mask >> q & 1)
-            for pcls in row.optimal_progress[c.cid].classes:
-                v = member(pcls)
-                if pcls.payload.lead != c.cid or v is None:
-                    continue
-                rp = restrict(word_profile(a, v), states)
-                folded = periodic_membership_from_profile(a, rp)
-                compare("optimal", row.aid, a, c.witness, v, folded)
+            prog = row.optimal_progress[c.cid]
+            for cid, v in members(prog).items():
+                st = prog.classes[cid].payload
+                if st.lead == c.cid:
+                    folded = st.accepts_period(c.payload.blocks)
+                    compare("optimal", row.aid, a, c.witness, v, folded)
+    # the class only the empty word reaches is no period and never accepts
+    eps_only = 0
+    for run in complement_runs[0]:
+        for m, prog in run.variants["optimal"].family.progress.items():
+            if 0 not in prog.table.values():
+                eps_only += 1
+                if 0 in prog.accepting:
+                    failures.append(f"{run.aid}: epsilon-only class of m{m} accepts")
     record_criterion(
         "AC-12",
         not failures,
         f"{compared['improved']} improved and {compared['optimal']} optimal "
-        "eligible class pairs against the oracle",
+        f"eligible class pairs against the oracle, {eps_only} epsilon-only classes",
     )
     assert not failures, failures
-    assert compared["optimal"] > 0
+    assert compared["optimal"] > 0 and eps_only > 0

@@ -108,7 +108,7 @@ def test_classes_dump_writes_quotient_and_witnesses(b3_file, tmp_path, capsys):
     assert code == 0
     assert dump.read_text().startswith("dfw\n")
     table = (tmp_path / "subset.dfw.witnesses.tsv").read_text().strip().splitlines()
-    assert table[0] == "class\twitness\talternates"
+    assert table[0] == "class\twitness"
     assert len(table) == 7
 
 
@@ -311,6 +311,16 @@ def test_bounds_suite_names_blown_relations_by_their_budget_phase(capsys):
         "improved-progress[a a b]"
     )
     assert rows["bn3"]["budget_exceeded"] == "classical;optimal-progress[]"
+
+
+def test_suites_reject_negative_counts_and_empty_state_ranges(capsys):
+    # a negative --random printed an empty table and --states 0 built
+    # one-state automata, both with exit 0
+    for suite in ("bounds-suite", "equiv-suite"):
+        for bad in (("--random", "-3"), ("--states", "0")):
+            with pytest.raises(SystemExit) as exc:
+                run(capsys, suite, "--bn", "", *bad)
+            assert exc.value.code == 2
 
 
 def test_readme_reproduction_commands_pass(capsys):

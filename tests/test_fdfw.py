@@ -270,6 +270,20 @@ def test_no_builder_calls_the_oracle(monkeypatch):
         containment(a, a)
 
 
+def test_optimal_marking_reads_no_profile(monkeypatch):
+    # the optimal builder reads each verdict off the progress payload; it
+    # neither composes a period's profile nor folds one
+    def profile(*args):
+        raise AssertionError("the optimal builder used a profile")
+
+    monkeypatch.setattr("buchicong.profiles.compose", profile)
+    monkeypatch.setattr("buchicong.fdfw.periodic_membership_from_profile", profile)
+    automata = [gen_bn(3), gen_bn_dbw(3), mixed_blocks_nbw()]
+    automata += [random_nbw(seed, 3 + seed % 3) for seed in range(1729, 1735)]
+    for a in automata:
+        complement_fdfw_optimal(a)
+
+
 # --- containment ------------------------------------------------------------------------
 
 
