@@ -181,19 +181,6 @@ class Nbw:
         )
 
 
-def step(a: Nbw, subset: frozenset[str], sym: str) -> frozenset[str]:
-    """One-symbol successor of a state set."""
-    return frozenset().union(*(a.successors(q, sym) for q in subset))
-
-
-def reach(a: Nbw, word: Iterable[str]) -> frozenset[str]:
-    """States reachable from the initial set along `word`."""
-    cur = a.initial
-    for sym in word:
-        cur = step(a, cur, sym)
-    return cur
-
-
 def explore(inits: Iterable, expand: Callable[[object], list[tuple[str, object]]]):
     """Breadth-first search of the edge-labelled graph with edges
     expand(node) = [(letter, successor), ...] from the nodes `inits`.

@@ -228,13 +228,10 @@ def cmd_complement(args) -> int:
 
 
 def cmd_to_nbw(args) -> int:
-    if args.fdfw:
+    if args.fdfw is not None:
         f = parse_fdfw(_read_text(args.fdfw))
         source = args.fdfw
     else:
-        if not args.infile:
-            print("to-nbw needs --in with --variant, or --fdfw", file=sys.stderr)
-            return EXIT_BAD_INPUT
         a = _load_nbw(args.infile)
         f = _VARIANTS[args.variant](a, args.budget)
         source = args.variant
@@ -319,12 +316,9 @@ def _fmt_decomp(d: UpWord) -> str:
 
 
 def cmd_saturation_check(args) -> int:
-    if args.fdfw:
+    if args.fdfw is not None:
         f = parse_fdfw(_read_text(args.fdfw))
     else:
-        if not args.infile:
-            print("saturation-check needs --in with --variant, or --fdfw", file=sys.stderr)
-            return EXIT_BAD_INPUT
         a = _load_nbw(args.infile)
         f = _VARIANTS[args.variant](a, args.budget)
     violations = check_saturation_sampled(f, args.max_u, args.max_v, cap=args.cap)
@@ -606,6 +600,14 @@ def _add_suite_selection(p: argparse.ArgumentParser, bn_default: str, random_def
     p.add_argument("--timings", action="store_true", help="append wall-clock column")
 
 
+def _add_source(p: argparse.ArgumentParser, fdfw_help: str) -> None:
+    """Exactly one input: an automaton to complement with --variant, or a
+    family file."""
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--in", dest="infile", help="automaton file (nbw/HOA)")
+    src.add_argument("--fdfw", help=fdfw_help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="buchicong",
@@ -634,9 +636,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_complement)
 
     p = sub.add_parser("to-nbw", help="translate a family to a Büchi automaton")
-    p.add_argument("--in", dest="infile", default=None)
+    _add_source(p, "translate this family file instead")
     p.add_argument("--variant", default="optimal", choices=["optimal", "improved"])
-    p.add_argument("--fdfw", default=None, help="translate this family file instead")
     p.add_argument("--out", default=None, help="write the automaton here")
     _add_common(p)
     p.set_defaults(func=cmd_to_nbw)
@@ -670,9 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("saturation-check", help="probe saturation on a word corpus")
-    p.add_argument("--in", dest="infile", default=None)
+    _add_source(p, "check this family file instead")
     p.add_argument("--variant", default="optimal", choices=["optimal", "improved"])
-    p.add_argument("--fdfw", default=None, help="check this family file instead")
     p.add_argument("--max-u", dest="max_u", type=int, default=3)
     p.add_argument("--max-v", dest="max_v", type=int, default=3)
     p.add_argument("--cap", type=int, default=8, help="examples kept per violation side")

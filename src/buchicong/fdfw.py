@@ -175,21 +175,11 @@ def normalize_decomposition(f: Fdfw, d: UpWord) -> UpWord:
     return UpWord(u + v * h, v * k)
 
 
-def accepts_upword_saturated(f: Fdfw, w: UpWord, strict: bool = False) -> bool:
+def accepts_upword_saturated(f: Fdfw, w: UpWord) -> bool:
     """Acceptance decided on one pumped normalized decomposition.  Equals the
-    general semantics exactly when the family is saturated; strict=True pays
-    for the general check and raises on disagreement."""
+    general semantics exactly when the family is saturated."""
     norm = normalize_decomposition(f, w)
-    verdict = accepts_decomposition(f, norm.prefix, norm.period)
-    if strict:
-        general = accepts_upword_general(f, w)
-        if general != verdict:
-            raise SaturationViolation(
-                w.canonical(),
-                (norm,) if verdict else (),
-                () if verdict else (norm,),
-            )
-    return verdict
+    return accepts_decomposition(f, norm.prefix, norm.period)
 
 
 def accepts_upword(f: Fdfw, w: UpWord) -> bool:
@@ -309,14 +299,14 @@ def complement_fdfw_optimal(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw:
 
 
 def complement_fdfw_improved(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw:
-    """Complement family over the subset leading congruence and restricted
-    pair profiles.  Acceptance is read off the payload alone: the profile
-    image must re-create the source set and the folded periodic membership
-    test must fail."""
+    """Complement family over the subset leading congruence and pair profiles
+    over each leading class's states.  Acceptance is read off the payloads
+    alone: the profile image must re-create the leading class's state mask
+    and the folded periodic membership test must fail."""
 
     def accepting(cls: DfwClass, prog: CongruenceDfw, pcls: DfwClass) -> bool:
-        rp = pcls.payload
-        return rp.image() == rp.sources and not periodic_membership_from_profile(a, rp)
+        p, sources = pcls.payload, cls.payload
+        return p.image() == sources and not periodic_membership_from_profile(a, p, sources)
 
     return _complement_family(
         a, subset_congruence(a, budget), progress_congruence_improved, accepting, budget
@@ -556,17 +546,21 @@ def parse_fdfw(text: str | bytes) -> Fdfw:
     if not lines or lines[0][1] != "fdfw":
         raise ParseError("expected 'fdfw' header", lines[0][0] if lines else 1)
     alphabet: Alphabet | None = None
-    saturated = False
+    saturated: bool | None = None
     idx = 1
     while idx < len(lines):
         no, line = lines[idx]
         if line.startswith("alphabet:"):
+            if alphabet is not None:
+                raise ParseError("duplicate alphabet line", no)
             try:
                 alphabet = Alphabet(tuple(line.split(":", 1)[1].split()))
             except ValueError as e:
                 raise ParseError(str(e), no) from None
             idx += 1
         elif line.startswith("saturated:"):
+            if saturated is not None:
+                raise ParseError("duplicate saturated line", no)
             val = line.split(":", 1)[1].strip()
             if val not in ("true", "false"):
                 raise ParseError("saturated must be true or false", no)
@@ -604,4 +598,4 @@ def parse_fdfw(text: str | bytes) -> Fdfw:
     missing = set(range(len(leading))) - set(progress)
     if missing:
         raise ParseError(f"missing progress blocks for {len(missing)} leading classes")
-    return Fdfw(alphabet, leading, progress, saturated=saturated)
+    return Fdfw(alphabet, leading, progress, saturated=bool(saturated))

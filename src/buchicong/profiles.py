@@ -1,16 +1,18 @@
 """Congruence relations on finite words, represented as deterministic
 transition systems over payload values.
 
-Three constructions live here:
+Two constructions live here, both over the compiled successor rows of
+`Nbw.bitmasks()`:
 
-* the classical right congruence whose payload records, for every state pair
-  (q, r), whether a run on the word exists and whether one visits an accepting
-  state (at most 3^(n^2) classes);
 * the subset congruence tracking the successor set of the initial states
-  (at most 2^n classes), used as the leading equivalence;
-* the improved progress congruence that restricts the pair profile to rows
-  in a fixed source set (again at most 3^(n^2) classes, but typically far
-  fewer per source set).
+  as a state bitmask (at most 2^n classes), used as the leading equivalence;
+* the pair-profile congruence over a source set of states, whose payload
+  records, for every pair (q, r) with q a source, whether a run on the word
+  exists and whether one visits an accepting state.  With every state a
+  source it is the classical right congruence (at most 3^(n^2) classes);
+  with the states of one subset class as sources it is that class's improved
+  progress congruence (again at most 3^(n^2) classes, but typically far
+  fewer).
 
 Profiles are stored as per-row bitmasks over the state order of the
 automaton, which keeps composition cheap and hashable.
@@ -22,7 +24,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Mapping
 
-from .automata import Alphabet, Nbw, Word, step
+from .automata import Alphabet, Nbw, Word
 
 DEFAULT_CLASS_BUDGET = 200_000
 
@@ -47,7 +49,9 @@ class Profile:
     """Two nested relations on state pairs, row-encoded as bitmasks:
     bit j of reach[i] says a run on the word goes from state i to state j,
     bit j of reach_f[i] says some such run visits an accepting state
-    (endpoints included).  reach_f[i] is always a submask of reach[i]."""
+    (endpoints included).  reach_f[i] is always a submask of reach[i].  A
+    profile built over a source set keeps the rows of all other states
+    zero; the source set is fixed per build and not part of the value."""
 
     size: int
     reach: tuple[int, ...]
@@ -60,38 +64,12 @@ class Profile:
             if rf & ~r:
                 raise ValueError("reach_f must be contained in reach")
 
-    def to_triples(self, states: tuple[str, ...]) -> str:
-        """Readable form: one `p -> q` or `p => q` item per related pair,
-        `=>` marking pairs whose run can visit acceptance."""
-        items = []
-        for i, p in enumerate(states):
-            for j, q in enumerate(states):
-                if self.reach_f[i] >> j & 1:
-                    items.append(f"{p} => {q}")
-                elif self.reach[i] >> j & 1:
-                    items.append(f"{p} -> {q}")
-        return "{" + ", ".join(items) + "}"
-
-
-@dataclass(frozen=True)
-class RestrictedProfile:
-    """A pair profile with rows zeroed outside a fixed source set.  The source
-    set itself is part of the value, so equal masks over different sources
-    stay distinct."""
-
-    sources: frozenset[int]
-    profile: Profile
-
-    def __post_init__(self):
-        for i in range(self.profile.size):
-            if i not in self.sources and (self.profile.reach[i] or self.profile.reach_f[i]):
-                raise ValueError("nonzero row outside the source set")
-
-    def image(self) -> frozenset[int]:
+    def image(self) -> int:
+        """Mask of the states some run on the word ends in."""
         out = 0
-        for i in self.sources:
-            out |= self.profile.reach[i]
-        return frozenset(_bits(out))
+        for r in self.reach:
+            out |= r
+        return out
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -135,25 +113,21 @@ def compose(first: Profile, second: Profile) -> Profile:
     return Profile(first.size, tuple(r for r, _ in rows), tuple(rf for _, rf in rows))
 
 
-def restrict(p: Profile, sources: frozenset[int]) -> RestrictedProfile:
-    reach = tuple(p.reach[i] if i in sources else 0 for i in range(p.size))
-    reach_f = tuple(p.reach_f[i] if i in sources else 0 for i in range(p.size))
-    return RestrictedProfile(sources, Profile(p.size, reach, reach_f))
-
-
-def periodic_membership_from_profile(a: Nbw, rp: RestrictedProfile) -> bool:
+def periodic_membership_from_profile(a: Nbw, p: Profile, sources: int) -> bool:
     """Whether s v^omega is accepted from some source state s, given the
-    restricted profile of v over sources S with image(v) == S.
+    profile p of v built over the source mask S, with image(v) == S.
 
     Stability of S under v lets the infinite run be folded into pairs over S:
     we close the relation {(i, j, f)} under composition with the profile and
     report whether some source i can return to itself with an acceptance
     visit.  Requires the image condition, otherwise the folding is unsound.
     """
-    srcs = sorted(rp.sources)
-    if frozenset(rp.image()) != rp.sources:
+    # reach_f rows are submasks of reach rows, so the reach rows suffice
+    if any(r and not sources >> i & 1 for i, r in enumerate(p.reach)):
+        raise ValueError("nonzero row outside the source set")
+    if p.image() != sources:
         raise ValueError("periodic membership needs image(v) == sources")
-    p = rp.profile
+    srcs = list(_bits(sources))
     # closure[i] = (reach mask, reach_f mask) over one or more copies of v
     closure_r = {i: p.reach[i] for i in srcs}
     closure_rf = {i: p.reach_f[i] for i in srcs}
@@ -250,58 +224,67 @@ def build_congruence_dfw(
     return CongruenceDfw(alphabet, classes, table)
 
 
-# --- the three concrete congruences ----------------------------------------
-
-
-def classical_congruence(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> CongruenceDfw:
-    """Right congruence refined by the full pair profile of the word."""
-    letters = {sym: letter_profile(a, sym) for sym in a.alphabet}
-    return build_congruence_dfw(
-        "classical",
-        a.alphabet,
-        epsilon_profile(a),
-        lambda p, sym: compose(p, letters[sym]),
-        budget,
-    )
+# --- the concrete congruences ----------------------------------------------
 
 
 def subset_congruence(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> CongruenceDfw:
     """Right congruence refined by the successor set of the initial states.
-    Payloads are frozensets of state names."""
-    return build_congruence_dfw(
-        "subset", a.alphabet, a.initial, lambda s, sym: step(a, s, sym), budget
+    Payloads are state bitmasks, bit i standing for the state of index i."""
+    succ, _ = a.bitmasks()
+
+    def step_mask(s: int, sym: str) -> int:
+        rows = succ[sym]
+        out = 0
+        for i in _bits(s):
+            out |= rows[i]
+        return out
+
+    init = sum(1 << a.index(q) for q in a.initial)
+    return build_congruence_dfw("subset", a.alphabet, init, step_mask, budget)
+
+
+def _profile_congruence(a: Nbw, phase: str, sources: int, budget: int) -> CongruenceDfw:
+    """Right congruence refined by the pair profile's rows in the source mask
+    `sources`; the other rows stay zero.  Only source rows are composed, and
+    each row image is computed once per build."""
+    srcs = list(_bits(sources))
+    eps = epsilon_profile(a)
+    n = eps.size
+    letters = {sym: letter_profile(a, sym) for sym in a.alphabet}
+    images: dict[str, dict[tuple[int, int], tuple[int, int]]] = {sym: {} for sym in a.alphabet}
+
+    def step_profile(p: Profile, sym: str) -> Profile:
+        memo = images[sym]
+        reach = [0] * n
+        reach_f = [0] * n
+        for i in srcs:
+            row = p.reach[i], p.reach_f[i]
+            img = memo.get(row)
+            if img is None:
+                img = memo[row] = _row_compose(*row, letters[sym])
+            reach[i], reach_f[i] = img
+        return Profile(n, tuple(reach), tuple(reach_f))
+
+    # epsilon rows are diagonal: masking row i by the sources zeroes it
+    # exactly when i is no source
+    init = Profile(
+        n, tuple(r & sources for r in eps.reach), tuple(rf & sources for rf in eps.reach_f)
     )
+    return build_congruence_dfw(phase, a.alphabet, init, step_profile, budget)
+
+
+def classical_congruence(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> CongruenceDfw:
+    """Right congruence refined by the full pair profile of the word: every
+    state is a source."""
+    return _profile_congruence(a, "classical", (1 << len(a.states)) - 1, budget)
 
 
 def progress_congruence_improved(
     a: Nbw, lead: CongruenceDfw, m: int, budget: int = DEFAULT_CLASS_BUDGET
 ) -> CongruenceDfw:
     """Progress congruence for class m of the subset leading congruence
-    `lead`: the pair profile restricted to rows in the class's successor
-    set.  Only source rows are composed, and each row image is computed once
-    per build."""
+    `lead`: the pair profile over the class's state mask as sources."""
     cls = lead.classes[m]
-    sources = frozenset(a.index(q) for q in cls.payload)
-    n = len(a.states)
-    letters = {sym: letter_profile(a, sym) for sym in a.alphabet}
-    images: dict[str, dict[tuple[int, int], tuple[int, int]]] = {sym: {} for sym in a.alphabet}
-
-    def step_profile(rp: RestrictedProfile, sym: str) -> RestrictedProfile:
-        memo = images[sym]
-        reach = [0] * n
-        reach_f = [0] * n
-        for i in sources:
-            row = rp.profile.reach[i], rp.profile.reach_f[i]
-            img = memo.get(row)
-            if img is None:
-                img = memo[row] = _row_compose(*row, letters[sym])
-            reach[i], reach_f[i] = img
-        return RestrictedProfile(sources, Profile(n, tuple(reach), tuple(reach_f)))
-
-    return build_congruence_dfw(
-        f"improved-progress[{' '.join(cls.witness)}]",
-        a.alphabet,
-        restrict(epsilon_profile(a), sources),
-        step_profile,
-        budget,
+    return _profile_congruence(
+        a, f"improved-progress[{' '.join(cls.witness)}]", cls.payload, budget
     )

@@ -4,8 +4,27 @@ Each is written without sharing code with the construction it checks."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from buchicong import Nbw, PreorderedSubset, Profile, Word, compose, epsilon_profile, letter_profile
+
+
+def step(a: Nbw, subset: frozenset[str], sym: str) -> frozenset[str]:
+    """One-symbol successor of a state set, by state name."""
+    return frozenset().union(*(a.successors(q, sym) for q in subset))
+
+
+def reach(a: Nbw, word: Iterable[str]) -> frozenset[str]:
+    """States reachable from the initial set along `word`, by state name."""
+    cur = a.initial
+    for sym in word:
+        cur = step(a, cur, sym)
+    return cur
+
+
+def state_mask(a: Nbw, states: Iterable[str]) -> int:
+    """Bitmask of a set of state names, bit i standing for state index i."""
+    return sum(1 << a.index(q) for q in states)
 
 
 @dataclass(frozen=True)
@@ -95,3 +114,10 @@ def word_profile(a: Nbw, word: Word) -> Profile:
     for sym in word:
         p = compose(p, letter_profile(a, sym))
     return p
+
+
+def restrict(p: Profile, sources: int) -> Profile:
+    """The profile with every row outside the source mask zeroed."""
+    reach = tuple(r if sources >> i & 1 else 0 for i, r in enumerate(p.reach))
+    reach_f = tuple(rf if sources >> i & 1 else 0 for i, rf in enumerate(p.reach_f))
+    return Profile(p.size, reach, reach_f)

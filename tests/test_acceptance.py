@@ -10,6 +10,7 @@ import random
 import time
 
 from buchicong import (
+    Nbw,
     UpWord,
     check_saturation_sampled,
     classical_congruence,
@@ -26,13 +27,12 @@ from buchicong import (
     subset_congruence,
 )
 from conftest import edge_members, pool_automaton, record_criterion, single_word_family
-from reference import ordered_run_dag
+from reference import ordered_run_dag, state_mask
 
 
-def bn_payloads(n: int) -> set[frozenset[str]]:
-    singles = {frozenset({"q"}), frozenset({"q0"}), frozenset({"q0", "qm1"})}
-    singles |= {frozenset({f"q{i}"}) for i in range(1, n + 1)}
-    return singles
+def bn_payloads(a: Nbw, n: int) -> set[int]:
+    singles = [("q",), ("q0",), ("q0", "qm1")] + [(f"q{i}",) for i in range(1, n + 1)]
+    return {state_mask(a, qs) for qs in singles}
 
 
 def test_ac01_classical_blowup_vs_progress_compactness():
@@ -59,11 +59,12 @@ def test_ac02_subset_classes_are_pinned():
     t0 = time.perf_counter()
     failures = []
     for n in (3, 4):
-        lead = subset_congruence(gen_bn(n))
+        a = gen_bn(n)
+        lead = subset_congruence(a)
         if len(lead) != n + 3:
             failures.append(f"n={n}: {len(lead)} classes, wanted {n + 3}")
         payloads = {c.payload for c in lead.classes}
-        if payloads != bn_payloads(n):
+        if payloads != bn_payloads(a, n):
             failures.append(f"n={n}: payload sets differ")
     elapsed = time.perf_counter() - t0
     if elapsed >= 1.0:
@@ -253,7 +254,7 @@ def test_ac11_run_dag_levels_match_arrangements():
 
 
 def test_ac12_folded_membership_matches_oracle(pool_relations, complement_runs):
-    # improved classes fold their own restricted profile; optimal classes
+    # improved classes fold their own source-row profile; optimal classes
     # that return to their leading class read the verdict off the payload,
     # as complement_fdfw_optimal does
     rows, _ = pool_relations
@@ -275,12 +276,11 @@ def test_ac12_folded_membership_matches_oracle(pool_relations, complement_runs):
     for row in rows:
         a = row.nbw
         for c in row.subset.classes:
-            src_ids = frozenset(a.index(q) for q in c.payload)
             prog = row.improved[c.cid]
             for cid, v in members(prog).items():
-                rp = prog.classes[cid].payload
-                if rp.image() == src_ids:
-                    folded = periodic_membership_from_profile(a, rp)
+                p = prog.classes[cid].payload
+                if p.image() == c.payload:
+                    folded = periodic_membership_from_profile(a, p, c.payload)
                     compare("improved", row.aid, a, c.witness, v, folded)
         for c in row.optimal.classes:
             prog = row.optimal_progress[c.cid]

@@ -18,11 +18,10 @@ from buchicong import (
     lasso_membership,
     parse_nbw,
     parse_word,
-    reach,
     serialize_nbw,
-    step,
 )
 from conftest import canonical_corpus, seeded_nbws, words
+from reference import reach, step
 
 
 def inf_many(sym: str, other: str) -> Nbw:

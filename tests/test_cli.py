@@ -218,8 +218,21 @@ def test_to_nbw_exits_1_on_a_bound_breach(b3_file, capsys, monkeypatch):
 
 
 def test_to_nbw_needs_some_input(capsys):
-    code, _ = run(capsys, "to-nbw")
-    assert code == 2
+    for cmd in ("to-nbw", "saturation-check"):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, cmd)
+        assert exc.value.code == 2
+
+
+def test_in_and_fdfw_exclude_each_other(b3_file, tmp_path, capsys):
+    # with both given, --in used to be ignored silently and the command exited 0
+    fam = tmp_path / "b3.fdfw"
+    code, _ = run(capsys, "complement", "--in", b3_file, "--variant", "optimal", "--out", str(fam))
+    assert code == 0
+    for cmd in ("to-nbw", "saturation-check"):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, cmd, "--in", b3_file, "--fdfw", str(fam))
+        assert exc.value.code == 2
 
 
 def test_saturation_check_passes_on_built_complements(b3_file, capsys):

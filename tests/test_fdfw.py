@@ -9,14 +9,15 @@ import pytest
 
 from buchicong import (
     Fdfw,
+    Nbw,
     ParseError,
-    SaturationViolation,
     UpWord,
     accepts_decomposition,
     accepts_upword,
     accepts_upword_general,
     accepts_upword_saturated,
     check_saturation_sampled,
+    classical_congruence,
     complement_fdfw_improved,
     complement_fdfw_optimal,
     complement_saturated_fdfw,
@@ -35,6 +36,7 @@ from buchicong import (
     random_nbw,
     serialize_fdfw,
     serialize_nbw,
+    subset_congruence,
 )
 from buchicong.fdfw import _accepting_composition_closed
 from conftest import canonical_corpus, mixed_blocks_nbw, single_word_family
@@ -78,8 +80,6 @@ def test_unsaturated_dispatch_uses_the_full_search():
     w = UpWord(("a",), ("b", "a"))
     assert accepts_upword(f, w)
     assert not accepts_upword_saturated(f, w)
-    with pytest.raises(SaturationViolation):
-        accepts_upword_saturated(f, w, strict=True)
 
 
 def test_saturation_probe_reports_the_disagreeing_pair():
@@ -284,6 +284,24 @@ def test_optimal_marking_reads_no_profile(monkeypatch):
         complement_fdfw_optimal(a)
 
 
+def test_congruences_step_on_compiled_masks(monkeypatch):
+    # every congruence steps on the rows Nbw.bitmasks() compiled once; none
+    # looks successors up by state name
+    automata = [gen_bn(3), gen_bn_dbw(3)] + [random_nbw(seed, 4) for seed in range(1729, 1735)]
+    for a in automata:
+        a.bitmasks()
+
+    def by_name(*args):
+        raise AssertionError("a congruence looked successors up by state name")
+
+    monkeypatch.setattr(Nbw, "successors", by_name)
+    for a in automata:
+        classical_congruence(a)
+        subset_congruence(a)
+        complement_fdfw_optimal(a)
+        complement_fdfw_improved(a)
+
+
 # --- containment ------------------------------------------------------------------------
 
 
@@ -369,3 +387,8 @@ def test_family_parse_rejects_malformed_blocks():
         parse_fdfw(text.replace("trans: n3 b -> n3\n", ""))
     with pytest.raises(ParseError):
         parse_fdfw("fdfw\nalphabet: a\nstates: c0\n")
+    # a repeated header line used to override the first one silently
+    for dup in ("alphabet: b a", "saturated: true"):
+        with pytest.raises(ParseError) as err:
+            parse_fdfw(text.replace("saturated: false\n", f"saturated: false\n{dup}\n"))
+        assert err.value.line == 4

@@ -19,13 +19,10 @@ from buchicong import (
     letter_profile,
     periodic_membership_from_profile,
     progress_congruence_improved,
-    reach,
-    step,
     subset_congruence,
 )
-from buchicong.profiles import restrict
 from conftest import edge_members, seeded_nbws, words
-from reference import word_profile
+from reference import reach, restrict, state_mask, step, word_profile
 from test_automata import inf_many
 
 
@@ -82,13 +79,6 @@ def test_letter_profile_marks_either_endpoint():
     assert q.reach[wait] == 1 << wait and q.reach_f[wait] == 0
 
 
-def test_to_triples_reads_back_the_masks():
-    a = inf_many("a", "b")
-    text = letter_profile(a, "b").to_triples(a.states)
-    assert "hit => wait" in text
-    assert "wait -> wait" in text
-
-
 @given(seeded_nbws(), words(max_len=4))
 def test_word_profile_matches_run_enumeration(a, w):
     assert word_profile(a, w) == brute_profile(a, w)
@@ -110,31 +100,37 @@ def test_compose_rejects_size_mismatch():
 
 def test_restrict_zeroes_foreign_rows():
     a = inf_many("a", "b")
-    wait = a.index("wait")
-    rp = restrict(word_profile(a, ("b",)), frozenset({wait}))
-    assert rp.sources == frozenset({wait})
-    assert rp.profile.reach[a.index("hit")] == 0
-    assert rp.image() == frozenset({wait})
+    wait = 1 << a.index("wait")
+    p = restrict(word_profile(a, ("b",)), wait)
+    assert p.reach[a.index("hit")] == 0
+    assert p.reach_f[a.index("hit")] == 0
+    assert p.reach[a.index("wait")] == wait
+    assert p.image() == wait
 
 
 def test_periodic_membership_requires_stable_image():
     a = inf_many("a", "b")
-    wait = a.index("wait")
-    bad = restrict(word_profile(a, ("a",)), frozenset({wait}))
-    with pytest.raises(ValueError):
-        periodic_membership_from_profile(a, bad)
+    wait = 1 << a.index("wait")
+    bad = restrict(word_profile(a, ("a",)), wait)
+    with pytest.raises(ValueError, match="image"):
+        periodic_membership_from_profile(a, bad, wait)
+    # a row of a state outside the sources makes the fold meaningless too
+    foreign = word_profile(a, ("b",))
+    assert foreign.image() == wait
+    with pytest.raises(ValueError, match="outside the source set"):
+        periodic_membership_from_profile(a, foreign, wait)
 
 
 def test_periodic_membership_on_known_loops():
     a = inf_many("a", "b")
-    hit, wait = a.index("hit"), a.index("wait")
-    stays_out = restrict(word_profile(a, ("b",)), frozenset({wait}))
-    assert not periodic_membership_from_profile(a, stays_out)
-    stays_in = restrict(word_profile(a, ("a",)), frozenset({hit}))
-    assert periodic_membership_from_profile(a, stays_in)
+    hit, wait = 1 << a.index("hit"), 1 << a.index("wait")
+    stays_out = restrict(word_profile(a, ("b",)), wait)
+    assert not periodic_membership_from_profile(a, stays_out, wait)
+    stays_in = restrict(word_profile(a, ("a",)), hit)
+    assert periodic_membership_from_profile(a, stays_in, hit)
     # a two-letter loop through the accepting state, seen from outside it
-    round_trip = restrict(word_profile(a, ("a", "b")), frozenset({wait}))
-    assert periodic_membership_from_profile(a, round_trip)
+    round_trip = restrict(word_profile(a, ("a", "b")), wait)
+    assert periodic_membership_from_profile(a, round_trip, wait)
 
 
 def run_set(a: Nbw, start: frozenset[str], word) -> frozenset[str]:
@@ -161,11 +157,11 @@ def test_periodic_membership_agrees_with_oracle(a, v):
         return
     period = v * p
     stem = v * h
-    src_ids = frozenset(a.index(q) for q in sources)
-    rp = restrict(word_profile(a, period), src_ids)
-    assert rp.image() == src_ids
+    src = state_mask(a, sources)
+    p = restrict(word_profile(a, period), src)
+    assert p.image() == src
     want = lasso_membership(a, UpWord(stem, period)).accepted
-    assert periodic_membership_from_profile(a, rp) == want
+    assert periodic_membership_from_profile(a, p, src) == want
 
 
 # --- congruence structures ---------------------------------------------------------------
@@ -180,12 +176,8 @@ def test_subset_classes_on_permutation_family(b3):
     assert len(lead) == 6
     payloads = {c.payload for c in lead.classes}
     assert payloads == {
-        frozenset({"q"}),
-        frozenset({"q1"}),
-        frozenset({"q2"}),
-        frozenset({"q3"}),
-        frozenset({"q0"}),
-        frozenset({"q0", "qm1"}),
+        state_mask(b3, qs)
+        for qs in (("q",), ("q1",), ("q2",), ("q3",), ("q0",), ("q0", "qm1"))
     }
 
 
@@ -216,19 +208,19 @@ def test_budget_stops_exploration(b3):
 def test_witnesses_are_shortest_lex_and_alternates_stay_in_class(b3):
     lead = subset_congruence(b3)
     for c in lead.classes:
-        assert reach(b3, c.witness) == c.payload
+        assert state_mask(b3, reach(b3, c.witness)) == c.payload
     for cid, member in edge_members(lead):
-        assert reach(b3, member) == lead.classes[cid].payload
+        assert state_mask(b3, reach(b3, member)) == lead.classes[cid].payload
         assert len(member) >= len(lead.classes[cid].witness)
     by_payload = {c.payload: c.witness for c in lead.classes}
-    assert by_payload[frozenset({"q0", "qm1"})] == ("0", "0")
-    assert by_payload[frozenset({"q"})] == ()
+    assert by_payload[state_mask(b3, ("q0", "qm1"))] == ("0", "0")
+    assert by_payload[state_mask(b3, ("q",))] == ()
 
 
 def test_dfw_run_and_accepting_helpers(b3):
     lead = subset_congruence(b3)
     assert lead.run(()) == lead.initial
-    assert lead.payload_of(("1", "1")) == frozenset({"q"})
+    assert lead.payload_of(("1", "1")) == state_mask(b3, ("q",))
     with pytest.raises(ValueError):
         lead.accepts(("1",))
     marked = lead.with_accepting(frozenset({lead.run(("0",))}))
