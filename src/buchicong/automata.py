@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Container, Iterable, Iterator, Mapping
 
 Word = tuple[str, ...]
 
@@ -233,15 +233,8 @@ def _find_accepting_lasso(
     # Shortest way back to the target inside its own component.
     tgt_comp = comp[target]
     back: dict = {target: None}
-    dq = deque()
+    dq = deque([target])
     found = None
-    for letter, nxt in adj[target]:
-        if nxt == target:
-            found = (target, letter)
-            break
-        if comp.get(nxt) == tgt_comp and nxt not in back:
-            back[nxt] = (target, letter)
-            dq.append(nxt)
     while found is None and dq:
         node = dq.popleft()
         for letter, nxt in adj[node]:
@@ -485,6 +478,54 @@ def _meaningful_lines(text: str) -> Iterator[tuple[int, str]]:
             yield no, line
 
 
+def _read_fields(
+    lines: Iterable[tuple[int, str]], once: Iterable[str], repeated: Iterable[str]
+) -> tuple[dict[str, tuple[int, str]], dict[str, list[tuple[int, str]]]]:
+    """Split `key: value` header lines.  Returns (key -> (line number, value))
+    for the keys of `once` that appear and (key -> [(line number, value), ...]
+    in line order) for every key of `repeated`; values are stripped.  A second
+    line for a key of `once`, or a line with any other key, is a ParseError
+    at that line."""
+    fields: dict[str, tuple[int, str]] = {}
+    repeats: dict[str, list[tuple[int, str]]] = {key: [] for key in repeated}
+    for no, line in lines:
+        key, colon, value = line.partition(":")
+        if colon and key in repeats:
+            repeats[key].append((no, value.strip()))
+        elif colon and key in once:
+            if key in fields:
+                raise ParseError(f"duplicate {key} line", no)
+            fields[key] = (no, value.strip())
+        else:
+            raise ParseError(f"unrecognized line {line!r}", no)
+    return fields, repeats
+
+
+def _read_alphabet(no: int, value: str) -> Alphabet:
+    """The alphabet declared by the header value at line `no`."""
+    try:
+        return Alphabet(tuple(value.split()))
+    except ValueError as e:
+        raise ParseError(str(e), no) from None
+
+
+def _read_trans(
+    no: int, value: str, states: Container[str], alphabet: Alphabet
+) -> tuple[str, str, list[str]]:
+    """(source, symbol, targets) of the `trans:` value at line `no`, with
+    every state in `states` and the symbol in `alphabet`."""
+    toks = value.split()
+    if len(toks) < 3 or toks[2] != "->":
+        raise ParseError("expected 'trans: <state> <symbol> -> <state>...'", no)
+    src, sym, targets = toks[0], toks[1], toks[3:]
+    if sym not in alphabet:
+        raise ParseError(f"undeclared symbol {sym!r}", no)
+    for q in (src, *targets):
+        if q not in states:
+            raise ParseError(f"undeclared state {q!r}", no)
+    return src, sym, targets
+
+
 def parse_nbw(text: str | bytes) -> Nbw:
     """Parse the native `nbw` format or the restricted HOA-style subset
     (see README).  Serialization always emits the native format."""
@@ -502,70 +543,33 @@ def parse_nbw(text: str | bytes) -> Nbw:
 
 
 def _parse_native(lines: list[tuple[int, str]]) -> Nbw:
-    alphabet: Alphabet | None = None
-    states: tuple[str, ...] | None = None
-    initial: list[str] = []
-    accepting: list[str] = []
-    seen_initial = seen_accepting = False
-    trans: dict[tuple[str, str], set[str]] = {}
-    raw_trans: list[tuple[int, list[str]]] = []
-    for no, line in lines:
-        if line.startswith("alphabet:"):
-            if alphabet is not None:
-                raise ParseError("duplicate alphabet line", no)
-            try:
-                alphabet = Alphabet(tuple(line.split(":", 1)[1].split()))
-            except ValueError as e:
-                raise ParseError(str(e), no) from None
-        elif line.startswith("states:"):
-            if states is not None:
-                raise ParseError("duplicate states line", no)
-            states = tuple(line.split(":", 1)[1].split())
-            if len(set(states)) != len(states):
-                raise ParseError("duplicate state declaration", no)
-        elif line.startswith("initial:"):
-            if seen_initial:
-                raise ParseError("duplicate initial line", no)
-            seen_initial = True
-            initial = line.split(":", 1)[1].split()
-        elif line.startswith("accepting:"):
-            if seen_accepting:
-                raise ParseError("duplicate accepting line", no)
-            seen_accepting = True
-            accepting = line.split(":", 1)[1].split()
-        elif line.startswith("trans:"):
-            raw_trans.append((no, line.split(":", 1)[1].split()))
-        else:
-            raise ParseError(f"unrecognized line {line!r}", no)
-    if alphabet is None:
-        raise ParseError("missing alphabet line")
-    if states is None:
-        raise ParseError("missing states line")
-    if not seen_initial:
-        raise ParseError("missing initial line")
+    fields, repeats = _read_fields(
+        lines, ("alphabet", "states", "initial", "accepting"), ("trans",)
+    )
+    for key in ("alphabet", "states", "initial"):
+        if key not in fields:
+            raise ParseError(f"missing {key} line")
+    alphabet = _read_alphabet(*fields["alphabet"])
+    no, value = fields["states"]
+    states = tuple(value.split())
     known = set(states)
-    for group, kind in ((initial, "initial"), (accepting, "accepting")):
+    if len(known) != len(states):
+        raise ParseError("duplicate state declaration", no)
+    groups = {key: fields.get(key, (None, ""))[1].split() for key in ("initial", "accepting")}
+    for kind, group in groups.items():
         for q in group:
             if q not in known:
-                raise ParseError(f"undeclared {kind} state {q!r}")
-    for no, toks in raw_trans:
-        if len(toks) < 3 or toks[2] != "->":
-            raise ParseError("expected 'trans: <state> <symbol> -> <state>...'", no)
-        src, sym, targets = toks[0], toks[1], toks[3:]
-        if src not in known:
-            raise ParseError(f"undeclared state {src!r}", no)
-        if sym not in alphabet:
-            raise ParseError(f"undeclared symbol {sym!r}", no)
-        for t in targets:
-            if t not in known:
-                raise ParseError(f"undeclared state {t!r}", no)
+                raise ParseError(f"undeclared {kind} state {q!r}", fields[kind][0])
+    trans: dict[tuple[str, str], set[str]] = {}
+    for no, value in repeats["trans"]:
+        src, sym, targets = _read_trans(no, value, known, alphabet)
         trans.setdefault((src, sym), set()).update(targets)
     return Nbw(
         alphabet,
         states,
-        frozenset(initial),
+        frozenset(groups["initial"]),
         {k: frozenset(v) for k, v in trans.items()},
-        frozenset(accepting),
+        frozenset(groups["accepting"]),
     )
 
 
@@ -576,38 +580,34 @@ def _hoa_int(tok: str, what: str, no: int) -> int:
     return int(tok)
 
 
+_HOA_HEADERS = ("States", "Start", "Alphabet", "Acceptance")
+
+
 def _parse_hoa(lines: list[tuple[int, str]]) -> Nbw:
-    n_states: int | None = None
-    starts: list[tuple[int, int]] = []  # (line number, start index)
-    alphabet: Alphabet | None = None
-    acceptance_ok = False
-    body_at = None
-    for i, (no, line) in enumerate(lines):
-        if line == "--BODY--":
-            body_at = i + 1
-            break
-        if line.startswith("States:"):
-            n_states = _hoa_int(line.split(":", 1)[1].strip(), "a state count", no)
-        elif line.startswith("Start:"):
-            for t in line.split(":", 1)[1].split():
-                starts.append((no, _hoa_int(t, "a start index", no)))
-        elif line.startswith("Alphabet:"):
-            try:
-                alphabet = Alphabet(tuple(line.split(":", 1)[1].split()))
-            except ValueError as e:
-                raise ParseError(str(e), no) from None
-        elif line.startswith("Acceptance:"):
-            acceptance_ok = line.split(":", 1)[1].strip() in ("Buchi", "1 Inf(0)")
-        # other headers tolerated and ignored
-    if n_states is None or alphabet is None or body_at is None:
+    body_at = next((i for i, (_, line) in enumerate(lines) if line == "--BODY--"), None)
+    # headers outside the subset are tolerated and ignored
+    head = [
+        (no, line)
+        for no, line in lines[:body_at]
+        if ":" in line and line.partition(":")[0] in _HOA_HEADERS
+    ]
+    fields, repeats = _read_fields(head, ("States", "Alphabet", "Acceptance"), ("Start",))
+    starts = [
+        (no, _hoa_int(t, "a start index", no))
+        for no, value in repeats["Start"]
+        for t in value.split()
+    ]
+    if "States" not in fields or "Alphabet" not in fields or body_at is None:
         raise ParseError("HOA subset needs States:, Alphabet: and --BODY--")
-    if not acceptance_ok:
+    if fields.get("Acceptance", (None, ""))[1] not in ("Buchi", "1 Inf(0)"):
         raise ParseError("HOA subset needs 'Acceptance: Buchi'")
+    n_states = _hoa_int(fields["States"][1], "a state count", fields["States"][0])
+    alphabet = _read_alphabet(*fields["Alphabet"])
     states = tuple(f"s{i}" for i in range(n_states))
     accepting: set[str] = set()
     trans: dict[tuple[str, str], set[str]] = {}
     cur: str | None = None
-    for no, line in lines[body_at:]:
+    for no, line in lines[body_at + 1:]:
         if line == "--END--":
             break
         if line.startswith("State:"):

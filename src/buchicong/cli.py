@@ -35,6 +35,7 @@ from .automata import (
 )
 from .families import gen_bn, gen_bn_dbw, random_nbw
 from .fdfw import (
+    Fdfw,
     accepts_upword,
     check_saturation_sampled,
     complement_fdfw_improved,
@@ -227,14 +228,17 @@ def cmd_complement(args) -> int:
     return EXIT_OK
 
 
-def cmd_to_nbw(args) -> int:
+def _family(args) -> tuple[Fdfw, str]:
+    """The family a command works on and the name of its source: the --fdfw
+    file, else the --variant complement of the --in automaton."""
     if args.fdfw is not None:
-        f = parse_fdfw(_read_text(args.fdfw))
-        source = args.fdfw
-    else:
-        a = _load_nbw(args.infile)
-        f = _VARIANTS[args.variant](a, args.budget)
-        source = args.variant
+        return parse_fdfw(_read_text(args.fdfw)), args.fdfw
+    variant = args.variant or "optimal"
+    return _VARIANTS[variant](_load_nbw(args.infile), args.budget), variant
+
+
+def cmd_to_nbw(args) -> int:
+    f, source = _family(args)
     nbw = fdfw_to_nbw(f)
     if args.out:
         _write_text(args.out, serialize_nbw(nbw))
@@ -316,11 +320,7 @@ def _fmt_decomp(d: UpWord) -> str:
 
 
 def cmd_saturation_check(args) -> int:
-    if args.fdfw is not None:
-        f = parse_fdfw(_read_text(args.fdfw))
-    else:
-        a = _load_nbw(args.infile)
-        f = _VARIANTS[args.variant](a, args.budget)
+    f, _ = _family(args)
     violations = check_saturation_sampled(f, args.max_u, args.max_v, cap=args.cap)
     rows = [
         {
@@ -429,22 +429,7 @@ def run_bounds_suite(automata: list[tuple[str, Nbw]], budget: int) -> list[Stats
     return rows
 
 
-_BOUNDS_COLUMNS = [
-    "id",
-    "n",
-    "deterministic",
-    "classical",
-    "subset",
-    "improved_max",
-    "improved_sum",
-    "optimal",
-    "optimal_progress_max",
-    "optimal_progress_sum",
-    "macro_improved",
-    "macro_optimal",
-    "bounds_ok",
-    "budget_exceeded",
-]
+_BOUNDS_COLUMNS = [f.name for f in dataclasses.fields(StatsRow)]
 
 
 def _parse_int_list(raw: str) -> list[int]:
@@ -465,13 +450,16 @@ def _suite_automata(args) -> list[tuple[str, Nbw]]:
     return out
 
 
+def _emit_suite(columns: list[str], rows: list, args) -> None:
+    """Emit suite rows under the fields of their row type; the trailing
+    elapsed_ms column only with --timings."""
+    cols = columns if args.timings else columns[:-1]
+    _emit(cols, [dataclasses.asdict(r) for r in rows], args.json)
+
+
 def cmd_bounds_suite(args) -> int:
     rows = run_bounds_suite(_suite_automata(args), args.budget)
-    cols = list(_BOUNDS_COLUMNS)
-    if args.timings:
-        cols.append("elapsed_ms")
-    dicts = [dataclasses.asdict(r) for r in rows]
-    _emit(cols, dicts, args.json)
+    _emit_suite(_BOUNDS_COLUMNS, rows, args)
     if any(not r.bounds_ok for r in rows):
         return EXIT_CHECK_FAILED
     return EXIT_BUDGET if any(r.budget_exceeded for r in rows) else EXIT_OK
@@ -511,7 +499,7 @@ def run_equivalence_suite(
             corpus.append(c)
     oracle = {w: lasso_membership(a, w).accepted for w in corpus}
     rows = []
-    for variant, builder in (("optimal", complement_fdfw_optimal), ("improved", complement_fdfw_improved)):
+    for variant, builder in _VARIANTS.items():
         t0 = time.perf_counter()
         f = builder(a, budget)
         nbw = fdfw_to_nbw(f)
@@ -539,18 +527,7 @@ def run_equivalence_suite(
     return rows
 
 
-_EQUIV_COLUMNS = [
-    "id",
-    "n",
-    "variant",
-    "corpus",
-    "fdfw_mismatches",
-    "nbw_mismatches",
-    "disjoint",
-    "macrostates",
-    "nbw_states",
-    "nbw_within_bound",
-]
+_EQUIV_COLUMNS = [f.name for f in dataclasses.fields(EquivRow)]
 
 
 def cmd_equiv_suite(args) -> int:
@@ -562,11 +539,7 @@ def cmd_equiv_suite(args) -> int:
         )
     for aid, a in _suite_automata(args):
         rows.extend(run_equivalence_suite(aid, a, args.max_u, args.max_v, budget))
-    cols = list(_EQUIV_COLUMNS)
-    if args.timings:
-        cols.append("elapsed_ms")
-    dicts = [dataclasses.asdict(r) for r in rows]
-    _emit(cols, dicts, args.json)
+    _emit_suite(_EQUIV_COLUMNS, rows, args)
     failed = any(
         r.fdfw_mismatches or r.nbw_mismatches or not r.disjoint or not r.nbw_within_bound
         for r in rows
@@ -577,23 +550,21 @@ def cmd_equiv_suite(args) -> int:
 # --- argument parsing -----------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, budget: bool = True, json_flag: bool = True):
-    if budget:
-        p.add_argument(
-            "--budget",
-            type=_positive_budget,
-            # argparse passes a string default through `type` as well
-            default=os.environ.get("CONGRUENCE_BUDGET", DEFAULT_CLASS_BUDGET),
-            help=f"class budget (default: $CONGRUENCE_BUDGET, else {DEFAULT_CLASS_BUDGET})",
-        )
-    if json_flag:
-        p.add_argument("--json", action="store_true", help="emit JSON instead of TSV")
+def _add_common(p: argparse.ArgumentParser):
+    # no default: main() reads $CONGRUENCE_BUDGET, so that a --budget given
+    # where it does not apply can be told apart from the default
+    p.add_argument(
+        "--budget",
+        type=_positive_budget,
+        help=f"class budget (default: $CONGRUENCE_BUDGET, else {DEFAULT_CLASS_BUDGET})",
+    )
+    p.add_argument("--json", action="store_true", help="emit JSON instead of TSV")
 
 
-def _add_suite_selection(p: argparse.ArgumentParser, bn_default: str, random_default: int):
-    p.add_argument("--bn", default=bn_default, help="comma list of permutation family sizes")
+def _add_suite_selection(p: argparse.ArgumentParser):
+    p.add_argument("--bn", default="3", help="comma list of permutation family sizes")
     p.add_argument("--bn-dbw", dest="bn_dbw", default="", help="comma list of deterministic family sizes")
-    p.add_argument("--random", type=_int_at_least(0), default=random_default, help="number of random automata")
+    p.add_argument("--random", type=_int_at_least(0), default=5, help="number of random automata")
     p.add_argument("--states", type=_int_at_least(1), default=4, help="max states of random automata")
     p.add_argument("--symbols", default="a b", help="alphabet of random automata")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base RNG seed")
@@ -606,6 +577,11 @@ def _add_source(p: argparse.ArgumentParser, fdfw_help: str) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--in", dest="infile", help="automaton file (nbw/HOA)")
     src.add_argument("--fdfw", help=fdfw_help)
+    p.add_argument(
+        "--variant",
+        choices=["optimal", "improved"],
+        help="complement variant for --in (default: optimal)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -637,7 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("to-nbw", help="translate a family to a Büchi automaton")
     _add_source(p, "translate this family file instead")
-    p.add_argument("--variant", default="optimal", choices=["optimal", "improved"])
     p.add_argument("--out", default=None, help="write the automaton here")
     _add_common(p)
     p.set_defaults(func=cmd_to_nbw)
@@ -667,12 +642,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for random variant")
     p.add_argument("--symbols", default="a b", help="alphabet for random variant")
     p.add_argument("--out", default=None)
-    _add_common(p, budget=False, json_flag=False)
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("saturation-check", help="probe saturation on a word corpus")
     _add_source(p, "check this family file instead")
-    p.add_argument("--variant", default="optimal", choices=["optimal", "improved"])
     p.add_argument("--max-u", dest="max_u", type=int, default=3)
     p.add_argument("--max-v", dest="max_v", type=int, default=3)
     p.add_argument("--cap", type=int, default=8, help="examples kept per violation side")
@@ -680,13 +653,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_saturation_check)
 
     p = sub.add_parser("bounds-suite", help="class-count bound table")
-    _add_suite_selection(p, bn_default="3", random_default=5)
+    _add_suite_selection(p)
     _add_common(p)
     p.set_defaults(func=cmd_bounds_suite)
 
     p = sub.add_parser("equiv-suite", help="complement pipeline equivalence table")
     p.add_argument("--in", dest="infile", default=None, help="also include this automaton file")
-    _add_suite_selection(p, bn_default="3", random_default=5)
+    _add_suite_selection(p)
     p.add_argument("--max-u", dest="max_u", type=int, default=3)
     p.add_argument("--max-v", dest="max_v", type=int, default=3)
     _add_common(p)
@@ -696,7 +669,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "fdfw", None) is not None:
+        for flag in ("variant", "budget"):
+            if getattr(args, flag) is not None:
+                parser.error(f"--{flag} applies to --in, not to --fdfw")
+    if "budget" in vars(args) and args.budget is None:
+        raw = os.environ.get("CONGRUENCE_BUDGET", str(DEFAULT_CLASS_BUDGET))
+        try:
+            args.budget = _positive_budget(raw)
+        except argparse.ArgumentTypeError as e:
+            parser.error(str(e))
     try:
         return args.func(args)
     except ParseError as e:

@@ -27,6 +27,9 @@ from .automata import (
     UpWord,
     Word,
     _meaningful_lines,
+    _read_alphabet,
+    _read_fields,
+    _read_trans,
     cyclic_components,
     enumerate_upwords,
     explore,
@@ -475,68 +478,49 @@ def _parse_dfw_block(
     lines: list[tuple[int, str]],
     want_accepting: bool,
 ) -> CongruenceDfw:
-    names: tuple[str, ...] | None = None
-    initial: str | None = None
-    accepting: list[str] | None = None
-    raw_trans: list[tuple[int, list[str]]] = []
-    for no, line in lines:
-        if line.startswith("states:"):
-            if names is not None:
-                raise ParseError("duplicate states line", no)
-            names = tuple(line.split(":", 1)[1].split())
-            if not names or len(set(names)) != len(names):
-                raise ParseError("states must be non-empty and distinct", no)
-        elif line.startswith("initial:"):
-            toks = line.split(":", 1)[1].split()
-            if initial is not None or len(toks) != 1:
-                raise ParseError("need exactly one initial state", no)
-            initial = toks[0]
-        elif line.startswith("accepting:"):
-            if accepting is not None:
-                raise ParseError("duplicate accepting line", no)
-            accepting = line.split(":", 1)[1].split()
-        elif line.startswith("trans:"):
-            raw_trans.append((no, line.split(":", 1)[1].split()))
-        else:
-            raise ParseError(f"unrecognized line {line!r}", no)
-    if names is None or initial is None:
+    fields, repeats = _read_fields(lines, ("states", "initial", "accepting"), ("trans",))
+    if "states" not in fields or "initial" not in fields:
         raise ParseError("block needs states and initial lines")
-    if initial not in names:
-        raise ParseError(f"undeclared initial state {initial!r}")
-    if accepting is not None and not want_accepting:
-        raise ParseError("leading block must not carry an accepting line")
+    no, value = fields["states"]
+    names = tuple(value.split())
+    if not names or len(set(names)) != len(names):
+        raise ParseError("states must be non-empty and distinct", no)
     ids = {nm: i for i, nm in enumerate(names)}
+    no, value = fields["initial"]
+    if len(value.split()) != 1:
+        raise ParseError("need exactly one initial state", no)
+    if value not in ids:
+        raise ParseError(f"undeclared initial state {value!r}", no)
+    initial = ids[value]
+    if "accepting" in fields and not want_accepting:
+        raise ParseError("leading block must not carry an accepting line", fields["accepting"][0])
     table: dict[tuple[int, str], int] = {}
-    for no, toks in raw_trans:
-        if len(toks) != 4 or toks[2] != "->":
+    for no, value in repeats["trans"]:
+        src, sym, targets = _read_trans(no, value, ids, alphabet)
+        if len(targets) != 1:
             raise ParseError("expected 'trans: <state> <symbol> -> <state>'", no)
-        src, sym, tgt = toks[0], toks[1], toks[3]
-        if src not in ids or tgt not in ids:
-            raise ParseError("undeclared state in transition", no)
-        if sym not in alphabet:
-            raise ParseError(f"undeclared symbol {sym!r}", no)
         if (ids[src], sym) in table:
             raise ParseError(f"duplicate transition for {src!r} on {sym!r}", no)
-        table[(ids[src], sym)] = ids[tgt]
+        table[(ids[src], sym)] = ids[targets[0]]
     for nm in names:
         for sym in alphabet:
             if (ids[nm], sym) not in table:
                 raise ParseError(f"missing transition for {nm!r} on {sym!r}")
     acc_ids = None
     if want_accepting:
-        acc_set = accepting or []
-        for nm in acc_set:
+        no, value = fields.get("accepting", (None, ""))
+        for nm in value.split():
             if nm not in ids:
-                raise ParseError(f"undeclared accepting state {nm!r}")
-        acc_ids = frozenset(ids[nm] for nm in acc_set)
+                raise ParseError(f"undeclared accepting state {nm!r}", no)
+        acc_ids = frozenset(ids[nm] for nm in value.split())
     parent = explore(
-        [ids[initial]], lambda c: [(sym, table[(c, sym)]) for sym in alphabet]
+        [initial], lambda c: [(sym, table[(c, sym)]) for sym in alphabet]
     )[2]
     classes = tuple(
         DfwClass(i, path_to(parent, i)[1] if i in parent else None, names[i])
         for i in range(len(names))
     )
-    return CongruenceDfw(alphabet, classes, table, ids[initial], acc_ids)
+    return CongruenceDfw(alphabet, classes, table, initial, acc_ids)
 
 
 def parse_fdfw(text: str | bytes) -> Fdfw:
@@ -545,42 +529,23 @@ def parse_fdfw(text: str | bytes) -> Fdfw:
     lines = list(_meaningful_lines(text))
     if not lines or lines[0][1] != "fdfw":
         raise ParseError("expected 'fdfw' header", lines[0][0] if lines else 1)
-    alphabet: Alphabet | None = None
-    saturated: bool | None = None
-    idx = 1
-    while idx < len(lines):
-        no, line = lines[idx]
-        if line.startswith("alphabet:"):
-            if alphabet is not None:
-                raise ParseError("duplicate alphabet line", no)
-            try:
-                alphabet = Alphabet(tuple(line.split(":", 1)[1].split()))
-            except ValueError as e:
-                raise ParseError(str(e), no) from None
-            idx += 1
-        elif line.startswith("saturated:"):
-            if saturated is not None:
-                raise ParseError("duplicate saturated line", no)
-            val = line.split(":", 1)[1].strip()
-            if val not in ("true", "false"):
-                raise ParseError("saturated must be true or false", no)
-            saturated = val == "true"
-            idx += 1
-        else:
-            break
-    if alphabet is None:
-        raise ParseError("missing alphabet line")
-    # split the remainder into blocks
+    # the header lines, then one body per `leading:` or `progress <class>:` line
+    header: list[tuple[int, str]] = []
     blocks: list[tuple[int, str, list[tuple[int, str]]]] = []
-    for no, line in lines[idx:]:
+    for no, line in lines[1:]:
         if line == "leading:":
             blocks.append((no, "leading", []))
         elif line.startswith("progress ") and line.endswith(":"):
             blocks.append((no, line[len("progress "):-1].strip(), []))
-        elif blocks:
-            blocks[-1][2].append((no, line))
         else:
-            raise ParseError(f"content before any block: {line!r}", no)
+            (blocks[-1][2] if blocks else header).append((no, line))
+    fields, _ = _read_fields(header, ("alphabet", "saturated"), ())
+    if "alphabet" not in fields:
+        raise ParseError("missing alphabet line")
+    alphabet = _read_alphabet(*fields["alphabet"])
+    no, saturated = fields.get("saturated", (None, "false"))
+    if saturated not in ("true", "false"):
+        raise ParseError("saturated must be true or false", no)
     if not blocks or blocks[0][1] != "leading":
         raise ParseError("first block must be 'leading:'")
     leading = _parse_dfw_block(alphabet, blocks[0][2], want_accepting=False)
@@ -598,4 +563,4 @@ def parse_fdfw(text: str | bytes) -> Fdfw:
     missing = set(range(len(leading))) - set(progress)
     if missing:
         raise ParseError(f"missing progress blocks for {len(missing)} leading classes")
-    return Fdfw(alphabet, leading, progress, saturated=bool(saturated))
+    return Fdfw(alphabet, leading, progress, saturated=saturated == "true")

@@ -12,12 +12,15 @@ from buchicong import (
     Nbw,
     ParseError,
     UpWord,
+    complement_fdfw_optimal,
     enumerate_upwords,
     intersect,
     is_empty,
     lasso_membership,
+    parse_fdfw,
     parse_nbw,
     parse_word,
+    serialize_fdfw,
     serialize_nbw,
 )
 from conftest import canonical_corpus, seeded_nbws, words
@@ -255,6 +258,36 @@ b 1
     assert lasso_membership(a, UpWord((), ("b",))).accepted
 
 
+def _hoa_text(a: Nbw) -> str:
+    """`a`, whose states must be s0, s1, ... in order, in the HOA subset with
+    one Start: line per initial state."""
+    lines = ["HOA: v1", f"States: {len(a.states)}"]
+    lines += [f"Start: {a.index(q)}" for q in a.sort_states(a.initial)]
+    lines += ["Alphabet: " + " ".join(a.alphabet), "Acceptance: Buchi", "--BODY--"]
+    for q in a.states:
+        lines.append(f"State: {a.index(q)}" + (" {0}" if q in a.accepting else ""))
+        for sym in a.alphabet:
+            lines += [f"{sym} {a.index(r)}" for r in a.sort_states(a.successors(q, sym))]
+    return "\n".join(lines + ["--END--"]) + "\n"
+
+
+@given(seeded_nbws(max_states=3), st.integers(min_value=0, max_value=10**6), st.booleans())
+def test_text_formats_read_back_and_reject_damage_as_parse_errors(a, pick, duplicate):
+    hoa = _hoa_text(a)
+    assert serialize_nbw(parse_nbw(hoa)) == serialize_nbw(a)
+    # deleting or duplicating one line yields a text that parses or is a
+    # ParseError, never another exception
+    family = serialize_fdfw(complement_fdfw_optimal(a))
+    for text, parse in ((serialize_nbw(a), parse_nbw), (hoa, parse_nbw), (family, parse_fdfw)):
+        lines = text.splitlines(keepends=True)
+        i = pick % len(lines)
+        damaged = lines[:i + 1] + lines[i:] if duplicate else lines[:i] + lines[i + 1:]
+        try:
+            parse("".join(damaged))
+        except ParseError:
+            pass
+
+
 def test_parse_rejects_malformed_input():
     with pytest.raises(ParseError):
         parse_nbw("")
@@ -282,6 +315,20 @@ def test_parse_rejects_malformed_input():
                 f"HOA: v1\nStates: {states}\nStart: {start}\nAlphabet: a\n"
                 f"Acceptance: Buchi\n--BODY--\nState: 0\n{edge}\n--END--\n"
             )
+        assert exc.value.line == line
+    # a repeated States:, Alphabet: or Acceptance: header, which used to
+    # override the earlier one silently, is an error at the repeat
+    hoa = (
+        "HOA: v1\nStates: 2\nStart: 0\nAlphabet: a\nAcceptance: Buchi\n"
+        "--BODY--\nState: 0\na 0\n--END--\n"
+    )
+    for first, second, line in (
+        ("States: 2", "States: 1", 3),
+        ("Alphabet: a", "Alphabet: a b", 5),
+        ("Acceptance: Buchi", "Acceptance: 1 Inf(0)", 6),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_nbw(hoa.replace(first, f"{first}\n{second}"))
         assert exc.value.line == line
 
 

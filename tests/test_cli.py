@@ -235,6 +235,19 @@ def test_in_and_fdfw_exclude_each_other(b3_file, tmp_path, capsys):
         assert exc.value.code == 2
 
 
+def test_variant_and_budget_do_not_apply_to_fdfw(b3_file, tmp_path, capsys):
+    # both used to be ignored silently, and the command exited 0
+    fam = tmp_path / "b3.fdfw"
+    code, _ = run(capsys, "complement", "--in", b3_file, "--variant", "optimal", "--out", str(fam))
+    assert code == 0
+    for cmd in ("to-nbw", "saturation-check"):
+        for flag, value in (("--variant", "optimal"), ("--budget", "1")):
+            with pytest.raises(SystemExit) as exc:
+                run(capsys, cmd, "--fdfw", str(fam), flag, value)
+            assert exc.value.code == 2
+            assert f"error: {flag} applies to --in" in capsys.readouterr().err
+
+
 def test_saturation_check_passes_on_built_complements(b3_file, capsys):
     code, out = run(
         capsys,
