@@ -9,7 +9,7 @@ decompositions and every operation here is invariant under redecomposition.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Container, Iterable, Iterator, Mapping
 
@@ -224,8 +224,11 @@ def _find_accepting_lasso(
     satisfying is_acc.  Returns (stem_nodes, stem_letters, cycle_nodes,
     cycle_letters) or None.  Deterministic: nodes are explored in BFS order."""
     order, adj, parent = explore(inits, expand)
+    accepting = [n for n in order if is_acc(n)]
+    if not accepting:
+        return None
     comp, cyclic = cyclic_components(order, adj)
-    target = next((n for n in order if is_acc(n) and comp[n] in cyclic), None)
+    target = next((n for n in accepting if comp[n] in cyclic), None)
     if target is None:
         return None
     stem_nodes, stem_letters = path_to(parent, target)
@@ -261,50 +264,42 @@ def cyclic_components(order: list, adj: dict) -> tuple[dict, set[int]]:
     onstack: set = set()
     stack: list = []
     comp: dict = {}
-    counter = 0
+    cyclic: set[int] = set()
     ncomp = 0
     for root in order:
         if root in index:
             continue
-        work: list = [(root, 0)]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        onstack.add(root)
+        work: list = [(root, iter(adj[root]))]
         while work:
-            node, ei = work.pop()
-            if ei == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                onstack.add(node)
-            recurse = False
-            edges = adj[node]
-            while ei < len(edges):
-                nxt = edges[ei][1]
-                ei += 1
+            node, edges = work[-1]
+            for _, nxt in edges:
                 if nxt not in index:
-                    work.append((node, ei))
-                    work.append((nxt, 0))
-                    recurse = True
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    onstack.add(nxt)
+                    work.append((nxt, iter(adj[nxt])))
                     break
-                if nxt in onstack:
-                    low[node] = min(low[node], index[nxt])
-            if recurse:
-                continue
-            if low[node] == index[node]:
-                while True:
-                    x = stack.pop()
-                    onstack.discard(x)
-                    comp[x] = ncomp
-                    if x == node:
-                        break
-                ncomp += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    sizes = Counter(comp.values())
-    cyclic = {
-        comp[node]
-        for node in order
-        if sizes[comp[node]] > 1 or any(nxt == node for _, nxt in adj[node])
-    }
+                if nxt in onstack and index[nxt] < low[node]:
+                    low[node] = index[nxt]
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    size = 0
+                    while True:
+                        x = stack.pop()
+                        onstack.discard(x)
+                        comp[x] = ncomp
+                        size += 1
+                        if x == node:
+                            break
+                    if size > 1 or any(nxt == node for _, nxt in adj[node]):
+                        cyclic.add(ncomp)
+                    ncomp += 1
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
     return comp, cyclic
 
 
@@ -415,6 +410,79 @@ def intersect(a: Nbw, b: Nbw) -> Nbw:
         trans,
         frozenset(name(p, q, c) for (p, q, c) in order if c == 1 and q in b.accepting),
     )
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _product_lasso(a: Nbw, b: Nbw) -> UpWord | None:
+    """The word of the lasso that is_empty(intersect(a, b)) returns, or None
+    when that product is empty; a and b must share their alphabet.
+
+    The search runs on integer nodes and builds no product automaton.  The
+    product state (p, q, c), over the state indices of a and b and
+    intersect's two-copy counter c, is packed into the key
+    2 * (p * |b| + q) + c, and its node is the index at which the BFS
+    discovers it.  Expanding nodes in BFS order numbers new targets as
+    intersect does: per symbol, in (p, q) index order.  Each symbol's edges
+    are listed in node order, the order in which is_empty visits the
+    successors of intersect's states, so the stem, the cycle and the word
+    match.  Successor rows are decoded only for the states the search
+    reaches."""
+    succ_a, acc_a = a.bitmasks()
+    succ_b, acc_b = b.bitmasks()
+    nb = len(b.states)
+    syms = a.alphabet.symbols
+    rows_a = {sym: [None] * len(a.states) for sym in syms}
+    rows_b = {sym: [None] * nb for sym in syms}
+    keys = [
+        2 * (a.index(p) * nb + b.index(q))
+        for p in a.sort_states(a.initial)
+        for q in b.sort_states(b.initial)
+    ]
+    node_of = {key: i for i, key in enumerate(keys)}
+
+    def expand(i: int) -> list[tuple[str, int]]:
+        key = keys[i]
+        p, q = divmod(key >> 1, nb)
+        if key & 1:
+            nc = 0 if acc_b >> q & 1 else 1
+        else:
+            nc = acc_a >> p & 1
+        edges: list[tuple[str, int]] = []
+        for sym in syms:
+            targets_a = rows_a[sym][p]
+            if targets_a is None:
+                targets_a = rows_a[sym][p] = [2 * nb * pp for pp in _bits(succ_a[sym][p])]
+            targets_b = rows_b[sym][q]
+            if targets_b is None:
+                targets_b = rows_b[sym][q] = [2 * qq for qq in _bits(succ_b[sym][q])]
+            nodes = []
+            for pa in targets_a:
+                for qb in targets_b:
+                    key = pa + qb + nc
+                    j = node_of.get(key)
+                    if j is None:
+                        j = node_of[key] = len(keys)
+                        keys.append(key)
+                    nodes.append(j)
+            nodes.sort()
+            edges += zip(itertools.repeat(sym), nodes)
+        return edges
+
+    def is_acc(i: int) -> bool:
+        key = keys[i]
+        return key & 1 == 1 and acc_b >> (key >> 1) % nb & 1 == 1
+
+    hit = _find_accepting_lasso(list(range(len(keys))), expand, is_acc)
+    if hit is None:
+        return None
+    return UpWord(hit[1], hit[3])
 
 
 def _words_upto(alphabet: Alphabet, lo: int, hi: int) -> Iterator[Word]:
@@ -607,6 +675,7 @@ def _parse_hoa(lines: list[tuple[int, str]]) -> Nbw:
     accepting: set[str] = set()
     trans: dict[tuple[str, str], set[str]] = {}
     cur: str | None = None
+    defined: set[int] = set()
     for no, line in lines[body_at + 1:]:
         if line == "--END--":
             break
@@ -615,6 +684,9 @@ def _parse_hoa(lines: list[tuple[int, str]]) -> Nbw:
             idx = _hoa_int(rest[0] if rest else "", "'State: <index>'", no)
             if not 0 <= idx < n_states:
                 raise ParseError(f"state index {idx} out of range", no)
+            if idx in defined:
+                raise ParseError(f"duplicate 'State: {idx}' line", no)
+            defined.add(idx)
             cur = states[idx]
             if any(tok.startswith("{") for tok in rest[1:]):
                 accepting.add(cur)

@@ -25,9 +25,8 @@ from .automata import (
     Nbw,
     ParseError,
     UpWord,
+    _product_lasso,
     enumerate_upwords,
-    intersect,
-    is_empty,
     lasso_membership,
     parse_nbw,
     parse_word,
@@ -507,7 +506,7 @@ def run_equivalence_suite(
         nbw_mis = sum(
             1 for w in corpus if lasso_membership(nbw, w).accepted == oracle[w]
         )
-        disjoint = is_empty(intersect(a, nbw))[0]
+        disjoint = _product_lasso(a, nbw) is None
         leading, progress = f.size()
         rows.append(
             EquivRow(

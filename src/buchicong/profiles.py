@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator, Mapping
+from typing import Callable, Hashable, Mapping
 
-from .automata import Alphabet, Nbw, Word
+from .automata import Alphabet, Nbw, Word, _bits
 
 DEFAULT_CLASS_BUDGET = 200_000
 
@@ -70,13 +70,6 @@ class Profile:
         for r in self.reach:
             out |= r
         return out
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def epsilon_profile(a: Nbw) -> Profile:

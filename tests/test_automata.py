@@ -330,6 +330,14 @@ def test_parse_rejects_malformed_input():
         with pytest.raises(ParseError) as exc:
             parse_nbw(hoa.replace(first, f"{first}\n{second}"))
         assert exc.value.line == line
+    # a second State: line for an index, which used to merge its edges and
+    # marks into the first, is an error at the repeat
+    with pytest.raises(ParseError) as exc:
+        parse_nbw(
+            "HOA: v1\nStates: 2\nStart: 0\nAlphabet: a\nAcceptance: Buchi\n--BODY--\n"
+            "State: 0\na 1\nState: 1\na 1\nState: 0 {0}\na 0\n--END--\n"
+        )
+    assert exc.value.line == 11
 
 
 @given(seeded_nbws(max_states=6))

@@ -155,6 +155,20 @@ def test_contains_both_directions(b3_file, dbw3_file, capsys):
     assert row["counterexample_period"] == "0"
 
 
+def test_contains_rejects_mismatched_alphabets_before_any_build(tmp_path, capsys):
+    # even a budget of one class must not be reached: the alphabets are
+    # compared before the right side's complement is built
+    left, right = tmp_path / "l.nbw", tmp_path / "r.nbw"
+    left.write_text("nbw\nalphabet: a b\nstates: p\ninitial: p\naccepting: p\ntrans: p a -> p\n")
+    right.write_text("nbw\nalphabet: a c\nstates: p\ninitial: p\naccepting: p\ntrans: p c -> p\n")
+    for budget in ((), ("--budget", "1")):
+        code = main(["contains", *budget, str(left), str(right)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: containment needs a shared alphabet\n"
+
+
 # --- complement, translation, saturation ----------------------------------------------
 
 

@@ -316,6 +316,45 @@ def test_containment_between_family_variants(b3):
     assert not lasso_membership(dbw, cex).accepted
 
 
+def test_containment_builds_no_named_product(monkeypatch):
+    # containment searches the product on integer nodes; it neither builds
+    # the named product automaton nor walks one
+    def named(*args):
+        raise AssertionError("containment built or walked a named product")
+
+    for module in ("buchicong.automata", "buchicong.fdfw"):
+        monkeypatch.setattr(f"{module}.intersect", named)
+        monkeypatch.setattr(f"{module}.is_empty", named)
+    pairs = [(gen_bn(3), gen_bn_dbw(3))]
+    pairs += [(random_nbw(seed, 3 + seed % 4), random_nbw(seed + 1, 2 + seed % 3)) for seed in range(1729, 1737)]
+    verdicts = set()
+    for a, b in pairs:
+        for left, right in ((a, b), (b, a)):
+            verdicts.add(containment(left, right)[0])
+    assert verdicts == {True, False}
+
+
+def test_containment_matches_the_named_product():
+    # the fused search returns exactly the verdict and canonical counterexample
+    # of intersecting with the translated complement and walking that product
+    def via_product(a, b):
+        empty, lasso = is_empty(intersect(a, fdfw_to_nbw(complement_fdfw_optimal(b))))
+        return (True, None) if empty else (False, lasso.word().canonical())
+
+    # the return search must visit targets in product discovery order: in
+    # (a, b) index order this pair's lasso would close as (a b)(b a a)^omega
+    a, b = random_nbw(3218, 6), random_nbw(3225, 4)
+    assert containment(a, b) == via_product(a, b) == (False, UpWord((), ("a", "b", "b")))
+    held = 0
+    for s in range(3000, 3400):
+        a, b = random_nbw(s, 3 + s % 5), random_nbw(s + 7, 2 + s % 4)
+        assert a.alphabet == b.alphabet
+        got = containment(a, b)
+        assert got == via_product(a, b), s
+        held += got[0]
+    assert 0 < held < 400
+
+
 # --- text format -------------------------------------------------------------------------
 
 
