@@ -504,6 +504,11 @@ def enumerate_upwords(alphabet: Alphabet, max_u: int, max_v: int) -> Iterator[Up
             yield UpWord(u, v)
 
 
+def canonical_upwords(alphabet: Alphabet, max_u: int, max_v: int) -> list[UpWord]:
+    """The distinct words of enumerate_upwords, canonical, in first-occurrence order."""
+    return list(dict.fromkeys(w.canonical() for w in enumerate_upwords(alphabet, max_u, max_v)))
+
+
 def parse_word(alphabet: Alphabet, text: str) -> Word:
     """Word from CLI text: whitespace-separated tokens, or one symbol per
     character when the alphabet is single-character.  Empty text is epsilon."""

@@ -26,7 +26,7 @@ from .automata import (
     ParseError,
     UpWord,
     _product_lasso,
-    enumerate_upwords,
+    canonical_upwords,
     lasso_membership,
     parse_nbw,
     parse_word,
@@ -34,6 +34,7 @@ from .automata import (
 )
 from .families import gen_bn, gen_bn_dbw, random_nbw
 from .fdfw import (
+    DFW_CLASS_PREFIX,
     Fdfw,
     accepts_upword,
     check_saturation_sampled,
@@ -140,23 +141,30 @@ _LEADING_AND_PROGRESS = (
 )
 
 
-def _relation_builders(a: Nbw, relation: str, context: tuple[str, ...], budget: int):
-    """(relation name, zero-argument builder) pairs for one --relation choice:
-    a progress relation names the class of `context`, and `all` lists every
-    relation with the progress relations of every leading class."""
+def _timed(build, *args) -> tuple:
+    """(build(*args), its wall-clock time in ms)."""
+    t0 = time.perf_counter()
+    out = build(*args)
+    return out, int(round((time.perf_counter() - t0) * 1000))
+
+
+def _relations(a: Nbw, relation: str, context: tuple[str, ...], budget: int):
+    """(name, quotient DFW, its build time in ms), built row by row, for one
+    --relation choice: a progress relation names the class of `context`, and
+    `all` lists every relation with the progress relations of every leading class."""
     if relation in ("classical", "all"):
-        yield "classical", lambda: classical_congruence(a, budget)
+        yield "classical", *_timed(classical_congruence, a, budget)
     for lead_name, build_lead, progress_name, build_progress in _LEADING_AND_PROGRESS:
         if relation == lead_name:
-            yield lead_name, lambda build=build_lead: build(a, budget)
+            yield lead_name, *_timed(build_lead, a, budget)
         elif relation in (progress_name, "all"):
-            lead = build_lead(a, budget)
+            lead, elapsed = _timed(build_lead, a, budget)
             if relation == "all":
-                yield lead_name, lambda lead=lead: lead
+                yield lead_name, lead, elapsed
             for m in range(len(lead)) if relation == "all" else [lead.run(context)]:
                 yield (
                     f"{progress_name}[{_join_word(lead.classes[m].witness)}]",
-                    lambda b=build_progress, lead=lead, m=m: b(a, lead, m, budget),
+                    *_timed(build_progress, a, lead, m, budget),
                 )
 
 
@@ -168,16 +176,13 @@ def _max_witness_len(dfw: CongruenceDfw) -> int:
 def cmd_classes(args) -> int:
     a = _load_nbw(args.infile)
     budget = args.budget
-    context = parse_word(a.alphabet, args.u)
+    context = parse_word(a.alphabet, args.u or "")
     if args.dump and args.relation == "all":
         print("--dump needs one concrete --relation", file=sys.stderr)
         return EXIT_BAD_INPUT
     rows = []
     dumped: CongruenceDfw | None = None
-    for name, build in _relation_builders(a, args.relation, context, budget):
-        t0 = time.perf_counter()
-        dfw = build()
-        elapsed = int(round((time.perf_counter() - t0) * 1000))
+    for name, dfw, elapsed in _relations(a, args.relation, context, budget):
         rows.append(
             {
                 "relation": name,
@@ -192,7 +197,7 @@ def cmd_classes(args) -> int:
         wit_lines = ["class\twitness"]
         for c in dumped.classes:
             wit = "" if c.witness is None else _join_word(c.witness)
-            wit_lines.append(f"c{c.cid}\t{wit}")
+            wit_lines.append(f"{DFW_CLASS_PREFIX}{c.cid}\t{wit}")
         _write_text(args.dump + ".witnesses.tsv", "\n".join(wit_lines) + "\n")
     _emit(["relation", "classes", "max_witness_len", "elapsed_ms"], rows, args.json)
     return EXIT_OK
@@ -206,9 +211,7 @@ _VARIANTS = {"optimal": complement_fdfw_optimal, "improved": complement_fdfw_imp
 
 def cmd_complement(args) -> int:
     a = _load_nbw(args.infile)
-    t0 = time.perf_counter()
-    f = _VARIANTS[args.variant](a, args.budget)
-    elapsed = int(round((time.perf_counter() - t0) * 1000))
+    f, elapsed = _timed(_VARIANTS[args.variant], a, args.budget)
     if args.out:
         _write_text(args.out, serialize_fdfw(f))
     leading, progress = f.size()
@@ -489,13 +492,7 @@ class EquivRow:
 def run_equivalence_suite(
     aid: str, a: Nbw, max_u: int, max_v: int, budget: int
 ) -> list[EquivRow]:
-    corpus: list[UpWord] = []
-    seen: set[UpWord] = set()
-    for w in enumerate_upwords(a.alphabet, max_u, max_v):
-        c = w.canonical()
-        if c not in seen:
-            seen.add(c)
-            corpus.append(c)
+    corpus = canonical_upwords(a.alphabet, max_u, max_v)
     oracle = {w: lasso_membership(a, w).accepted for w in corpus}
     rows = []
     for variant, builder in _VARIANTS.items():
@@ -597,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=["classical", "subset", "optimal", "improved-progress", "optimal-progress", "all"],
     )
-    p.add_argument("--u", default="", help="context word for progress relations")
+    p.add_argument("--u", default=None, help="context word for progress relations")
     p.add_argument("--dump", default=None, help="write the quotient DFW here (plus .witnesses.tsv)")
     _add_common(p)
     p.set_defaults(func=cmd_classes)
@@ -674,6 +671,8 @@ def main(argv: list[str] | None = None) -> int:
         for flag in ("variant", "budget"):
             if getattr(args, flag) is not None:
                 parser.error(f"--{flag} applies to --in, not to --fdfw")
+    if args.command == "classes" and args.u is not None and not args.relation.endswith("progress"):
+        parser.error("--u applies to --relation improved-progress or optimal-progress")
     if "budget" in vars(args) and args.budget is None:
         raw = os.environ.get("CONGRUENCE_BUDGET", str(DEFAULT_CLASS_BUDGET))
         try:

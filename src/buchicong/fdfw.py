@@ -32,8 +32,8 @@ from .automata import (
     _read_alphabet,
     _read_fields,
     _read_trans,
+    canonical_upwords,
     cyclic_components,
-    enumerate_upwords,
     explore,
     intersect,  # noqa: F401  perfbench/tracing.py patches it here
     is_empty,  # noqa: F401  perfbench/tracing.py patches it here
@@ -240,13 +240,8 @@ def check_saturation_sampled(
     decompositions disagree, keeping at most `cap` >= 1 examples per side."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    seen: set[UpWord] = set()
     out: list[SaturationViolation] = []
-    for w in enumerate_upwords(f.alphabet, max_prefix, max_period):
-        c = w.canonical()
-        if c in seen:
-            continue
-        seen.add(c)
+    for c in canonical_upwords(f.alphabet, max_prefix, max_period):
         cap_list, unc_list = _normalized_verdicts(f, c, cap)
         if cap_list and unc_list:
             out.append(SaturationViolation(c, tuple(cap_list), tuple(unc_list)))
@@ -314,7 +309,7 @@ def complement_fdfw_improved(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw
 
     def accepting(cls: DfwClass, prog: CongruenceDfw, pcls: DfwClass) -> bool:
         p, sources = pcls.payload, cls.payload
-        return p.image() == sources and not periodic_membership_from_profile(a, p, sources)
+        return p.image() == sources and not periodic_membership_from_profile(p, sources)
 
     return _complement_family(
         a, subset_congruence(a, budget), progress_congruence_improved, accepting, budget
@@ -458,9 +453,12 @@ def _serialize_dfw_block(dfw: CongruenceDfw, prefix: str) -> list[str]:
     return lines
 
 
-def serialize_dfw(dfw: CongruenceDfw, prefix: str = "c") -> str:
+DFW_CLASS_PREFIX = "c"
+
+
+def serialize_dfw(dfw: CongruenceDfw) -> str:
     lines = ["dfw", "alphabet: " + " ".join(dfw.alphabet.symbols)]
-    lines.extend(_serialize_dfw_block(dfw, prefix))
+    lines.extend(_serialize_dfw_block(dfw, DFW_CLASS_PREFIX))
     return "\n".join(lines) + "\n"
 
 

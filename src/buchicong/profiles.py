@@ -24,7 +24,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping
 
-from .automata import Alphabet, Nbw, Word, _bits
+from .automata import Alphabet, Nbw, Word, _bits, cyclic_components
 
 DEFAULT_CLASS_BUDGET = 200_000
 
@@ -106,14 +106,15 @@ def compose(first: Profile, second: Profile) -> Profile:
     return Profile(first.size, tuple(r for r, _ in rows), tuple(rf for _, rf in rows))
 
 
-def periodic_membership_from_profile(a: Nbw, p: Profile, sources: int) -> bool:
+def periodic_membership_from_profile(p: Profile, sources: int) -> bool:
     """Whether s v^omega is accepted from some source state s, given the
     profile p of v built over the source mask S, with image(v) == S.
 
     Stability of S under v lets the infinite run be folded into pairs over S:
-    we close the relation {(i, j, f)} under composition with the profile and
-    report whether some source i can return to itself with an acceptance
-    visit.  Requires the image condition, otherwise the folding is unsound.
+    in the graph with an edge i -> j for each pair p relates, some source
+    loops through acceptance exactly when a flagged pair (i, j) has i and j
+    in one strongly connected component.  Requires the image condition,
+    otherwise the folding is unsound.
     """
     # reach_f rows are submasks of reach rows, so the reach rows suffice
     if any(r and not sources >> i & 1 for i, r in enumerate(p.reach)):
@@ -121,19 +122,8 @@ def periodic_membership_from_profile(a: Nbw, p: Profile, sources: int) -> bool:
     if p.image() != sources:
         raise ValueError("periodic membership needs image(v) == sources")
     srcs = list(_bits(sources))
-    # closure[i] = (reach mask, reach_f mask) over one or more copies of v
-    closure_r = {i: p.reach[i] for i in srcs}
-    closure_rf = {i: p.reach_f[i] for i in srcs}
-    changed = True
-    while changed:
-        changed = False
-        for i in srcs:
-            r, rf = _row_compose(closure_r[i], closure_rf[i], p)
-            nr, nrf = closure_r[i] | r, closure_rf[i] | rf
-            if nr != closure_r[i] or nrf != closure_rf[i]:
-                closure_r[i], closure_rf[i] = nr, nrf
-                changed = True
-    return any(closure_rf[i] >> i & 1 for i in srcs)
+    comp, _ = cyclic_components(srcs, {i: [(None, j) for j in _bits(p.reach[i])] for i in srcs})
+    return any(comp[i] == comp[j] for i in srcs for j in _bits(p.reach_f[i]))
 
 
 # --- generic congruence explorer -------------------------------------------
@@ -167,8 +157,13 @@ class CongruenceDfw:
 
     def run(self, word: Word, start: int | None = None) -> int:
         cur = self.initial if start is None else start
-        for sym in word:
-            cur = self.table[(cur, sym)]
+        try:
+            for sym in word:
+                cur = self.table[(cur, sym)]
+        except KeyError:
+            if sym in self.alphabet:
+                raise
+            raise ValueError(f"symbol {sym!r} not in alphabet") from None
         return cur
 
     def accepts(self, word: Word) -> bool:

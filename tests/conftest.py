@@ -19,9 +19,9 @@ from buchicong import (
     Nbw,
     UpWord,
     accepts_upword,
+    canonical_upwords,
     complement_fdfw_improved,
     complement_fdfw_optimal,
-    enumerate_upwords,
     fdfw_to_nbw,
     gen_bn,
     lasso_membership,
@@ -65,14 +65,7 @@ def words(symbols: tuple[str, ...] = ("a", "b"), max_len: int = 5):
 
 def canonical_corpus(alphabet: Alphabet, max_u: int, max_v: int) -> list[UpWord]:
     """Distinct infinite words with some decomposition within the bounds."""
-    seen: set[UpWord] = set()
-    out: list[UpWord] = []
-    for w in enumerate_upwords(alphabet, max_u, max_v):
-        c = w.canonical()
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-    return out
+    return canonical_upwords(alphabet, max_u, max_v)
 
 
 def pool_automaton(i: int) -> Nbw:

@@ -280,7 +280,7 @@ def test_ac12_folded_membership_matches_oracle(pool_relations, complement_runs):
             for cid, v in members(prog).items():
                 p = prog.classes[cid].payload
                 if p.image() == c.payload:
-                    folded = periodic_membership_from_profile(a, p, c.payload)
+                    folded = periodic_membership_from_profile(p, c.payload)
                     compare("improved", row.aid, a, c.witness, v, folded)
         for c in row.optimal.classes:
             prog = row.optimal_progress[c.cid]

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,42 @@ def test_classes_reports_every_relation(b3_file, capsys):
     assert counts["improved-progress[]"] == "6"
     assert counts["optimal-progress[0 0]"] == "2"
     assert len(counts) == 15
+
+
+def test_classes_all_times_each_leading_relation(b3_file, capsys, monkeypatch):
+    # `all` used to build each leading DFW before its row and time nothing
+    def slow(build):
+        def wrapped(*args):
+            time.sleep(0.1)
+            return build(*args)
+
+        return wrapped
+
+    builders = buchicong.cli._LEADING_AND_PROGRESS
+    monkeypatch.setattr(
+        buchicong.cli,
+        "_LEADING_AND_PROGRESS",
+        tuple((lead, slow(b), prog, bp) for lead, b, prog, bp in builders),
+    )
+    for relation in ("subset", "optimal", "all"):
+        code, out = run(capsys, "classes", "--in", b3_file, "--relation", relation, "--json")
+        assert code == 0
+        elapsed = {r["relation"]: r["elapsed_ms"] for r in json.loads(out)}
+        for lead in {"subset", "optimal"} & set(elapsed):
+            assert elapsed[lead] >= 100
+
+
+def test_classes_context_word_needs_a_progress_relation(b3_file, capsys):
+    # --u used to be ignored silently outside the progress relations
+    for relation in ("classical", "subset", "optimal", "all"):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "classes", "--in", b3_file, "--relation", relation, "--u", "0")
+        assert exc.value.code == 2
+        assert "error: --u applies to --relation improved-progress" in capsys.readouterr().err
+    for relation in ("improved-progress", "optimal-progress"):
+        code, out = run(capsys, "classes", "--in", b3_file, "--relation", relation, "--u", "0")
+        assert code == 0
+        assert len(tsv_rows(out)) == 1
 
 
 def test_classes_json_mode(b3_file, capsys):

@@ -93,6 +93,19 @@ def test_saturation_probe_reports_the_disagreeing_pair():
     assert "captured" in str(v)
 
 
+def test_foreign_symbols_are_value_errors():
+    # a table lookup on a symbol outside the alphabet used to leak a KeyError
+    f = complement_fdfw_optimal(gen_bn(3))
+    for w in (UpWord(("9",), ("1",)), UpWord(("1",), ("9",))):
+        for accepts in (accepts_upword, accepts_upword_general, accepts_upword_saturated):
+            with pytest.raises(ValueError, match="symbol '9' not in alphabet"):
+                accepts(f, w)
+        with pytest.raises(ValueError, match="symbol '9' not in alphabet"):
+            accepts_decomposition(f, w.prefix, w.period)
+        with pytest.raises(ValueError, match="symbol '9' not in alphabet"):
+            lasso_membership(gen_bn(3), w)
+
+
 def test_normalize_decomposition_pumps_to_a_recurring_class(b3):
     f = complement_fdfw_optimal(b3)
     got = normalize_decomposition(f, UpWord((), ("1",)))

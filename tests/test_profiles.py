@@ -113,24 +113,24 @@ def test_periodic_membership_requires_stable_image():
     wait = 1 << a.index("wait")
     bad = restrict(word_profile(a, ("a",)), wait)
     with pytest.raises(ValueError, match="image"):
-        periodic_membership_from_profile(a, bad, wait)
+        periodic_membership_from_profile(bad, wait)
     # a row of a state outside the sources makes the fold meaningless too
     foreign = word_profile(a, ("b",))
     assert foreign.image() == wait
     with pytest.raises(ValueError, match="outside the source set"):
-        periodic_membership_from_profile(a, foreign, wait)
+        periodic_membership_from_profile(foreign, wait)
 
 
 def test_periodic_membership_on_known_loops():
     a = inf_many("a", "b")
     hit, wait = 1 << a.index("hit"), 1 << a.index("wait")
     stays_out = restrict(word_profile(a, ("b",)), wait)
-    assert not periodic_membership_from_profile(a, stays_out, wait)
+    assert not periodic_membership_from_profile(stays_out, wait)
     stays_in = restrict(word_profile(a, ("a",)), hit)
-    assert periodic_membership_from_profile(a, stays_in, hit)
+    assert periodic_membership_from_profile(stays_in, hit)
     # a two-letter loop through the accepting state, seen from outside it
     round_trip = restrict(word_profile(a, ("a", "b")), wait)
-    assert periodic_membership_from_profile(a, round_trip, wait)
+    assert periodic_membership_from_profile(round_trip, wait)
 
 
 def run_set(a: Nbw, start: frozenset[str], word) -> frozenset[str]:
@@ -161,7 +161,7 @@ def test_periodic_membership_agrees_with_oracle(a, v):
     p = restrict(word_profile(a, period), src)
     assert p.image() == src
     want = lasso_membership(a, UpWord(stem, period)).accepted
-    assert periodic_membership_from_profile(a, p, src) == want
+    assert periodic_membership_from_profile(p, src) == want
 
 
 # --- congruence structures ---------------------------------------------------------------
