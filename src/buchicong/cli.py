@@ -163,13 +163,13 @@ def _relations(a: Nbw, relation: str, context: tuple[str, ...], budget: int):
                 yield lead_name, lead, elapsed
             for m in range(len(lead)) if relation == "all" else [lead.run(context)]:
                 yield (
-                    f"{progress_name}[{_join_word(lead.classes[m].witness)}]",
+                    f"{progress_name}[{_join_word(lead.witnesses[m])}]",
                     *_timed(build_progress, a, lead, m, budget),
                 )
 
 
 def _max_witness_len(dfw: CongruenceDfw) -> int:
-    lens = [len(c.witness) for c in dfw.classes if c.witness is not None]
+    lens = [len(w) for w in dfw.witnesses if w is not None]
     return max(lens) if lens else 0
 
 
@@ -195,9 +195,8 @@ def cmd_classes(args) -> int:
     if args.dump and dumped is not None:
         _write_text(args.dump, serialize_dfw(dumped))
         wit_lines = ["class\twitness"]
-        for c in dumped.classes:
-            wit = "" if c.witness is None else _join_word(c.witness)
-            wit_lines.append(f"{DFW_CLASS_PREFIX}{c.cid}\t{wit}")
+        for c, w in enumerate(dumped.witnesses):
+            wit_lines.append(f"{DFW_CLASS_PREFIX}{c}\t{'' if w is None else _join_word(w)}")
         _write_text(args.dump + ".witnesses.tsv", "\n".join(wit_lines) + "\n")
     _emit(["relation", "classes", "max_witness_len", "elapsed_ms"], rows, args.json)
     return EXIT_OK
@@ -396,8 +395,8 @@ def run_bounds_suite(automata: list[tuple[str, Nbw]], budget: int) -> list[Stats
             if lead is None:
                 return None, None, None, None
             sizes = [
-                guarded(lambda c=c: len(build_progress(a, lead, c.cid, budget)))
-                for c in lead.classes
+                guarded(lambda m=m: len(build_progress(a, lead, m, budget)))
+                for m in range(len(lead))
             ]
             if None in sizes:
                 return len(lead), None, None, None

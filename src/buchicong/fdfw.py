@@ -33,7 +33,6 @@ from .automata import (
     _read_fields,
     _read_trans,
     canonical_upwords,
-    cyclic_components,
     explore,
     intersect,  # noqa: F401  perfbench/tracing.py patches it here
     is_empty,  # noqa: F401  perfbench/tracing.py patches it here
@@ -44,7 +43,6 @@ from .preorder import optimal_leading_congruence, optimal_progress_congruence
 from .profiles import (
     DEFAULT_CLASS_BUDGET,
     CongruenceDfw,
-    DfwClass,
     periodic_membership_from_profile,
     progress_congruence_improved,
     subset_congruence,
@@ -269,17 +267,18 @@ def _complement_family(
     a: Nbw,
     lead: CongruenceDfw,
     build_progress: Callable[[Nbw, CongruenceDfw, int, int], CongruenceDfw],
-    accepting: Callable[[DfwClass, CongruenceDfw, DfwClass], bool],
+    accepting: Callable[[int, CongruenceDfw, int], bool],
     budget: int,
 ) -> Fdfw:
     """Saturated family over `lead`: per leading class m, the progress DFW
-    build_progress(a, lead, m, budget), accepting the progress classes for
-    which accepting(leading class, progress DFW, progress class) holds."""
+    prog = build_progress(a, lead, m, budget), accepting the class ids p of
+    prog for which accepting(m, prog, p) holds."""
     progress: dict[int, CongruenceDfw] = {}
-    for cls in lead.classes:
-        prog = build_progress(a, lead, cls.cid, budget)
-        acc = frozenset(p.cid for p in prog.classes if accepting(cls, prog, p))
-        progress[cls.cid] = prog.with_accepting(acc)
+    for m in range(len(lead)):
+        prog = build_progress(a, lead, m, budget)
+        progress[m] = prog.with_accepting(
+            frozenset(p for p in range(len(prog)) if accepting(m, prog, p))
+        )
     return Fdfw(a.alphabet, lead, progress, saturated=True)
 
 
@@ -290,15 +289,15 @@ def complement_fdfw_optimal(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw:
     with no table entry into it holds only the empty word, no period, and is
     left non-accepting."""
 
-    def accepting(cls: DfwClass, prog: CongruenceDfw, pcls: DfwClass) -> bool:
-        st = pcls.payload
-        if st.lead != cls.cid or pcls.cid == 0 and 0 not in prog.table.values():
-            return False
-        return not st.accepts_period(cls.payload.blocks)
+    lead = optimal_leading_congruence(a, budget)
 
-    return _complement_family(
-        a, optimal_leading_congruence(a, budget), optimal_progress_congruence, accepting, budget
-    )
+    def accepting(m: int, prog: CongruenceDfw, p: int) -> bool:
+        st = prog.payloads[p]
+        if st.lead != m or p == 0 and 0 not in prog.table.values():
+            return False
+        return not st.accepts_period(lead.payloads[m].blocks)
+
+    return _complement_family(a, lead, optimal_progress_congruence, accepting, budget)
 
 
 def complement_fdfw_improved(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw:
@@ -307,13 +306,13 @@ def complement_fdfw_improved(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw
     alone: the profile image must re-create the leading class's state mask
     and the folded periodic membership test must fail."""
 
-    def accepting(cls: DfwClass, prog: CongruenceDfw, pcls: DfwClass) -> bool:
-        p, sources = pcls.payload, cls.payload
-        return p.image() == sources and not periodic_membership_from_profile(p, sources)
+    lead = subset_congruence(a, budget)
 
-    return _complement_family(
-        a, subset_congruence(a, budget), progress_congruence_improved, accepting, budget
-    )
+    def accepting(m: int, prog: CongruenceDfw, p: int) -> bool:
+        prof, sources = prog.payloads[p], lead.payloads[m]
+        return prof.image() == sources and not periodic_membership_from_profile(prof, sources)
+
+    return _complement_family(a, lead, progress_congruence_improved, accepting, budget)
 
 
 def complement_saturated_fdfw(f: Fdfw) -> Fdfw:
@@ -340,10 +339,9 @@ def _accepting_composition_closed(f: Fdfw, q: int) -> bool:
     which member stands in for the second class."""
     prog = f.progress[q]
     acc = prog.accepting
-    witness_of = {c.cid: c.witness for c in prog.classes}
     for f1 in acc:
         for f2 in acc:
-            w2 = witness_of[f2]
+            w2 = prog.witnesses[f2]
             if w2 is None or prog.run(w2, start=f1) not in acc:
                 return False
     return True
@@ -363,9 +361,14 @@ def fdfw_to_nbw(f: Fdfw) -> Nbw:
     Without closure each accepting class gets its own gadget, pinned so that
     every block of a run ends in that same class; mixing unrelated accepting
     classes is unsound.  Relays between blocks are the accepting states.
-    The result is trimmed to states that can still reach an accepting
-    cycle.  States are named L<m> (leading copy), G<q>.<fa>.<p>.<m> (gadget)
-    and R<q>.<fa> (relay), in the order the search discovered them."""
+
+    The result is trimmed to the states that can reach a relay.  No cycle
+    test is needed, because every reachable relay R<q>.<fa> lies on a cycle:
+    it is entered only by a step of gadget copy (q, fa); every node of that
+    copy is reachable from the copy's start (progress initial, q); and the
+    relay steps exactly like that start, so the path that reached it leads
+    back to it.  States are named L<m> (leading copy), G<q>.<fa>.<p>.<m>
+    (gadget) and R<q>.<fa> (relay), in the order the search discovered them."""
     lead = f.leading
     # fa == -1 marks a shared gadget closing at any accepting class
     pins = {
@@ -400,13 +403,12 @@ def fdfw_to_nbw(f: Fdfw) -> Nbw:
 
     init = ("L", lead.initial)
     order, adj, _ = explore([init], expand)
-    comp, cyclic = cyclic_components(order, adj)
-    # trim: keep the nodes from which a relay on a cycle is reachable
+    # trim: keep the nodes from which a relay is reachable
     rev: dict = {node: [] for node in order}
     for node in order:
         for sym, nxt in adj[node]:
             rev[nxt].append((sym, node))
-    seeds = [node for node in order if node[0] == "R" and comp[node] in cyclic]
+    seeds = [node for node in order if node[0] == "R"]
     useful = explore(seeds, rev.__getitem__)[2]
     if init not in useful:
         return Nbw(f.alphabet, ("dead",), frozenset({"dead"}), {}, frozenset())
@@ -440,7 +442,7 @@ def nbw_state_bound(f: Fdfw) -> int:
 
 
 def _serialize_dfw_block(dfw: CongruenceDfw, prefix: str) -> list[str]:
-    names = [f"{prefix}{c.cid}" for c in dfw.classes]
+    names = [f"{prefix}{c}" for c in range(len(dfw))]
     lines = [
         "states: " + " ".join(names),
         f"initial: {names[dfw.initial]}",
@@ -519,11 +521,8 @@ def _parse_dfw_block(
     parent = explore(
         [initial], lambda c: [(sym, table[(c, sym)]) for sym in alphabet]
     )[2]
-    classes = tuple(
-        DfwClass(i, path_to(parent, i)[1] if i in parent else None, names[i])
-        for i in range(len(names))
-    )
-    return CongruenceDfw(alphabet, classes, table, initial, acc_ids)
+    witnesses = tuple(path_to(parent, i)[1] if i in parent else None for i in range(len(names)))
+    return CongruenceDfw(alphabet, witnesses, names, table, initial, acc_ids)
 
 
 def parse_fdfw(text: str | bytes) -> Fdfw:
@@ -552,7 +551,7 @@ def parse_fdfw(text: str | bytes) -> Fdfw:
     if not blocks or blocks[0][1] != "leading":
         raise ParseError("first block must be 'leading:'")
     leading = _parse_dfw_block(alphabet, blocks[0][2], want_accepting=False)
-    name_to_cid = {cls.payload: cls.cid for cls in leading.classes}
+    name_to_cid = {name: cid for cid, name in enumerate(leading.payloads)}
     progress: dict[int, CongruenceDfw] = {}
     for no, name, body in blocks[1:]:
         if name == "leading":

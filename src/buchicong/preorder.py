@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .automata import Nbw, Word
+from .automata import Nbw
 from .profiles import (
     DEFAULT_CLASS_BUDGET,
     CongruenceDfw,
@@ -48,13 +48,6 @@ class PreorderedSubset:
                 raise ValueError("blocks must be disjoint")
             seen |= b
         object.__setattr__(self, "mask", seen)
-
-    def pretty(self, names: tuple[str, ...]) -> str:
-        parts = []
-        for b in self.blocks:
-            inner = ",".join(names[i] for i in range(len(names)) if b >> i & 1)
-            parts.append("{" + inner + "}")
-        return "<" + ",".join(parts) + ">"
 
 
 def initial_preordered(a: Nbw) -> PreorderedSubset:
@@ -96,13 +89,6 @@ def ordered_step(a: Nbw, ps: PreorderedSubset, sym: str) -> PreorderedSubset:
     succ, acc = a.bitmasks()
     claims, _ = _claim(succ[sym], acc, ps.blocks, 0)
     return PreorderedSubset(tuple(g for c in claims for g in (c & ~acc, c & acc) if g))
-
-
-def ordered_reach(a: Nbw, word: Word) -> PreorderedSubset:
-    ps = initial_preordered(a)
-    for sym in word:
-        ps = ordered_step(a, ps, sym)
-    return ps
 
 
 # --- leading congruence ------------------------------------------------------
@@ -171,7 +157,7 @@ class OptProgressState(NamedTuple):
 
 
 def initial_progress_state(lead: CongruenceDfw, m: int) -> OptProgressState:
-    base = lead.classes[m].payload
+    base = lead.payloads[m]
     return OptProgressState(m, base.blocks, 0).check(base.mask)
 
 
@@ -182,7 +168,7 @@ def progress_step(a: Nbw, lead: CongruenceDfw, st: OptProgressState, sym: str) -
     succ, acc = a.bitmasks()
     back, via = _claim(succ[sym], acc, st.back, st.via_acc)
     nxt = lead.table[(st.lead, sym)]
-    return OptProgressState(nxt, tuple(back), via).check(lead.classes[nxt].payload.mask)
+    return OptProgressState(nxt, tuple(back), via).check(lead.payloads[nxt].mask)
 
 
 def optimal_progress_congruence(
@@ -190,7 +176,7 @@ def optimal_progress_congruence(
 ) -> CongruenceDfw:
     """Progress congruence for class m of the optimal leading congruence `lead`."""
     return build_congruence_dfw(
-        f"optimal-progress[{' '.join(lead.classes[m].witness)}]",
+        f"optimal-progress[{' '.join(lead.witnesses[m])}]",
         a.alphabet,
         initial_progress_state(lead, m),
         lambda st, sym: progress_step(a, lead, st, sym),

@@ -130,30 +130,23 @@ def periodic_membership_from_profile(p: Profile, sources: int) -> bool:
 
 
 @dataclass(frozen=True)
-class DfwClass:
-    """One class of a right congruence: its id, the canonical access word
-    (None only for classes a parsed structure declares but never reaches)
-    and the payload value that defines it."""
-
-    cid: int
-    witness: Word | None
-    payload: Hashable
-
-
-@dataclass(frozen=True)
 class CongruenceDfw:
-    """Deterministic complete transition system over congruence classes.
-    `table` maps (class id, symbol) to class id; `accepting` is optional and
-    used when the structure doubles as a DFW over finite words."""
+    """Deterministic complete transition system over congruence classes,
+    numbered from 0.  Class c has the canonical access word `witnesses[c]`
+    (None only for classes a parsed structure declares but never reaches)
+    and the payload `payloads[c]` that defines it.  `table` maps (class id,
+    symbol) to class id; `accepting` is optional and used when the structure
+    doubles as a DFW over finite words."""
 
     alphabet: Alphabet
-    classes: tuple[DfwClass, ...]
+    witnesses: tuple[Word | None, ...]
+    payloads: tuple[Hashable, ...]
     table: Mapping[tuple[int, str], int]
     initial: int = 0
     accepting: frozenset[int] | None = None
 
     def __len__(self) -> int:
-        return len(self.classes)
+        return len(self.payloads)
 
     def run(self, word: Word, start: int | None = None) -> int:
         cur = self.initial if start is None else start
@@ -170,9 +163,6 @@ class CongruenceDfw:
         if self.accepting is None:
             raise ValueError("no accepting set attached")
         return self.run(word) in self.accepting
-
-    def payload_of(self, word: Word) -> Hashable:
-        return self.classes[self.run(word)].payload
 
     def with_accepting(self, accepting: frozenset[int]) -> "CongruenceDfw":
         return dataclasses.replace(self, accepting=accepting)
@@ -208,8 +198,7 @@ def build_congruence_dfw(
                 payloads.append(nxt)
                 witnesses.append(word + (sym,))
             table[(cid, sym)] = nid
-    classes = tuple(DfwClass(cid, witnesses[cid], payloads[cid]) for cid in range(len(payloads)))
-    return CongruenceDfw(alphabet, classes, table)
+    return CongruenceDfw(alphabet, tuple(witnesses), tuple(payloads), table)
 
 
 # --- the concrete congruences ----------------------------------------------
@@ -272,7 +261,6 @@ def progress_congruence_improved(
 ) -> CongruenceDfw:
     """Progress congruence for class m of the subset leading congruence
     `lead`: the pair profile over the class's state mask as sources."""
-    cls = lead.classes[m]
     return _profile_congruence(
-        a, f"improved-progress[{' '.join(cls.witness)}]", cls.payload, budget
+        a, f"improved-progress[{' '.join(lead.witnesses[m])}]", lead.payloads[m], budget
     )

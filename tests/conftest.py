@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from buchicong import (
     Alphabet,
     CongruenceDfw,
-    DfwClass,
     Fdfw,
     Nbw,
     UpWord,
@@ -85,7 +84,7 @@ def edge_members(dfw: CongruenceDfw):
     """(class id, member) for every table edge (src, sym) -> cid: the word
     witness(src) + (sym,) belongs to class cid."""
     for (src, sym), cid in dfw.table.items():
-        yield cid, dfw.classes[src].witness + (sym,)
+        yield cid, dfw.witnesses[src] + (sym,)
 
 
 # --- handcrafted families --------------------------------------------------------
@@ -96,11 +95,7 @@ def single_word_family() -> Fdfw:
     the word ab.  Not saturated: the infinite word (ab)^omega owns both a
     captured decomposition (ab, ab) and an uncaptured one (ab, abab)."""
     alphabet = Alphabet(("a", "b"))
-    lead = CongruenceDfw(
-        alphabet,
-        (DfwClass(0, (), "s"),),
-        {(0, "a"): 0, (0, "b"): 0},
-    )
+    lead = CongruenceDfw(alphabet, ((),), ("s",), {(0, "a"): 0, (0, "b"): 0})
     table = {
         (0, "a"): 1,
         (0, "b"): 3,
@@ -112,8 +107,8 @@ def single_word_family() -> Fdfw:
         (3, "b"): 3,
     }
     witnesses = ((), ("a",), ("a", "b"), ("b",))
-    classes = tuple(DfwClass(i, w, f"n{i}") for i, w in enumerate(witnesses))
-    prog = CongruenceDfw(alphabet, classes, table, accepting=frozenset({2}))
+    payloads = tuple(f"n{i}" for i in range(len(witnesses)))
+    prog = CongruenceDfw(alphabet, witnesses, payloads, table, accepting=frozenset({2}))
     return Fdfw(alphabet, lead, {0: prog}, saturated=False)
 
 
@@ -176,15 +171,9 @@ def pool_relations(random_pool) -> tuple[list[PoolRelations], float]:
                 a,
                 classical_congruence(a),
                 lead,
-                {
-                    c.cid: progress_congruence_improved(a, lead, c.cid)
-                    for c in lead.classes
-                },
+                {m: progress_congruence_improved(a, lead, m) for m in range(len(lead))},
                 olead,
-                {
-                    c.cid: optimal_progress_congruence(a, olead, c.cid)
-                    for c in olead.classes
-                },
+                {m: optimal_progress_congruence(a, olead, m) for m in range(len(olead))},
             )
         )
     return rows, time.perf_counter() - t0

@@ -1,12 +1,23 @@
-"""Independent reference computations the tests compare the library against.
-Each is written without sharing code with the construction it checks."""
+"""Reference computations the tests compare the library against, each
+written without sharing code with the construction it checks, plus two
+test-only helpers over the library: `ordered_reach` and `pretty`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
 
-from buchicong import Nbw, PreorderedSubset, Profile, Word, compose, epsilon_profile, letter_profile
+from buchicong import (
+    Nbw,
+    PreorderedSubset,
+    Profile,
+    Word,
+    compose,
+    epsilon_profile,
+    initial_preordered,
+    letter_profile,
+    ordered_step,
+)
 
 
 def step(a: Nbw, subset: frozenset[str], sym: str) -> frozenset[str]:
@@ -25,6 +36,24 @@ def reach(a: Nbw, word: Iterable[str]) -> frozenset[str]:
 def state_mask(a: Nbw, states: Iterable[str]) -> int:
     """Bitmask of a set of state names, bit i standing for state index i."""
     return sum(1 << a.index(q) for q in states)
+
+
+def ordered_reach(a: Nbw, word: Word) -> PreorderedSubset:
+    """The arrangement reached along `word`: ordered_step folded over it from
+    the initial arrangement."""
+    ps = initial_preordered(a)
+    for sym in word:
+        ps = ordered_step(a, ps, sym)
+    return ps
+
+
+def pretty(ps: PreorderedSubset, names: tuple[str, ...]) -> str:
+    """The blocks by state name, weakest first, as in <{q0},{q1,q2}>."""
+    parts = []
+    for b in ps.blocks:
+        inner = ",".join(names[i] for i in range(len(names)) if b >> i & 1)
+        parts.append("{" + inner + "}")
+    return "<" + ",".join(parts) + ">"
 
 
 @dataclass(frozen=True)

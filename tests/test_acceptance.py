@@ -21,13 +21,12 @@ from buchicong import (
     is_empty,
     lasso_membership,
     nbw_state_bound,
-    ordered_reach,
     periodic_membership_from_profile,
     progress_congruence_improved,
     subset_congruence,
 )
 from conftest import edge_members, pool_automaton, record_criterion, single_word_family
-from reference import ordered_run_dag, state_mask
+from reference import ordered_reach, ordered_run_dag, state_mask
 
 
 def bn_payloads(a: Nbw, n: int) -> set[int]:
@@ -44,8 +43,8 @@ def test_ac01_classical_blowup_vs_progress_compactness():
         if classical < lo:
             failures.append(f"n={n}: classical {classical} < {lo}")
         lead = subset_congruence(a)
-        for c in lead.classes:
-            got = len(progress_congruence_improved(a, lead, c.cid))
+        for m in range(len(lead)):
+            got = len(progress_congruence_improved(a, lead, m))
             if got > hi:
                 failures.append(f"n={n}: progress {got} > {hi}")
     elapsed = time.perf_counter() - t0
@@ -63,7 +62,7 @@ def test_ac02_subset_classes_are_pinned():
         lead = subset_congruence(a)
         if len(lead) != n + 3:
             failures.append(f"n={n}: {len(lead)} classes, wanted {n + 3}")
-        payloads = {c.payload for c in lead.classes}
+        payloads = set(lead.payloads)
         if payloads != bn_payloads(a, n):
             failures.append(f"n={n}: payload sets differ")
     elapsed = time.perf_counter() - t0
@@ -79,7 +78,7 @@ def test_ac03_deterministic_family_progress_is_quadratic():
     for n in (3, 4, 5):
         a = gen_bn_dbw(n)
         lead = subset_congruence(a)
-        sizes = [len(progress_congruence_improved(a, lead, c.cid)) for c in lead.classes]
+        sizes = [len(progress_congruence_improved(a, lead, m)) for m in range(len(lead))]
         if max(sizes) > 2 * (n + 2):
             failures.append(f"n={n}: max {max(sizes)} > {2 * (n + 2)}")
         if sum(sizes) > 2 * (n + 2) ** 2:
@@ -121,13 +120,13 @@ def test_ac05_refinement_between_relations(pool_relations):
     for row in rows:
         # equal full-profile classes must land in equal per-source classes
         for cid, member in edge_members(row.classical):
-            witness = row.classical.classes[cid].witness
+            witness = row.classical.witnesses[cid]
             for prog in row.improved.values():
                 if prog.run(member) != prog.run(witness):
                     failures.append(f"{row.aid}: profile class split by {member}")
         # equal arrangements must flatten to the same successor set
         for cid, member in edge_members(row.optimal):
-            if row.subset.run(member) != row.subset.run(row.optimal.classes[cid].witness):
+            if row.subset.run(member) != row.subset.run(row.optimal.witnesses[cid]):
                 failures.append(f"{row.aid}: arrangement class split by {member}")
     record_criterion(
         "AC-5", not failures, f"refinement on all class members of {len(rows)} automata"
@@ -263,7 +262,7 @@ def test_ac12_folded_membership_matches_oracle(pool_relations, complement_runs):
 
     def members(prog):
         # a non-empty member per class: its witness, else the first edge in
-        out = {c.cid: c.witness for c in prog.classes if c.witness}
+        out = {cid: w for cid, w in enumerate(prog.witnesses) if w}
         for cid, v in edge_members(prog):
             out.setdefault(cid, v)
         return out
@@ -275,20 +274,20 @@ def test_ac12_folded_membership_matches_oracle(pool_relations, complement_runs):
 
     for row in rows:
         a = row.nbw
-        for c in row.subset.classes:
-            prog = row.improved[c.cid]
+        for m, (u, sources) in enumerate(zip(row.subset.witnesses, row.subset.payloads)):
+            prog = row.improved[m]
             for cid, v in members(prog).items():
-                p = prog.classes[cid].payload
-                if p.image() == c.payload:
-                    folded = periodic_membership_from_profile(p, c.payload)
-                    compare("improved", row.aid, a, c.witness, v, folded)
-        for c in row.optimal.classes:
-            prog = row.optimal_progress[c.cid]
+                p = prog.payloads[cid]
+                if p.image() == sources:
+                    folded = periodic_membership_from_profile(p, sources)
+                    compare("improved", row.aid, a, u, v, folded)
+        for m, (u, base) in enumerate(zip(row.optimal.witnesses, row.optimal.payloads)):
+            prog = row.optimal_progress[m]
             for cid, v in members(prog).items():
-                st = prog.classes[cid].payload
-                if st.lead == c.cid:
-                    folded = st.accepts_period(c.payload.blocks)
-                    compare("optimal", row.aid, a, c.witness, v, folded)
+                st = prog.payloads[cid]
+                if st.lead == m:
+                    folded = st.accepts_period(base.blocks)
+                    compare("optimal", row.aid, a, u, v, folded)
     # the class only the empty word reaches is no period and never accepts
     eps_only = 0
     for run in complement_runs[0]:

@@ -218,6 +218,37 @@ def test_separate_blocks_for_unrelated_accepting_classes():
         assert len(nbw.states) <= nbw_state_bound(f)
 
 
+def _returns_to(nbw: Nbw, r: str) -> bool:
+    """Whether a plain BFS from the successors of r reaches r again."""
+    queue = [nxt for sym in nbw.alphabet for nxt in nbw.successors(r, sym)]
+    seen = set(queue)
+    for q in queue:
+        if q == r:
+            return True
+        for sym in nbw.alphabet:
+            for nxt in nbw.successors(q, sym) - seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return False
+
+
+def test_every_translated_relay_lies_on_a_cycle():
+    # the trim in fdfw_to_nbw keeps whatever reaches a relay and asks no cycle
+    # question, which is sound only because every relay returns to itself
+    automata = [gen(n) for gen in (gen_bn, gen_bn_dbw) for n in range(1, 5)]
+    automata += [mixed_blocks_nbw()] + [random_nbw(s, 2 + s % 4) for s in range(2000, 2060)]
+    families = [single_word_family()]
+    for build in (complement_fdfw_optimal, complement_fdfw_improved):
+        families += [build(a) for a in automata]
+    families.append(parse_fdfw(serialize_fdfw(complement_fdfw_improved(mixed_blocks_nbw()))))
+    relays = 0
+    for f in families:
+        nbw = fdfw_to_nbw(f)
+        relays += len(nbw.accepting)
+        assert all(_returns_to(nbw, r) for r in nbw.accepting), serialize_nbw(nbw)
+    assert relays > 0
+
+
 # sha256 of serialize_nbw(fdfw_to_nbw(f)): any change to the translated
 # states, their names or order, or the transitions shows here
 TRANSLATION_DIGESTS = {
@@ -414,7 +445,7 @@ trans: n0 a -> n1
 def test_parsed_witnesses_are_shortest_in_alphabet_order():
     for alphabet, n3 in (("a b", ("a", "a")), ("b a", ("b", "b"))):
         prog = parse_fdfw(_progress_text(alphabet)).progress[0]
-        witness = {c.payload: c.witness for c in prog.classes}
+        witness = dict(zip(prog.payloads, prog.witnesses))
         assert witness == {
             "n0": (),
             "n1": ("a",),

@@ -14,13 +14,19 @@ from buchicong import (
     initial_preordered,
     optimal_leading_congruence,
     optimal_progress_congruence,
-    ordered_reach,
     ordered_step,
 )
 from buchicong import random_nbw
 from buchicong.preorder import initial_progress_state, progress_step
 from conftest import seeded_nbws, words
-from reference import max_class_map_direct, ordered_run_dag, reach, state_mask
+from reference import (
+    max_class_map_direct,
+    ordered_reach,
+    ordered_run_dag,
+    pretty,
+    reach,
+    state_mask,
+)
 from test_automata import inf_many
 
 
@@ -62,7 +68,7 @@ def test_ordered_step_on_permutation_family(b3):
     # the sink is accepting and newly reached, so it outranks the hub
     assert split == arrangement(b3, ("q0",), ("qm1",))
     assert ordered_step(b3, split, "2") == split
-    assert split.pretty(b3.states) == "<{q0},{qm1}>"
+    assert pretty(split, b3.states) == "<{q0},{qm1}>"
 
 
 def test_ordered_step_tolerates_dying_runs():
@@ -93,15 +99,15 @@ def test_run_dag_levels_match_arrangement_prefixes(a, w):
 def test_leading_classes_on_permutation_family(b3):
     lead = optimal_leading_congruence(b3)
     assert len(lead) == 6
-    witnesses = {c.witness for c in lead.classes}
+    witnesses = set(lead.witnesses)
     assert witnesses == {(), ("0",), ("1",), ("2",), ("3",), ("0", "0")}
 
 
 def test_arrangement_states_equal_reachable_set(b3):
     lead = optimal_leading_congruence(b3)
-    for c in lead.classes:
-        assert c.payload.mask == state_mask(b3, reach(b3, c.witness))
-        assert c.payload.mask == sum(c.payload.blocks)
+    for witness, payload in zip(lead.witnesses, lead.payloads):
+        assert payload.mask == state_mask(b3, reach(b3, witness))
+        assert payload.mask == sum(payload.blocks)
 
 
 @given(seeded_nbws())
@@ -112,9 +118,9 @@ def test_arrangement_count_refines_subset_count(a):
     lead = optimal_leading_congruence(a)
     flat = subset_congruence(a)
     assert len(lead) >= len(flat)
-    for c in lead.classes:
-        assert c.payload.mask == flat.classes[flat.run(c.witness)].payload
-        assert c.payload.mask == state_mask(a, reach(a, c.witness))
+    for witness, payload in zip(lead.witnesses, lead.payloads):
+        assert payload.mask == flat.payloads[flat.run(witness)]
+        assert payload.mask == state_mask(a, reach(a, witness))
 
 
 def test_dead_class_pushes_two_state_arrangements_past_the_live_cap():
@@ -126,8 +132,8 @@ def test_dead_class_pushes_two_state_arrangements_past_the_live_cap():
     # cap exceeds the total number of arrangements outright.
     a = random_nbw(1741, 2)
     lead = optimal_leading_congruence(a)
-    live = [c for c in lead.classes if c.payload.blocks]
-    dead = [c for c in lead.classes if not c.payload.blocks]
+    live = [p for p in lead.payloads if p.blocks]
+    dead = [p for p in lead.payloads if not p.blocks]
     assert len(live) == 4
     assert len(dead) == 1
     assert len(lead) == 5 > 2**2
@@ -139,8 +145,8 @@ def test_dead_class_pushes_two_state_arrangements_past_the_live_cap():
 def test_progress_sizes_on_permutation_family(b3):
     lead = optimal_leading_congruence(b3)
     sizes = {
-        c.witness: len(optimal_progress_congruence(b3, lead, c.cid))
-        for c in lead.classes
+        lead.witnesses[m]: len(optimal_progress_congruence(b3, lead, m))
+        for m in range(len(lead))
     }
     assert sizes == {
         (): 12,
@@ -162,10 +168,10 @@ def test_acceptance_flag_separates_silent_and_visiting_loops(b3):
     visiting = prog.run(("1", "1"))
     assert silent != visiting
     q1 = b3.index("q1")
-    assert prog.classes[silent].payload.lead == m
-    assert prog.classes[visiting].payload.lead == m
-    assert prog.classes[silent].payload.via_acc == 0
-    assert prog.classes[visiting].payload.via_acc == 1 << q1
+    assert prog.payloads[silent].lead == m
+    assert prog.payloads[visiting].lead == m
+    assert prog.payloads[silent].via_acc == 0
+    assert prog.payloads[visiting].via_acc == 1 << q1
 
 
 def test_progress_state_validates_its_maps(b3):
@@ -191,7 +197,7 @@ def test_progress_state_validates_its_maps(b3):
 def test_progress_payload_matches_reference_map(a, u, w):
     lead = optimal_leading_congruence(a)
     m = lead.run(u)
-    base = lead.classes[m].payload
+    base = lead.payloads[m]
     assert base == ordered_reach(a, u)
     state = initial_progress_state(lead, m)
     for sym in w:
@@ -206,4 +212,4 @@ def test_progress_payload_matches_reference_map(a, u, w):
         if mask >> qi & 1
     } == {qi: bi for qi, (bi, _) in direct.items()}
     assert state.via_acc == sum(1 << qi for qi, (_, hit) in direct.items() if hit)
-    assert lead.classes[state.lead].payload == ordered_reach(a, u + w)
+    assert lead.payloads[state.lead] == ordered_reach(a, u + w)

@@ -174,7 +174,7 @@ def test_classical_class_count_on_permutation_family(b3):
 def test_subset_classes_on_permutation_family(b3):
     lead = subset_congruence(b3)
     assert len(lead) == 6
-    payloads = {c.payload for c in lead.classes}
+    payloads = set(lead.payloads)
     assert payloads == {
         state_mask(b3, qs)
         for qs in (("q",), ("q1",), ("q2",), ("q3",), ("q0",), ("q0", "qm1"))
@@ -184,8 +184,8 @@ def test_subset_classes_on_permutation_family(b3):
 def test_improved_progress_sizes_on_permutation_family(b3):
     lead = subset_congruence(b3)
     sizes = {
-        c.witness: len(progress_congruence_improved(b3, lead, c.cid))
-        for c in lead.classes
+        lead.witnesses[m]: len(progress_congruence_improved(b3, lead, m))
+        for m in range(len(lead))
     }
     assert sizes == {
         (): 6,
@@ -207,12 +207,12 @@ def test_budget_stops_exploration(b3):
 
 def test_witnesses_are_shortest_lex_and_alternates_stay_in_class(b3):
     lead = subset_congruence(b3)
-    for c in lead.classes:
-        assert state_mask(b3, reach(b3, c.witness)) == c.payload
+    for witness, payload in zip(lead.witnesses, lead.payloads):
+        assert state_mask(b3, reach(b3, witness)) == payload
     for cid, member in edge_members(lead):
-        assert state_mask(b3, reach(b3, member)) == lead.classes[cid].payload
-        assert len(member) >= len(lead.classes[cid].witness)
-    by_payload = {c.payload: c.witness for c in lead.classes}
+        assert state_mask(b3, reach(b3, member)) == lead.payloads[cid]
+        assert len(member) >= len(lead.witnesses[cid])
+    by_payload = dict(zip(lead.payloads, lead.witnesses))
     assert by_payload[state_mask(b3, ("q0", "qm1"))] == ("0", "0")
     assert by_payload[state_mask(b3, ("q",))] == ()
 
@@ -220,7 +220,7 @@ def test_witnesses_are_shortest_lex_and_alternates_stay_in_class(b3):
 def test_dfw_run_and_accepting_helpers(b3):
     lead = subset_congruence(b3)
     assert lead.run(()) == lead.initial
-    assert lead.payload_of(("1", "1")) == state_mask(b3, ("q",))
+    assert lead.payloads[lead.run(("1", "1"))] == state_mask(b3, ("q",))
     with pytest.raises(ValueError):
         lead.accepts(("1",))
     marked = lead.with_accepting(frozenset({lead.run(("0",))}))
