@@ -9,9 +9,8 @@ decompositions and every operation here is invariant under redecomposition.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Container, Iterable, Iterator, Mapping
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 Word = tuple[str, ...]
 
@@ -181,125 +180,153 @@ class Nbw:
         )
 
 
-def explore(inits: Iterable, expand: Callable[[object], list[tuple[str, object]]]):
-    """Breadth-first search of the edge-labelled graph with edges
-    expand(node) = [(letter, successor), ...] from the nodes `inits`.
-    Returns (order, adj, parent): the reachable nodes in discovery order,
-    node -> its expanded edges, and node -> (predecessor, letter) of the
-    edge that discovered it (None for an initial node)."""
-    order: list = []
-    parent: dict = {}
-    for node in inits:
-        if node not in parent:
-            parent[node] = None
-            order.append(node)
-    adj: dict = {}
-    for node in order:  # the loop visits the nodes appended while it runs
-        edges = adj[node] = expand(node)
-        for letter, nxt in edges:
-            if nxt not in parent:
-                parent[nxt] = (node, letter)
-                order.append(nxt)
-    return order, adj, parent
+def _numbering(first: Iterable) -> tuple[list, Callable[[object], int]]:
+    """(keys, number): number(key) is the id of `key`, handing out 0, 1, ...
+    in the order keys are first seen and appending each new key to `keys`.
+    The keys of `first` are numbered first."""
+    keys: list = []
+    ids: dict = {}
+
+    def number(key) -> int:
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(keys)
+            keys.append(key)
+        return i
+
+    for key in first:
+        number(key)
+    return keys, number
 
 
-def path_to(parent: dict, node) -> tuple[tuple, Word]:
-    """(nodes, letters) of the path that `parent`, as returned by explore,
-    records from a root to `node`."""
-    nodes: list = [node]
-    letters: list[str] = []
-    while parent[node] is not None:
-        node, letter = parent[node]
+Edges = Sequence[Sequence[int]]
+
+
+def explore(roots: int, expand: Callable[[int], Edges]):
+    """Breadth-first search of a graph on the nodes 0, 1, ..., whose edges
+    leave node i as expand(i) = [targets of letter 0, targets of letter 1,
+    ...], one sequence of node ids per letter index.  The caller numbers
+    the nodes in discovery order: 0 .. roots - 1 are the initial nodes, and
+    a target seen for the first time, in the order of expand's output, gets
+    the next unused number, so node i is expanded as the i-th.  Returns
+    (adj, pred, via): adj[i] = expand(i), and the node and letter index of
+    the edge that discovered node i (-1 for a root)."""
+    adj: list[Edges] = []
+    pred = [-1] * roots
+    via = [-1] * roots
+    n = roots
+    i = 0
+    while i < n:
+        edges = expand(i)
+        adj.append(edges)
+        for k, targets in enumerate(edges):
+            for j in targets:
+                if j >= n:
+                    pred.append(i)
+                    via.append(k)
+                    n += 1
+        i += 1
+    return adj, pred, via
+
+
+def path_to(pred: list[int], via: list[int], node: int) -> tuple[list[int], list[int]]:
+    """(nodes, letters) of the path that `pred` and `via`, as returned by
+    explore, record from a root to `node`."""
+    nodes = [node]
+    letters: list[int] = []
+    while pred[node] >= 0:
+        letters.append(via[node])
+        node = pred[node]
         nodes.append(node)
-        letters.append(letter)
-    return tuple(reversed(nodes)), tuple(reversed(letters))
+    nodes.reverse()
+    letters.reverse()
+    return nodes, letters
 
 
-def _find_accepting_lasso(
-    inits: list,
-    expand: Callable[[object], list[tuple[str, object]]],
-    is_acc: Callable[[object], bool],
-):
-    """Search a finite edge-labelled graph for a reachable cycle through a node
-    satisfying is_acc.  Returns (stem_nodes, stem_letters, cycle_nodes,
-    cycle_letters) or None.  Deterministic: nodes are explored in BFS order."""
-    order, adj, parent = explore(inits, expand)
-    accepting = [n for n in order if is_acc(n)]
+def _find_accepting_lasso(roots: int, expand: Callable[[int], Edges], is_acc: Callable[[int], int]):
+    """Search the graph of explore(roots, expand) for a reachable cycle
+    through a node satisfying is_acc.  Returns the node ids and letter
+    indices (stem_nodes, stem_letters, cycle_nodes, cycle_letters), or None.
+    The target is the first accepting node in discovery order that lies on
+    a cycle; the cycle is a shortest way back to it inside its component."""
+    adj, pred, via = explore(roots, expand)
+    accepting = [i for i in range(len(adj)) if is_acc(i)]
     if not accepting:
         return None
-    comp, cyclic = cyclic_components(order, adj)
-    target = next((n for n in accepting if comp[n] in cyclic), None)
+    comp, cyclic = cyclic_components(adj)
+    target = next((i for i in accepting if cyclic[comp[i]]), None)
     if target is None:
         return None
-    stem_nodes, stem_letters = path_to(parent, target)
+    stem_nodes, stem_letters = path_to(pred, via, target)
 
-    # Shortest way back to the target inside its own component.
     tgt_comp = comp[target]
-    back: dict = {target: None}
-    dq = deque([target])
-    found = None
-    while found is None and dq:
-        node = dq.popleft()
-        for letter, nxt in adj[node]:
-            if nxt == target:
-                found = (node, letter)
-                break
-            if comp.get(nxt) == tgt_comp and nxt not in back:
-                back[nxt] = (node, letter)
-                dq.append(nxt)
-    assert found is not None, "node in cyclic component must close a cycle"
-
-    last, last_letter = found
-    cycle_nodes, cycle_letters = path_to(back, last)
-    return stem_nodes, stem_letters, cycle_nodes, cycle_letters + (last_letter,)
+    back = [-2] * len(adj)  # -2: not reached by the return search
+    back[target] = -1
+    back_via = [-1] * len(adj)
+    queue = [target]
+    for node in queue:  # the loop visits the nodes appended while it runs
+        for k, targets in enumerate(adj[node]):
+            if target in targets:
+                cycle_nodes, cycle_letters = path_to(back, back_via, node)
+                return stem_nodes, stem_letters, cycle_nodes, cycle_letters + [k]
+            for j in targets:
+                if back[j] == -2 and comp[j] == tgt_comp:
+                    back[j] = node
+                    back_via[j] = k
+                    queue.append(j)
+    raise AssertionError("node in cyclic component must close a cycle")
 
 
-def cyclic_components(order: list, adj: dict) -> tuple[dict, set[int]]:
-    """Strongly connected components of the graph whose edges are
-    adj[node] = [(letter, successor), ...], found by iterative Tarjan from
-    the nodes of `order`.  Returns (node -> component id, ids of the cyclic
-    components: those with more than one node or with a self-loop)."""
-    index: dict = {}
-    low: dict = {}
-    onstack: set = set()
-    stack: list = []
-    comp: dict = {}
-    cyclic: set[int] = set()
-    ncomp = 0
-    for root in order:
-        if root in index:
+def cyclic_components(adj: Sequence[Edges]) -> tuple[list[int], list[bool]]:
+    """Strongly connected components of the graph on the nodes
+    0 .. len(adj) - 1 whose edges leave node i to the targets in the
+    sequences of adj[i], found by iterative Tarjan from the nodes in order.
+    Returns (component id of each node, per component id whether it is
+    cyclic: it has more than one node or a self-loop)."""
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n  # a node with an index and no component is on the stack
+    cyclic: list[bool] = []
+    stack: list[int] = []
+    count = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        index[root] = low[root] = len(index)
+        index[root] = low[root] = count
+        count += 1
         stack.append(root)
-        onstack.add(root)
-        work: list = [(root, iter(adj[root]))]
+        work = [(root, itertools.chain.from_iterable(adj[root]))]
         while work:
             node, edges = work[-1]
-            for _, nxt in edges:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = len(index)
+            lo = low[node]
+            for nxt in edges:
+                x = index[nxt]
+                if x < 0:
+                    low[node] = lo
+                    index[nxt] = low[nxt] = count
+                    count += 1
                     stack.append(nxt)
-                    onstack.add(nxt)
-                    work.append((nxt, iter(adj[nxt])))
+                    work.append((nxt, itertools.chain.from_iterable(adj[nxt])))
                     break
-                if nxt in onstack and index[nxt] < low[node]:
-                    low[node] = index[nxt]
+                if x < lo and comp[nxt] < 0:
+                    lo = x
             else:
                 work.pop()
-                if low[node] == index[node]:
-                    size = 0
-                    while True:
+                if lo == index[node]:
+                    cid = len(cyclic)
+                    x = stack.pop()
+                    comp[x] = cid
+                    size = 1
+                    while x != node:
                         x = stack.pop()
-                        onstack.discard(x)
-                        comp[x] = ncomp
+                        comp[x] = cid
                         size += 1
-                        if x == node:
-                            break
-                    if size > 1 or any(nxt == node for _, nxt in adj[node]):
-                        cyclic.add(ncomp)
-                    ncomp += 1
-                if work and low[node] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[node]
+                    cyclic.append(size > 1 or node in itertools.chain.from_iterable(adj[node]))
+                else:
+                    low[node] = lo
+                    if lo < low[work[-1][0]]:
+                        low[work[-1][0]] = lo
     return comp, cyclic
 
 
@@ -308,59 +335,60 @@ def lasso_membership(a: Nbw, w: UpWord) -> MembershipVerdict:
 
     Builds the product of the automaton with the lasso-shaped word graph
     (one position per letter of prefix and period, period positions cyclic)
-    and searches for a reachable cycle through an accepting state.
+    and searches for a reachable cycle through an accepting state.  The
+    product state (q, pos) is keyed pos * |a| + q over the state index q.
     """
-    for sym in w.prefix + w.period:
+    word = w.prefix + w.period
+    for sym in word:
         if sym not in a.alphabet:
             raise ValueError(f"symbol {sym!r} not in alphabet")
-    lu, lv = len(w.prefix), len(w.period)
-    total = lu + lv
+    n = len(a.states)
+    succ, acc = a.bitmasks()
+    masks = [succ[sym] for sym in word]
+    keys, number = _numbering(sorted(a.index(q) for q in a.initial))
 
-    def letter_at(pos: int) -> str:
-        return w.prefix[pos] if pos < lu else w.period[pos - lu]
+    def expand(i: int) -> list[list[int]]:
+        pos, q = divmod(keys[i], n)
+        base = (pos + 1 if pos + 1 < len(word) else len(w.prefix)) * n
+        return [[number(base + r) for r in _bits(masks[pos][q])]]
 
-    def next_pos(pos: int) -> int:
-        return pos + 1 if pos + 1 < total else lu
-
-    def expand(node):
-        q, pos = node
-        sym = letter_at(pos)
-        np = next_pos(pos)
-        return [(sym, (r, np)) for r in a.sort_states(a.successors(q, sym))]
-
-    inits = [(q, 0) for q in a.sort_states(a.initial)]
-    hit = _find_accepting_lasso(inits, expand, lambda n: n[0] in a.accepting)
+    hit = _find_accepting_lasso(len(keys), expand, lambda i: acc >> keys[i] % n & 1)
     if hit is None:
         return MembershipVerdict(False, None)
-    stem_nodes, stem_letters, cycle_nodes, cycle_letters = hit
+    stem_nodes, _, cycle_nodes, _ = hit
+    # each node reads one letter, the one at its position
     return MembershipVerdict(
         True,
         Lasso(
-            tuple(n[0] for n in stem_nodes),
-            stem_letters,
-            tuple(n[0] for n in cycle_nodes),
-            cycle_letters,
+            tuple(a.states[keys[i] % n] for i in stem_nodes),
+            tuple(word[keys[i] // n] for i in stem_nodes[:-1]),
+            tuple(a.states[keys[i] % n] for i in cycle_nodes),
+            tuple(word[keys[i] // n] for i in cycle_nodes),
         ),
     )
 
 
 def is_empty(a: Nbw) -> tuple[bool, Lasso | None]:
     """Language emptiness; returns (empty, witness lasso when non-empty)."""
+    syms = a.alphabet.symbols
+    succ, acc = a.bitmasks()
+    masks = [succ[sym] for sym in syms]
+    states, number = _numbering(sorted(a.index(q) for q in a.initial))
 
-    def expand(q):
-        out = []
-        for sym in a.alphabet:
-            for r in a.sort_states(a.successors(q, sym)):
-                out.append((sym, r))
-        return out
+    def expand(i: int) -> list[list[int]]:
+        q = states[i]
+        return [[number(r) for r in _bits(m[q])] for m in masks]
 
-    hit = _find_accepting_lasso(
-        a.sort_states(a.initial), expand, lambda q: q in a.accepting
-    )
+    hit = _find_accepting_lasso(len(states), expand, lambda i: acc >> states[i] & 1)
     if hit is None:
         return True, None
     stem_nodes, stem_letters, cycle_nodes, cycle_letters = hit
-    return False, Lasso(stem_nodes, stem_letters, cycle_nodes, cycle_letters)
+    return False, Lasso(
+        tuple(a.states[states[i]] for i in stem_nodes),
+        tuple(syms[k] for k in stem_letters),
+        tuple(a.states[states[i]] for i in cycle_nodes),
+        tuple(syms[k] for k in cycle_letters),
+    )
 
 
 def intersect(a: Nbw, b: Nbw) -> Nbw:
@@ -433,56 +461,57 @@ def _product_lasso(a: Nbw, b: Nbw) -> UpWord | None:
     are listed in node order, the order in which is_empty visits the
     successors of intersect's states, so the stem, the cycle and the word
     match.  Successor rows are decoded only for the states the search
-    reaches."""
+    reaches.  Edges are tuples, which the collector stops tracking, so the
+    graph does not slow down its later passes."""
     succ_a, acc_a = a.bitmasks()
     succ_b, acc_b = b.bitmasks()
     nb = len(b.states)
     syms = a.alphabet.symbols
-    rows_a = {sym: [None] * len(a.states) for sym in syms}
-    rows_b = {sym: [None] * nb for sym in syms}
+    masks = [(succ_a[sym], succ_b[sym], [None] * len(a.states), [None] * nb) for sym in syms]
     keys = [
         2 * (a.index(p) * nb + b.index(q))
         for p in a.sort_states(a.initial)
         for q in b.sort_states(b.initial)
     ]
+    # numbered inline: a _numbering call per edge slows the search by about 12%
     node_of = {key: i for i, key in enumerate(keys)}
 
-    def expand(i: int) -> list[tuple[str, int]]:
+    def expand(i: int) -> Edges:
         key = keys[i]
         p, q = divmod(key >> 1, nb)
         if key & 1:
             nc = 0 if acc_b >> q & 1 else 1
         else:
             nc = acc_a >> p & 1
-        edges: list[tuple[str, int]] = []
-        for sym in syms:
-            targets_a = rows_a[sym][p]
+        edges = []
+        for mask_a, mask_b, rows_a, rows_b in masks:
+            targets_a = rows_a[p]
             if targets_a is None:
-                targets_a = rows_a[sym][p] = [2 * nb * pp for pp in _bits(succ_a[sym][p])]
-            targets_b = rows_b[sym][q]
+                targets_a = rows_a[p] = [2 * nb * pp for pp in _bits(mask_a[p])]
+            targets_b = rows_b[q]
             if targets_b is None:
-                targets_b = rows_b[sym][q] = [2 * qq for qq in _bits(succ_b[sym][q])]
+                targets_b = rows_b[q] = [2 * qq for qq in _bits(mask_b[q])]
             nodes = []
             for pa in targets_a:
+                pa += nc
                 for qb in targets_b:
-                    key = pa + qb + nc
-                    j = node_of.get(key)
+                    j = node_of.get(pa + qb)
                     if j is None:
-                        j = node_of[key] = len(keys)
-                        keys.append(key)
+                        j = node_of[pa + qb] = len(keys)
+                        keys.append(pa + qb)
                     nodes.append(j)
             nodes.sort()
-            edges += zip(itertools.repeat(sym), nodes)
-        return edges
+            edges.append(tuple(nodes))
+        return tuple(edges)
 
     def is_acc(i: int) -> bool:
         key = keys[i]
         return key & 1 == 1 and acc_b >> (key >> 1) % nb & 1 == 1
 
-    hit = _find_accepting_lasso(list(range(len(keys))), expand, is_acc)
+    hit = _find_accepting_lasso(len(keys), expand, is_acc)
     if hit is None:
         return None
-    return UpWord(hit[1], hit[3])
+    return UpWord(tuple(syms[k] for k in hit[1]), tuple(syms[k] for k in hit[3]))
 
 
 def _words_upto(alphabet: Alphabet, lo: int, hi: int) -> Iterator[Word]:

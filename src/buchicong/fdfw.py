@@ -28,6 +28,7 @@ from .automata import (
     UpWord,
     Word,
     _meaningful_lines,
+    _numbering,
     _product_lasso,
     _read_alphabet,
     _read_fields,
@@ -377,15 +378,18 @@ def fdfw_to_nbw(f: Fdfw) -> Nbw:
         if prog.accepting
     }
 
-    def gadget_step(q: int, fa: int, p: int, m: int, sym: str) -> list:
+    keys, number = _numbering([("L", lead.initial)])
+
+    def gadget_step(q: int, fa: int, p: int, m: int, sym: str) -> list[int]:
         prog = f.progress[q]
         p2, m2 = prog.table[(p, sym)], lead.table[(m, sym)]
-        out = [(sym, ("G", q, fa, p2, m2))]
+        out = [number(("G", q, fa, p2, m2))]
         if m2 == q and (p2 == fa or fa == -1 and p2 in prog.accepting):
-            out.append((sym, ("R", q, fa)))
+            out.append(number(("R", q, fa)))
         return out
 
-    def expand(node: tuple) -> list:
+    def expand(i: int) -> list[list[int]]:
+        node = keys[i]
         kind, q = node[0], node[1]
         # a relay starts the next block exactly like a gadget at its start
         if kind == "R":
@@ -393,40 +397,42 @@ def fdfw_to_nbw(f: Fdfw) -> Nbw:
         out = []
         for sym in f.alphabet:
             if kind == "L":
-                out.append((sym, ("L", lead.table[(q, sym)])))
+                targets = [number(("L", lead.table[(q, sym)]))]
                 # the next letter may instead start the first block at class q
                 for fa in pins.get(q, ()):
-                    out += gadget_step(q, fa, f.progress[q].initial, q, sym)
+                    targets += gadget_step(q, fa, f.progress[q].initial, q, sym)
             else:
-                out += gadget_step(*node[1:], sym)
+                targets = gadget_step(*node[1:], sym)
+            out.append(targets)
         return out
 
-    init = ("L", lead.initial)
-    order, adj, _ = explore([init], expand)
-    # trim: keep the nodes from which a relay is reachable
-    rev: dict = {node: [] for node in order}
-    for node in order:
-        for sym, nxt in adj[node]:
-            rev[nxt].append((sym, node))
-    seeds = [node for node in order if node[0] == "R"]
-    useful = explore(seeds, rev.__getitem__)[2]
-    if init not in useful:
+    adj = explore(1, expand)[0]
+    # trim: keep the nodes from which a relay is reachable, found by a
+    # search on the reversed edges that numbers the nodes it reaches
+    rev: list[list[int]] = [[] for _ in keys]
+    for i, edges in enumerate(adj):
+        for targets in edges:
+            for j in targets:
+                rev[j].append(i)
+    useful, reach = _numbering(i for i, node in enumerate(keys) if node[0] == "R")
+    explore(len(useful), lambda r: [[reach(i) for i in rev[useful[r]]]])
+    kept = sorted(useful)
+    if not kept or kept[0] != 0:
         return Nbw(f.alphabet, ("dead",), frozenset({"dead"}), {}, frozenset())
     # kept nodes get their names once, in discovery order
-    name = {
-        node: node[0] + ".".join(map(str, node[1:])) for node in order if node in useful
-    }
-    trans: dict[tuple[str, str], set[str]] = {}
-    for node, src in name.items():
-        for sym, nxt in adj[node]:
-            if nxt in useful:
-                trans.setdefault((src, sym), set()).add(name[nxt])
+    name = {i: keys[i][0] + ".".join(map(str, keys[i][1:])) for i in kept}
+    trans: dict[tuple[str, str], frozenset[str]] = {}
+    for i in kept:
+        for sym, targets in zip(f.alphabet, adj[i]):
+            tgts = frozenset(name[j] for j in targets if j in name)
+            if tgts:
+                trans[(name[i], sym)] = tgts
     return Nbw(
         f.alphabet,
         tuple(name.values()),
-        frozenset({name[init]}),
-        {key: frozenset(tgts) for key, tgts in trans.items()},
-        frozenset(name[node] for node in name if node[0] == "R"),
+        frozenset({name[0]}),
+        trans,
+        frozenset(name[i] for i in kept if keys[i][0] == "R"),
     )
 
 
@@ -518,11 +524,13 @@ def _parse_dfw_block(
             if nm not in ids:
                 raise ParseError(f"undeclared accepting state {nm!r}", no)
         acc_ids = frozenset(ids[nm] for nm in value.split())
-    parent = explore(
-        [initial], lambda c: [(sym, table[(c, sym)]) for sym in alphabet]
-    )[2]
-    witnesses = tuple(path_to(parent, i)[1] if i in parent else None for i in range(len(names)))
-    return CongruenceDfw(alphabet, witnesses, names, table, initial, acc_ids)
+    # witnesses by a search numbering the classes in discovery order
+    found, number = _numbering([initial])
+    _, pred, via = explore(1, lambda r: [[number(table[(found[r], sym)])] for sym in alphabet])
+    witnesses: list[Word | None] = [None] * len(names)
+    for r, c in enumerate(found):
+        witnesses[c] = tuple(alphabet.symbols[k] for k in path_to(pred, via, r)[1])
+    return CongruenceDfw(alphabet, tuple(witnesses), names, table, initial, acc_ids)
 
 
 def parse_fdfw(text: str | bytes) -> Fdfw:

@@ -121,9 +121,8 @@ def periodic_membership_from_profile(p: Profile, sources: int) -> bool:
         raise ValueError("nonzero row outside the source set")
     if p.image() != sources:
         raise ValueError("periodic membership needs image(v) == sources")
-    srcs = list(_bits(sources))
-    comp, _ = cyclic_components(srcs, {i: [(None, j) for j in _bits(p.reach[i])] for i in srcs})
-    return any(comp[i] == comp[j] for i in srcs for j in _bits(p.reach_f[i]))
+    comp, _ = cyclic_components([[list(_bits(r))] for r in p.reach])
+    return any(comp[i] == comp[j] for i in _bits(sources) for j in _bits(p.reach_f[i]))
 
 
 # --- generic congruence explorer -------------------------------------------

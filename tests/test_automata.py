@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from buchicong import (
@@ -23,6 +23,7 @@ from buchicong import (
     serialize_fdfw,
     serialize_nbw,
 )
+from buchicong.automata import _numbering, cyclic_components, explore, path_to
 from conftest import canonical_corpus, seeded_nbws, words
 from reference import reach, step
 
@@ -214,6 +215,72 @@ def test_intersection_agrees_with_conjunction(a, seed2):
     for w in canonical_corpus(a.alphabet, 1, 2):
         want = lasso_membership(a, w).accepted and lasso_membership(b, w).accepted
         assert lasso_membership(prod, w).accepted == want
+
+
+# --- dense graph core ---------------------------------------------------------------------
+
+
+@st.composite
+def int_graphs(draw):
+    """Edges of a graph on the nodes 0 .. n - 1, one target list per letter."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    letters = draw(st.integers(min_value=1, max_value=2))
+    node = st.integers(min_value=0, max_value=n - 1)
+    return [[draw(st.lists(node, max_size=3)) for _ in range(letters)] for _ in range(n)]
+
+
+def steps_reach(adj) -> list[set[int]]:
+    """Per node, the nodes it reaches in one or more steps."""
+    out = []
+    for i in range(len(adj)):
+        seen: set[int] = set()
+        todo = [j for targets in adj[i] for j in targets]
+        while todo:
+            j = todo.pop()
+            if j not in seen:
+                seen.add(j)
+                todo += [k for targets in adj[j] for k in targets]
+        out.append(seen)
+    return out
+
+
+# node 0 has a self-loop, node 1 no edge at all, nodes 2 and 3 form a cycle
+# that node 0 does not reach, and node 4 is reached only from that cycle
+@example([[[0]], [[]], [[3]], [[2, 4]], [[]]])
+@given(int_graphs())
+def test_cyclic_components_match_mutual_reachability(adj):
+    comp, cyclic = cyclic_components(adj)
+    reaches = steps_reach(adj)
+    for i in range(len(adj)):
+        assert cyclic[comp[i]] == (i in reaches[i])
+        for j in range(len(adj)):
+            mutual = i == j or (j in reaches[i] and i in reaches[j])
+            assert (comp[i] == comp[j]) == mutual
+
+
+@example([[[0]], [[]], [[3]], [[2, 4]], [[]]])
+@given(int_graphs())
+def test_explore_finds_shortest_paths_in_numbering_order(adj):
+    # renumber the nodes reachable from node 0 in discovery order
+    keys, number = _numbering([0])
+    found, pred, via = explore(1, lambda i: [[number(j) for j in t] for t in adj[keys[i]]])
+    assert sorted(keys) == sorted({0} | steps_reach(adj)[0]) and len(found) == len(keys)
+    dist = {0: 0}
+    layer = [0]
+    while layer:
+        nxt = []
+        for i in layer:
+            for targets in adj[i]:
+                for j in targets:
+                    if j not in dist:
+                        dist[j] = dist[i] + 1
+                        nxt.append(j)
+        layer = nxt
+    for i, node in enumerate(keys):
+        nodes, letters = path_to(pred, via, i)
+        assert nodes[0] == 0 and nodes[-1] == i and len(letters) == dist[node]
+        for src, k, dst in zip(nodes, letters, nodes[1:]):
+            assert keys[dst] in adj[keys[src]][k]
 
 
 # --- text formats ----------------------------------------------------------------------

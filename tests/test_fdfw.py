@@ -399,6 +399,29 @@ def test_containment_matches_the_named_product():
     assert 0 < held < 400
 
 
+# sha256 over the repr of every is_empty witness, every lasso_membership
+# witness and every containment result on a fixed corpus; the two paths of
+# test_containment_matches_the_named_product share the lasso search, so a
+# change to that search shows only here
+SEARCH_OUTPUTS_DIGEST = "d4504c95a38717b497ea26be99fabcc67b591433116226aef7bc467ff925bc44"
+
+
+def test_search_outputs_are_pinned():
+    corpus = [random_nbw(s, 2 + s % 5) for s in range(2000, 2200)]
+    pairs = list(zip(corpus, corpus[1:]))
+    pairs += [(gen_bn(n), gen_bn_dbw(n)) for n in range(1, 5)]
+    pairs += [(gen_bn_dbw(n), gen_bn(n)) for n in range(1, 5)]
+    corpus += [gen_bn(n) for n in range(1, 5)]
+    h = hashlib.sha256()
+    for a in corpus:
+        h.update(repr(is_empty(a)).encode())
+        for w in canonical_corpus(a.alphabet, 2, 2):
+            h.update(repr(lasso_membership(a, w)).encode())
+    for a, b in pairs:
+        h.update(repr(containment(a, b)).encode())
+    assert h.hexdigest() == SEARCH_OUTPUTS_DIGEST
+
+
 # --- text format -------------------------------------------------------------------------
 
 
