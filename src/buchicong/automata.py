@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Hashable, Iterable, Iterator, Mapping, Sequence
 
 Word = tuple[str, ...]
 
@@ -180,53 +180,41 @@ class Nbw:
         )
 
 
-def _numbering(first: Iterable) -> tuple[list, Callable[[object], int]]:
-    """(keys, number): number(key) is the id of `key`, handing out 0, 1, ...
-    in the order keys are first seen and appending each new key to `keys`.
-    The keys of `first` are numbered first."""
-    keys: list = []
-    ids: dict = {}
-
-    def number(key) -> int:
-        i = ids.get(key)
-        if i is None:
-            i = ids[key] = len(keys)
-            keys.append(key)
-        return i
-
-    for key in first:
-        number(key)
-    return keys, number
+Edges = Sequence[Sequence[Hashable]]
 
 
-Edges = Sequence[Sequence[int]]
+def explore(
+    roots: Iterable[Hashable], successors: Callable[[Hashable], Edges]
+) -> tuple[list, dict, list[int], list[int], Iterator[Edges]]:
+    """Breadth-first search from `roots` of the graph whose edges leave node
+    x as successors(x) = [targets of letter 0, targets of letter 1, ...];
+    nodes are hashable keys.  The search numbers the nodes in discovery
+    order: the roots first, then each target seen for the first time, in
+    the order successors lists it, so the node numbered i is the i-th one
+    expanded.  Returns (keys, ids, pred, via, steps): keys[i] is the node
+    numbered i and ids[x] the number of node x; steps expands one node per
+    step and yields its edges, so a caller that needs less than the whole
+    graph stops or pauses it; keys, ids, pred and via grow as steps runs,
+    pred and via holding the number and letter index of the edge that
+    discovered each node (-1 for a root)."""
+    keys = list(dict.fromkeys(roots))
+    ids = {x: i for i, x in enumerate(keys)}
+    pred = [-1] * len(keys)
+    via = [-1] * len(keys)
 
+    def steps() -> Iterator[Edges]:
+        for i, x in enumerate(keys):  # the loop visits the nodes appended while it runs
+            edges = successors(x)
+            for k, targets in enumerate(edges):
+                for y in targets:
+                    if y not in ids:
+                        ids[y] = len(keys)
+                        keys.append(y)
+                        pred.append(i)
+                        via.append(k)
+            yield edges
 
-def explore(roots: int, expand: Callable[[int], Edges]):
-    """Breadth-first search of a graph on the nodes 0, 1, ..., whose edges
-    leave node i as expand(i) = [targets of letter 0, targets of letter 1,
-    ...], one sequence of node ids per letter index.  The caller numbers
-    the nodes in discovery order: 0 .. roots - 1 are the initial nodes, and
-    a target seen for the first time, in the order of expand's output, gets
-    the next unused number, so node i is expanded as the i-th.  Returns
-    (adj, pred, via): adj[i] = expand(i), and the node and letter index of
-    the edge that discovered node i (-1 for a root)."""
-    adj: list[Edges] = []
-    pred = [-1] * roots
-    via = [-1] * roots
-    n = roots
-    i = 0
-    while i < n:
-        edges = expand(i)
-        adj.append(edges)
-        for k, targets in enumerate(edges):
-            for j in targets:
-                if j >= n:
-                    pred.append(i)
-                    via.append(k)
-                    n += 1
-        i += 1
-    return adj, pred, via
+    return keys, ids, pred, via, steps()
 
 
 def path_to(pred: list[int], via: list[int], node: int) -> tuple[list[int], list[int]]:
@@ -243,91 +231,159 @@ def path_to(pred: list[int], via: list[int], node: int) -> tuple[list[int], list
     return nodes, letters
 
 
-def _find_accepting_lasso(roots: int, expand: Callable[[int], Edges], is_acc: Callable[[int], int]):
-    """Search the graph of explore(roots, expand) for a reachable cycle
-    through a node satisfying is_acc.  Returns the node ids and letter
-    indices (stem_nodes, stem_letters, cycle_nodes, cycle_letters), or None.
-    The target is the first accepting node in discovery order that lies on
-    a cycle; the cycle is a shortest way back to it inside its component."""
-    adj, pred, via = explore(roots, expand)
-    accepting = [i for i in range(len(adj)) if is_acc(i)]
-    if not accepting:
-        return None
-    comp, cyclic = cyclic_components(adj)
-    target = next((i for i in accepting if cyclic[comp[i]]), None)
-    if target is None:
-        return None
-    stem_nodes, stem_letters = path_to(pred, via, target)
+def _find_accepting_lasso(
+    roots: Iterable[Hashable],
+    successors: Callable[[Hashable], Edges],
+    is_acc: Callable[[Hashable], int],
+    by_number: bool = False,
+):
+    """Search the graph reachable from `roots`, whose edges leave node x as
+    successors(x) = [targets of letter 0, targets of letter 1, ...], for a
+    cycle through a node satisfying is_acc; nodes are hashable keys.
+    Returns the nodes and letter indices (stem_nodes, stem_letters,
+    cycle_nodes, cycle_letters), or None.
 
-    tgt_comp = comp[target]
-    back = [-2] * len(adj)  # -2: not reached by the return search
-    back[target] = -1
-    back_via = [-1] * len(adj)
+    The answer is fixed by the BFS numbering of explore: roots first, then
+    each new target in the order successors lists it.  The target is the
+    first accepting node in that order that lies on a cycle, the stem is
+    the BFS path to it, and the cycle is a shortest way back to it inside
+    its component, trying letters in order and the targets of one letter in
+    the order successors lists them, or with `by_number` in numbering order
+    (the order of the state names of intersect, when the nodes are its
+    states).  The search stops at that lasso: the BFS runs only as far as
+    the candidates and the ties of the return search need, and one
+    resumable Tarjan search tests the candidates in order on its own keys,
+    numbering nothing and expanding each node once over all candidates."""
+    out: dict = {}  # node -> successors(node), for the nodes expanded so far
+
+    def edges(x: Hashable) -> Edges:
+        e = out.get(x)
+        if e is None:
+            e = out[x] = successors(x)
+        return e
+
+    keys, ids, pred, via, steps = explore(roots, edges)
+    visit = cyclic_components(lambda x: itertools.chain.from_iterable(edges(x)))
+    cycles: dict = {}  # node -> the node set of its component, for nodes on a cycle
+    i = 0
+    while True:
+        while i == len(keys):
+            if next(steps, None) is None:
+                return None
+        target = keys[i]
+        if is_acc(target):
+            for nodes, cyclic in visit(target):
+                if cyclic:
+                    cycles.update(dict.fromkeys(nodes, set(nodes)))
+            if target in cycles:
+                break
+        i += 1
+    stem_nodes, stem_letters = path_to(pred, via, i)
+
+    # the return search runs inside the target's component.  In numbering
+    # order only the nodes on the shortest cycles through the target decide
+    # its answer, so it keeps to them and numbers no other node: the BFS
+    # layers of the component up to the first with an edge back to the
+    # target give the length, and going back from that layer, layer j keeps
+    # the nodes with an edge to those kept in layer j + 1
+    on = cycles[target]
+    if by_number:
+        layers = [[target]]
+        seen = {target}
+        while not any(target in targets for node in layers[-1] for targets in edges(node)):
+            ahead = []
+            for node in layers[-1]:
+                for targets in edges(node):
+                    for x in targets:
+                        if x in on and x not in seen:
+                            seen.add(x)
+                            ahead.append(x)
+            layers.append(ahead)
+        on, ahead = set(), {target}
+        for layer in reversed(layers):
+            ahead = {node for node in layer if any(x in ahead for targets in edges(node) for x in targets)}
+            on |= ahead
+    back = {target: None}  # node -> (node, letter index) of the edge the return search reached it by
     queue = [target]
     for node in queue:  # the loop visits the nodes appended while it runs
-        for k, targets in enumerate(adj[node]):
+        for k, targets in enumerate(edges(node)):
             if target in targets:
-                cycle_nodes, cycle_letters = path_to(back, back_via, node)
-                return stem_nodes, stem_letters, cycle_nodes, cycle_letters + [k]
-            for j in targets:
-                if back[j] == -2 and comp[j] == tgt_comp:
-                    back[j] = node
-                    back_via[j] = k
-                    queue.append(j)
+                cycle_nodes, cycle_letters = [node], [k]
+                while node != target:
+                    node, k = back[node]
+                    cycle_nodes.append(node)
+                    cycle_letters.append(k)
+                return [keys[j] for j in stem_nodes], stem_letters, cycle_nodes[::-1], cycle_letters[::-1]
+            new = [x for x in targets if x in on and x not in back]
+            if by_number and len(new) > 1:
+                # ties go in numbering order: the BFS numbers nodes until at
+                # most one of them is left, which comes last
+                while sum(x not in ids for x in new) > 1:
+                    next(steps)
+                new.sort(key=lambda x: ids.get(x, len(keys)))
+            for x in new:
+                back[x] = node, k
+                queue.append(x)
     raise AssertionError("node in cyclic component must close a cycle")
 
 
-def cyclic_components(adj: Sequence[Edges]) -> tuple[list[int], list[bool]]:
-    """Strongly connected components of the graph on the nodes
-    0 .. len(adj) - 1 whose edges leave node i to the targets in the
-    sequences of adj[i], found by iterative Tarjan from the nodes in order.
-    Returns (component id of each node, per component id whether it is
-    cyclic: it has more than one node or a self-loop)."""
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    comp = [-1] * n  # a node with an index and no component is on the stack
-    cyclic: list[bool] = []
-    stack: list[int] = []
-    count = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = count
-        count += 1
+def cyclic_components(
+    successors: Callable[[Hashable], Iterable[Hashable]],
+) -> Callable[[Hashable], Iterator[tuple[list, bool]]]:
+    """Tarjan's strongly connected components of the graph whose edges
+    leave node x to the nodes of successors(x), found on the fly; nodes
+    are hashable keys.  Returns
+    visit(root): a generator that runs Tarjan's search from root, unless an
+    earlier run has reached root, and yields (nodes, cyclic) for each
+    component as it completes, root's own last; cyclic means more than one
+    node or a self-loop.  Runs share what they have found, so visiting any
+    number of roots expands each node once.  A caller may stop reading a
+    run once it has its answer, but then must not start another."""
+    index: dict = {}  # node -> Tarjan index, _DONE once its component is out
+    low: list[int] = []  # per Tarjan index
+    stack: list = []
+    loops: set = set()
+
+    def visit(root) -> Iterator[tuple[list, bool]]:
+        if root in index:
+            return
+        index[root] = i = len(low)
+        low.append(i)
+        work = [(root, i, len(stack), iter(successors(root)))]
         stack.append(root)
-        work = [(root, itertools.chain.from_iterable(adj[root]))]
         while work:
-            node, edges = work[-1]
-            lo = low[node]
+            node, i, at, edges = work[-1]
+            lo = low[i]
             for nxt in edges:
-                x = index[nxt]
-                if x < 0:
-                    low[node] = lo
-                    index[nxt] = low[nxt] = count
-                    count += 1
+                x = index.get(nxt)
+                if x is None:
+                    low[i] = lo
+                    index[nxt] = x = len(low)
+                    low.append(x)
+                    work.append((nxt, x, len(stack), iter(successors(nxt))))
                     stack.append(nxt)
-                    work.append((nxt, itertools.chain.from_iterable(adj[nxt])))
                     break
-                if x < lo and comp[nxt] < 0:
+                if x < lo:
                     lo = x
+                elif x == i:
+                    loops.add(node)
             else:
                 work.pop()
-                if lo == index[node]:
-                    cid = len(cyclic)
-                    x = stack.pop()
-                    comp[x] = cid
-                    size = 1
-                    while x != node:
-                        x = stack.pop()
-                        comp[x] = cid
-                        size += 1
-                    cyclic.append(size > 1 or node in itertools.chain.from_iterable(adj[node]))
+                if lo == i:
+                    nodes = stack[at:]
+                    del stack[at:]
+                    for x in nodes:
+                        index[x] = _DONE
+                    yield nodes, len(nodes) > 1 or node in loops
                 else:
-                    low[node] = lo
-                    if lo < low[work[-1][0]]:
-                        low[work[-1][0]] = lo
-    return comp, cyclic
+                    parent = work[-1][1]
+                    if lo < low[parent]:
+                        low[parent] = lo
+
+    return visit
+
+
+_DONE = 1 << 62  # above every Tarjan index, so a finished node lowers no low-link
 
 
 def lasso_membership(a: Nbw, w: UpWord) -> MembershipVerdict:
@@ -345,14 +401,14 @@ def lasso_membership(a: Nbw, w: UpWord) -> MembershipVerdict:
     n = len(a.states)
     succ, acc = a.bitmasks()
     masks = [succ[sym] for sym in word]
-    keys, number = _numbering(sorted(a.index(q) for q in a.initial))
 
-    def expand(i: int) -> list[list[int]]:
-        pos, q = divmod(keys[i], n)
+    def successors(key: int) -> list[list[int]]:
+        pos, q = divmod(key, n)
         base = (pos + 1 if pos + 1 < len(word) else len(w.prefix)) * n
-        return [[number(base + r) for r in _bits(masks[pos][q])]]
+        return [[base + r for r in _bits(masks[pos][q])]]
 
-    hit = _find_accepting_lasso(len(keys), expand, lambda i: acc >> keys[i] % n & 1)
+    roots = sorted(a.index(q) for q in a.initial)
+    hit = _find_accepting_lasso(roots, successors, lambda key: acc >> key % n & 1)
     if hit is None:
         return MembershipVerdict(False, None)
     stem_nodes, _, cycle_nodes, _ = hit
@@ -360,10 +416,10 @@ def lasso_membership(a: Nbw, w: UpWord) -> MembershipVerdict:
     return MembershipVerdict(
         True,
         Lasso(
-            tuple(a.states[keys[i] % n] for i in stem_nodes),
-            tuple(word[keys[i] // n] for i in stem_nodes[:-1]),
-            tuple(a.states[keys[i] % n] for i in cycle_nodes),
-            tuple(word[keys[i] // n] for i in cycle_nodes),
+            tuple(a.states[key % n] for key in stem_nodes),
+            tuple(word[key // n] for key in stem_nodes[:-1]),
+            tuple(a.states[key % n] for key in cycle_nodes),
+            tuple(word[key // n] for key in cycle_nodes),
         ),
     )
 
@@ -373,20 +429,18 @@ def is_empty(a: Nbw) -> tuple[bool, Lasso | None]:
     syms = a.alphabet.symbols
     succ, acc = a.bitmasks()
     masks = [succ[sym] for sym in syms]
-    states, number = _numbering(sorted(a.index(q) for q in a.initial))
-
-    def expand(i: int) -> list[list[int]]:
-        q = states[i]
-        return [[number(r) for r in _bits(m[q])] for m in masks]
-
-    hit = _find_accepting_lasso(len(states), expand, lambda i: acc >> states[i] & 1)
+    hit = _find_accepting_lasso(
+        sorted(a.index(q) for q in a.initial),
+        lambda q: [list(_bits(m[q])) for m in masks],
+        lambda q: acc >> q & 1,
+    )
     if hit is None:
         return True, None
     stem_nodes, stem_letters, cycle_nodes, cycle_letters = hit
     return False, Lasso(
-        tuple(a.states[states[i]] for i in stem_nodes),
+        tuple(a.states[q] for q in stem_nodes),
         tuple(syms[k] for k in stem_letters),
-        tuple(a.states[states[i]] for i in cycle_nodes),
+        tuple(a.states[q] for q in cycle_nodes),
         tuple(syms[k] for k in cycle_letters),
     )
 
@@ -450,67 +504,74 @@ def _bits(mask: int) -> Iterator[int]:
 
 def _product_lasso(a: Nbw, b: Nbw) -> UpWord | None:
     """The word of the lasso that is_empty(intersect(a, b)) returns, or None
-    when that product is empty; a and b must share their alphabet.
+    when that product is empty; a and b must share their alphabet.  Both
+    passes run on integer keys over the state indices p of a and q of b
+    and build no product automaton.
 
-    The search runs on integer nodes and builds no product automaton.  The
-    product state (p, q, c), over the state indices of a and b and
-    intersect's two-copy counter c, is packed into the key
-    2 * (p * |b| + q) + c, and its node is the index at which the BFS
-    discovers it.  Expanding nodes in BFS order numbers new targets as
-    intersect does: per symbol, in (p, q) index order.  Each symbol's edges
-    are listed in node order, the order in which is_empty visits the
-    successors of intersect's states, so the stem, the cycle and the word
-    match.  Successor rows are decoded only for the states the search
-    reaches.  Edges are tuples, which the collector stops tracking, so the
-    graph does not slow down its later passes."""
+    The verdict: the product is non-empty exactly when some reachable cyclic
+    component of the pair graph, on the keys p * |b| + q, holds a pair with
+    p accepting in a and a pair with q accepting in b.  One Tarjan pass
+    decides it and stops at the first such component, so a product found
+    empty costs one pass and stores no edges.
+
+    The witness: a non-empty product is searched again with intersect's
+    two-copy counter c, keyed c * |a||b| + p * |b| + q, since a node of an
+    accepting pair component need not lie on a cycle of the counter graph.
+    Listing each symbol's targets in (p, q) index order makes the search
+    number the nodes as intersect does, so the stem, the cycle and the word
+    match.  Successor rows are decoded once per call, only for the states
+    the passes reach."""
     succ_a, acc_a = a.bitmasks()
     succ_b, acc_b = b.bitmasks()
     nb = len(b.states)
+    count = len(a.states) * nb
     syms = a.alphabet.symbols
-    masks = [(succ_a[sym], succ_b[sym], [None] * len(a.states), [None] * nb) for sym in syms]
-    keys = [
-        2 * (a.index(p) * nb + b.index(q))
+    # per state, per symbol: the successors p' of a as p' * |b|, q' of b as
+    # q'; tuples, which the collector stops tracking, so that the rows do
+    # not slow its later passes
+    rows_a: list = [None] * len(a.states)
+    rows_b: list = [None] * nb
+
+    def letters(pair: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Per symbol, the successors of the pair's two states."""
+        p, q = divmod(pair, nb)
+        row_a = rows_a[p]
+        if row_a is None:
+            row_a = rows_a[p] = tuple([tuple([nb * pp for pp in _bits(succ_a[sym][p])]) for sym in syms])
+        row_b = rows_b[q]
+        if row_b is None:
+            row_b = rows_b[q] = tuple([tuple(_bits(succ_b[sym][q])) for sym in syms])
+        return zip(row_a, row_b)
+
+    def pair_successors(pair: int) -> list[int]:
+        return [pa + qb for ta, tb in letters(pair) for pa in ta for qb in tb]
+
+    roots = [
+        a.index(p) * nb + b.index(q)
         for p in a.sort_states(a.initial)
         for q in b.sort_states(b.initial)
     ]
-    # numbered inline: a _numbering call per edge slows the search by about 12%
-    node_of = {key: i for i, key in enumerate(keys)}
-
-    def expand(i: int) -> Edges:
-        key = keys[i]
-        p, q = divmod(key >> 1, nb)
-        if key & 1:
-            nc = 0 if acc_b >> q & 1 else 1
-        else:
-            nc = acc_a >> p & 1
-        edges = []
-        for mask_a, mask_b, rows_a, rows_b in masks:
-            targets_a = rows_a[p]
-            if targets_a is None:
-                targets_a = rows_a[p] = [2 * nb * pp for pp in _bits(mask_a[p])]
-            targets_b = rows_b[q]
-            if targets_b is None:
-                targets_b = rows_b[q] = [2 * qq for qq in _bits(mask_b[q])]
-            nodes = []
-            for pa in targets_a:
-                pa += nc
-                for qb in targets_b:
-                    j = node_of.get(pa + qb)
-                    if j is None:
-                        j = node_of[pa + qb] = len(keys)
-                        keys.append(pa + qb)
-                    nodes.append(j)
-            nodes.sort()
-            edges.append(tuple(nodes))
-        return tuple(edges)
-
-    def is_acc(i: int) -> bool:
-        key = keys[i]
-        return key & 1 == 1 and acc_b >> (key >> 1) % nb & 1 == 1
-
-    hit = _find_accepting_lasso(len(keys), expand, is_acc)
-    if hit is None:
+    visit = cyclic_components(pair_successors)
+    if not any(
+        cyclic
+        and any(acc_a >> pair // nb & 1 for pair in nodes)
+        and any(acc_b >> pair % nb & 1 for pair in nodes)
+        for root in roots
+        for nodes, cyclic in visit(root)
+    ):
         return None
+
+    def successors(key: int) -> tuple[tuple[int, ...], ...]:
+        c, pair = divmod(key, count)
+        p, q = divmod(pair, nb)
+        if c:
+            base = 0 if acc_b >> q & 1 else count
+        else:
+            base = count if acc_a >> p & 1 else 0
+        # tuples, like the rows: the search keeps every node's edges
+        return tuple([tuple([base + pa + qb for pa in ta for qb in tb]) for ta, tb in letters(pair)])
+
+    hit = _find_accepting_lasso(roots, successors, lambda key: key >= count and acc_b >> key % nb & 1, True)
     return UpWord(tuple(syms[k] for k in hit[1]), tuple(syms[k] for k in hit[3]))
 
 

@@ -28,7 +28,6 @@ from .automata import (
     UpWord,
     Word,
     _meaningful_lines,
-    _numbering,
     _product_lasso,
     _read_alphabet,
     _read_fields,
@@ -378,18 +377,15 @@ def fdfw_to_nbw(f: Fdfw) -> Nbw:
         if prog.accepting
     }
 
-    keys, number = _numbering([("L", lead.initial)])
-
-    def gadget_step(q: int, fa: int, p: int, m: int, sym: str) -> list[int]:
+    def gadget_step(q: int, fa: int, p: int, m: int, sym: str) -> list[tuple]:
         prog = f.progress[q]
         p2, m2 = prog.table[(p, sym)], lead.table[(m, sym)]
-        out = [number(("G", q, fa, p2, m2))]
+        out = [("G", q, fa, p2, m2)]
         if m2 == q and (p2 == fa or fa == -1 and p2 in prog.accepting):
-            out.append(number(("R", q, fa)))
+            out.append(("R", q, fa))
         return out
 
-    def expand(i: int) -> list[list[int]]:
-        node = keys[i]
+    def successors(node: tuple) -> list[list[tuple]]:
         kind, q = node[0], node[1]
         # a relay starts the next block exactly like a gadget at its start
         if kind == "R":
@@ -397,7 +393,7 @@ def fdfw_to_nbw(f: Fdfw) -> Nbw:
         out = []
         for sym in f.alphabet:
             if kind == "L":
-                targets = [number(("L", lead.table[(q, sym)]))]
+                targets = [("L", lead.table[(q, sym)])]
                 # the next letter may instead start the first block at class q
                 for fa in pins.get(q, ()):
                     targets += gadget_step(q, fa, f.progress[q].initial, q, sym)
@@ -406,33 +402,35 @@ def fdfw_to_nbw(f: Fdfw) -> Nbw:
             out.append(targets)
         return out
 
-    adj = explore(1, expand)[0]
+    keys, ids, _, _, steps = explore([("L", lead.initial)], successors)
+    adj = list(steps)
     # trim: keep the nodes from which a relay is reachable, found by a
-    # search on the reversed edges that numbers the nodes it reaches
+    # search on the reversed edges
     rev: list[list[int]] = [[] for _ in keys]
     for i, edges in enumerate(adj):
         for targets in edges:
-            for j in targets:
-                rev[j].append(i)
-    useful, reach = _numbering(i for i, node in enumerate(keys) if node[0] == "R")
-    explore(len(useful), lambda r: [[reach(i) for i in rev[useful[r]]]])
+            for node in targets:
+                rev[ids[node]].append(i)
+    useful, _, _, _, steps = explore((i for i, node in enumerate(keys) if node[0] == "R"), lambda i: [rev[i]])
+    for _ in steps:  # the search lists the nodes it reaches in `useful`
+        pass
     kept = sorted(useful)
     if not kept or kept[0] != 0:
         return Nbw(f.alphabet, ("dead",), frozenset({"dead"}), {}, frozenset())
     # kept nodes get their names once, in discovery order
-    name = {i: keys[i][0] + ".".join(map(str, keys[i][1:])) for i in kept}
+    name = {keys[i]: keys[i][0] + ".".join(map(str, keys[i][1:])) for i in kept}
     trans: dict[tuple[str, str], frozenset[str]] = {}
     for i in kept:
         for sym, targets in zip(f.alphabet, adj[i]):
-            tgts = frozenset(name[j] for j in targets if j in name)
+            tgts = frozenset(name[node] for node in targets if node in name)
             if tgts:
-                trans[(name[i], sym)] = tgts
+                trans[(name[keys[i]], sym)] = tgts
     return Nbw(
         f.alphabet,
         tuple(name.values()),
-        frozenset({name[0]}),
+        frozenset({name[keys[0]]}),
         trans,
-        frozenset(name[i] for i in kept if keys[i][0] == "R"),
+        frozenset(name[node] for node in name if node[0] == "R"),
     )
 
 
@@ -525,8 +523,9 @@ def _parse_dfw_block(
                 raise ParseError(f"undeclared accepting state {nm!r}", no)
         acc_ids = frozenset(ids[nm] for nm in value.split())
     # witnesses by a search numbering the classes in discovery order
-    found, number = _numbering([initial])
-    _, pred, via = explore(1, lambda r: [[number(table[(found[r], sym)])] for sym in alphabet])
+    found, _, pred, via, steps = explore([initial], lambda c: [[table[(c, sym)]] for sym in alphabet])
+    for _ in steps:  # the search lists the classes it reaches in `found`
+        pass
     witnesses: list[Word | None] = [None] * len(names)
     for r, c in enumerate(found):
         witnesses[c] = tuple(alphabet.symbols[k] for k in path_to(pred, via, r)[1])

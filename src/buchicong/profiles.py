@@ -121,8 +121,13 @@ def periodic_membership_from_profile(p: Profile, sources: int) -> bool:
         raise ValueError("nonzero row outside the source set")
     if p.image() != sources:
         raise ValueError("periodic membership needs image(v) == sources")
-    comp, _ = cyclic_components([[list(_bits(r))] for r in p.reach])
-    return any(comp[i] == comp[j] for i in _bits(sources) for j in _bits(p.reach_f[i]))
+    visit = cyclic_components(lambda i: _bits(p.reach[i]))
+    for root in _bits(sources):
+        for nodes, _ in visit(root):
+            members = sum(1 << i for i in nodes)
+            if any(p.reach_f[i] & members for i in nodes):
+                return True
+    return False
 
 
 # --- generic congruence explorer -------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -23,7 +25,8 @@ from buchicong import (
     serialize_fdfw,
     serialize_nbw,
 )
-from buchicong.automata import _numbering, cyclic_components, explore, path_to
+from buchicong import automata
+from buchicong.automata import _product_lasso, cyclic_components, explore, path_to
 from conftest import canonical_corpus, seeded_nbws, words
 from reference import reach, step
 
@@ -217,6 +220,48 @@ def test_intersection_agrees_with_conjunction(a, seed2):
         assert lasso_membership(prod, w).accepted == want
 
 
+@given(seeded_nbws(max_states=4), seeded_nbws(max_states=4))
+def test_product_search_matches_the_named_product(a, b):
+    # the verdict pass drops intersect's counter; the witness pass keeps it
+    empty, lasso = is_empty(intersect(a, b))
+    word = _product_lasso(a, b)
+    assert (word is None) == empty
+    assert empty or word == lasso.word()
+
+
+def test_lasso_search_expands_each_node_a_bounded_number_of_times(monkeypatch):
+    # k accepting chain states each step into one shared tail of k
+    # non-accepting states that ends in a self-loop, so no accepting state
+    # lies on a cycle; a cycle test that rescanned the tail for each of the
+    # k candidates would expand about k * k nodes
+    k = 2000
+    chain = [f"c{i}" for i in range(k)]
+    tail = [f"t{i}" for i in range(k)]
+    trans = {(c, "a"): frozenset({tail[0], *chain[i + 1:i + 2]}) for i, c in enumerate(chain)}
+    trans.update({(t, "a"): frozenset({tail[min(i + 1, k - 1)]}) for i, t in enumerate(tail)})
+    a = Nbw(Alphabet(("a",)), tuple(chain + tail), frozenset({"c0"}), trans, frozenset(chain))
+    a.bitmasks()
+    counts = {"decoded": 0, "cycle test": 0}
+    bits, components = automata._bits, automata.cyclic_components
+
+    def counted_bits(mask):
+        counts["decoded"] += 1
+        return bits(mask)
+
+    def counted_components(successors):
+        def counted(x):
+            counts["cycle test"] += 1
+            return successors(x)
+
+        return components(counted)
+
+    monkeypatch.setattr(automata, "_bits", counted_bits)
+    monkeypatch.setattr(automata, "cyclic_components", counted_components)
+    assert is_empty(a) == (True, None)
+    # a few expansions per node, not one per (candidate, tail node) pair
+    assert counts["decoded"] <= 3 * len(a.states) and counts["cycle test"] <= 3 * len(a.states)
+
+
 # --- dense graph core ---------------------------------------------------------------------
 
 
@@ -249,7 +294,10 @@ def steps_reach(adj) -> list[set[int]]:
 @example([[[0]], [[]], [[3]], [[2, 4]], [[]]])
 @given(int_graphs())
 def test_cyclic_components_match_mutual_reachability(adj):
-    comp, cyclic = cyclic_components(adj)
+    visit = cyclic_components(lambda i: itertools.chain.from_iterable(adj[i]))
+    found = [c for root in range(len(adj)) for c in visit(root)]
+    comp = {i: cid for cid, (nodes, _) in enumerate(found) for i in nodes}
+    cyclic = [flag for _, flag in found]
     reaches = steps_reach(adj)
     for i in range(len(adj)):
         assert cyclic[comp[i]] == (i in reaches[i])
@@ -261,9 +309,9 @@ def test_cyclic_components_match_mutual_reachability(adj):
 @example([[[0]], [[]], [[3]], [[2, 4]], [[]]])
 @given(int_graphs())
 def test_explore_finds_shortest_paths_in_numbering_order(adj):
-    # renumber the nodes reachable from node 0 in discovery order
-    keys, number = _numbering([0])
-    found, pred, via = explore(1, lambda i: [[number(j) for j in t] for t in adj[keys[i]]])
+    # explore numbers the nodes reachable from node 0 in discovery order
+    keys, _, pred, via, steps = explore([0], adj.__getitem__)
+    found = list(steps)
     assert sorted(keys) == sorted({0} | steps_reach(adj)[0]) and len(found) == len(keys)
     dist = {0: 0}
     layer = [0]

@@ -33,11 +33,13 @@ from buchicong import (
     nbw_state_bound,
     normalize_decomposition,
     parse_fdfw,
+    parse_nbw,
     random_nbw,
     serialize_fdfw,
     serialize_nbw,
     subset_congruence,
 )
+from buchicong.automata import _product_lasso
 from buchicong.fdfw import _accepting_composition_closed
 from conftest import canonical_corpus, mixed_blocks_nbw, single_word_family
 
@@ -397,6 +399,48 @@ def test_containment_matches_the_named_product():
         assert got == via_product(a, b), s
         held += got[0]
     assert 0 < held < 400
+
+
+def test_witness_search_keeps_the_counter():
+    # the pair cycle (p, q) -b-> (p2, q2) -a-> (p, q) is accepting on both
+    # sides, with p, q and q2 accepting and p2 not; in the counter product
+    # (p, q, 1) is the first accepting node found but lies on no cycle, and
+    # the lasso runs through (p2, q2, 1)
+    a = parse_nbw(
+        "nbw\nalphabet: a b\nstates: p0 p p2\ninitial: p0\naccepting: p0 p\n"
+        "trans: p0 a -> p\ntrans: p b -> p2\ntrans: p2 a -> p\n"
+    )
+    c = parse_nbw(
+        "nbw\nalphabet: a b\nstates: q0 q q2\ninitial: q0\naccepting: q q2\n"
+        "trans: q0 a -> q\ntrans: q b -> q2\ntrans: q2 a -> q\n"
+    )
+    _, lasso = is_empty(intersect(a, c))
+    assert [q for q in intersect(a, c).states if q.endswith(",1)")] == ["(p,q,1)", "(p2,q2,1)"]
+    assert lasso.cycle_states == ("(p2,q2,1)", "(p,q,0)")
+    assert _product_lasso(a, c) == lasso.word() == UpWord(("a", "b", "a", "b"), ("a", "b"))
+    # containment meets the same shape: b accepts nothing, and in the
+    # product of a with its translated complement the first accepting state
+    # found lies on no cycle either
+    b = parse_nbw("nbw\nalphabet: a b\nstates: r\ninitial: r\ntrans: r a -> r\n")
+    product = intersect(a, fdfw_to_nbw(complement_fdfw_optimal(b)))
+    _, lasso = is_empty(product)
+    assert lasso.cycle_states[0] != next(q for q in product.states if q in product.accepting)
+    assert containment(a, b) == (False, lasso.word().canonical())
+
+
+# sha256 over the repr of containment(a, b) for left automata of 20 to 119
+# states against 3- and 4-state right ones: wide BFS layers make the return
+# search meet ties within a letter, which it must break in discovery order
+WIDE_CONTAINMENT_DIGEST = "715d9b5eee9d16b08abf8821908983bcb15da55b07fc56de9199507c5a401286"
+
+
+def test_wide_containment_outputs_are_pinned():
+    pairs = [(random_nbw(s, 20 + s % 30), random_nbw(s + 1, 3 + s % 2)) for s in range(5000, 5120)]
+    pairs += [(random_nbw(s, 60 + s % 60), random_nbw(s + 1, 3 + s % 2)) for s in range(6000, 6100)]
+    h = hashlib.sha256()
+    for a, b in pairs:
+        h.update(repr(containment(a, b)).encode())
+    assert h.hexdigest() == WIDE_CONTAINMENT_DIGEST
 
 
 # sha256 over the repr of every is_empty witness, every lasso_membership
