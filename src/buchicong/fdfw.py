@@ -266,16 +266,18 @@ def containment(a: Nbw, b: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> tuple[boo
 def _complement_family(
     a: Nbw,
     lead: CongruenceDfw,
-    build_progress: Callable[[Nbw, CongruenceDfw, int, int], CongruenceDfw],
+    build_progress: Callable[..., CongruenceDfw],
     accepting: Callable[[int, CongruenceDfw, int], bool],
     budget: int,
 ) -> Fdfw:
     """Saturated family over `lead`: per leading class m, the progress DFW
-    prog = build_progress(a, lead, m, budget), accepting the class ids p of
-    prog for which accepting(m, prog, p) holds."""
+    prog = build_progress(a, lead, m, budget, memo=memo), accepting the class
+    ids p of prog for which accepting(m, prog, p) holds.  One step memo serves
+    every leading class of this build and is dropped with it."""
     progress: dict[int, CongruenceDfw] = {}
+    memo: dict[str, dict] = {}
     for m in range(len(lead)):
-        prog = build_progress(a, lead, m, budget)
+        prog = build_progress(a, lead, m, budget, memo=memo)
         progress[m] = prog.with_accepting(
             frozenset(p for p in range(len(prog)) if accepting(m, prog, p))
         )

@@ -172,13 +172,31 @@ def progress_step(a: Nbw, lead: CongruenceDfw, st: OptProgressState, sym: str) -
 
 
 def optimal_progress_congruence(
-    a: Nbw, lead: CongruenceDfw, m: int, budget: int = DEFAULT_CLASS_BUDGET
+    a: Nbw,
+    lead: CongruenceDfw,
+    m: int,
+    budget: int = DEFAULT_CLASS_BUDGET,
+    memo: dict[str, dict] | None = None,
 ) -> CongruenceDfw:
-    """Progress congruence for class m of the optimal leading congruence `lead`."""
+    """Progress congruence for class m of the optimal leading congruence `lead`.
+    `memo` maps each letter to the steps taken so far, payload to successor.
+    A step reads only the payload, the letter, `a` and `lead`, so the progress
+    DFWs of every class of `lead` may share one memo; without one, a fresh
+    memo is used."""
+    memo = {} if memo is None else memo
+    steps = {sym: memo.setdefault(sym, {}) for sym in a.alphabet}
+
+    def step(st: OptProgressState, sym: str) -> OptProgressState:
+        known = steps[sym]
+        nxt = known.get(st)
+        if nxt is None:
+            nxt = known[st] = progress_step(a, lead, st, sym)
+        return nxt
+
     return build_congruence_dfw(
         f"optimal-progress[{' '.join(lead.witnesses[m])}]",
         a.alphabet,
         initial_progress_state(lead, m),
-        lambda st, sym: progress_step(a, lead, st, sym),
+        step,
         budget,
     )

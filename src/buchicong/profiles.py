@@ -224,25 +224,32 @@ def subset_congruence(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> CongruenceD
     return build_congruence_dfw("subset", a.alphabet, init, step_mask, budget)
 
 
-def _profile_congruence(a: Nbw, phase: str, sources: int, budget: int) -> CongruenceDfw:
+def _profile_congruence(
+    a: Nbw, phase: str, sources: int, budget: int, memo: dict[str, dict] | None = None
+) -> CongruenceDfw:
     """Right congruence refined by the pair profile's rows in the source mask
     `sources`; the other rows stay zero.  Only source rows are composed, and
-    each row image is computed once per build."""
+    each row image is computed once per `memo`, which maps each letter to the
+    row images found so far.  Row images depend only on `a`, so builds over
+    other source masks may share it; without one, a fresh memo is used."""
     srcs = list(_bits(sources))
     eps = epsilon_profile(a)
     n = eps.size
     letters = {sym: letter_profile(a, sym) for sym in a.alphabet}
-    images: dict[str, dict[tuple[int, int], tuple[int, int]]] = {sym: {} for sym in a.alphabet}
+    memo = {} if memo is None else memo
+    images: dict[str, dict[tuple[int, int], tuple[int, int]]] = {
+        sym: memo.setdefault(sym, {}) for sym in a.alphabet
+    }
 
     def step_profile(p: Profile, sym: str) -> Profile:
-        memo = images[sym]
+        known = images[sym]
         reach = [0] * n
         reach_f = [0] * n
         for i in srcs:
             row = p.reach[i], p.reach_f[i]
-            img = memo.get(row)
+            img = known.get(row)
             if img is None:
-                img = memo[row] = _row_compose(*row, letters[sym])
+                img = known[row] = _row_compose(*row, letters[sym])
             reach[i], reach_f[i] = img
         return Profile(n, tuple(reach), tuple(reach_f))
 
@@ -261,10 +268,15 @@ def classical_congruence(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Congruen
 
 
 def progress_congruence_improved(
-    a: Nbw, lead: CongruenceDfw, m: int, budget: int = DEFAULT_CLASS_BUDGET
+    a: Nbw,
+    lead: CongruenceDfw,
+    m: int,
+    budget: int = DEFAULT_CLASS_BUDGET,
+    memo: dict[str, dict] | None = None,
 ) -> CongruenceDfw:
     """Progress congruence for class m of the subset leading congruence
-    `lead`: the pair profile over the class's state mask as sources."""
+    `lead`: the pair profile over the class's state mask as sources.  The
+    progress DFWs of every class of `lead` may share one row-image `memo`."""
     return _profile_congruence(
-        a, f"improved-progress[{' '.join(lead.witnesses[m])}]", lead.payloads[m], budget
+        a, f"improved-progress[{' '.join(lead.witnesses[m])}]", lead.payloads[m], budget, memo
     )

@@ -8,6 +8,7 @@ import hashlib
 import pytest
 
 from buchicong import (
+    BudgetExceededError,
     Fdfw,
     Nbw,
     ParseError,
@@ -39,6 +40,7 @@ from buchicong import (
     serialize_nbw,
     subset_congruence,
 )
+from buchicong import fdfw
 from buchicong.automata import _product_lasso
 from buchicong.fdfw import _accepting_composition_closed
 from conftest import canonical_corpus, mixed_blocks_nbw, single_word_family
@@ -298,6 +300,55 @@ def test_family_bytes_are_pinned(aid, variant):
     build = {"optimal": complement_fdfw_optimal, "improved": complement_fdfw_improved}
     text = serialize_fdfw(build[variant](a))
     assert hashlib.sha256(text.encode()).hexdigest() == FAMILY_DIGESTS[aid, variant]
+
+
+_BUILDERS = {
+    "optimal": (complement_fdfw_optimal, "optimal_progress_congruence"),
+    "improved": (complement_fdfw_improved, "progress_congruence_improved"),
+}
+
+
+def _standalone(monkeypatch, variant):
+    """Make the complement builder of `variant` call its progress builder
+    without the shared memo, so each leading class starts a fresh one."""
+    _, name = _BUILDERS[variant]
+    original = getattr(fdfw, name)
+    monkeypatch.setattr(fdfw, name, lambda a, lead, m, budget, memo=None: original(a, lead, m, budget))
+
+
+@pytest.mark.parametrize("variant", sorted(_BUILDERS))
+def test_shared_step_memo_leaves_families_unchanged(monkeypatch, variant):
+    build, _ = _BUILDERS[variant]
+    automata = [gen_bn(n) for n in range(1, 5)] + [gen_bn_dbw(n) for n in range(1, 5)]
+    automata += [random_nbw(s, 2 + s % 5) for s in range(2000, 2200)]
+    shared = [serialize_fdfw(build(a)) for a in automata]
+    _standalone(monkeypatch, variant)
+    assert [serialize_fdfw(build(a)) for a in automata] == shared
+
+
+@pytest.mark.parametrize("variant", sorted(_BUILDERS))
+def test_shared_step_memo_keeps_the_budget_error(monkeypatch, variant):
+    # the budget lets the leading DFW and the first progress DFW through and
+    # stops a later leading class, with or without the shared memo
+    build, _ = _BUILDERS[variant]
+    a = random_nbw(1731, 5)
+    f = build(a)
+    sizes = [len(f.progress[m]) for m in range(len(f.leading))]
+    budget = max(len(f.leading), sizes[0])
+    stopped = next(m for m, size in enumerate(sizes) if size > budget)
+    phase = f"{variant}-progress[{' '.join(f.leading.witnesses[stopped])}]"
+
+    def raised() -> BudgetExceededError:
+        with pytest.raises(BudgetExceededError) as info:
+            build(a, budget)
+        return info.value
+
+    shared = raised()
+    assert stopped > 0
+    assert (shared.count, shared.phase) == (budget, phase)
+    _standalone(monkeypatch, variant)
+    alone = raised()
+    assert (alone.count, alone.phase) == (shared.count, shared.phase)
 
 
 def test_no_builder_calls_the_oracle(monkeypatch):

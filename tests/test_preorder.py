@@ -11,6 +11,9 @@ from buchicong import (
     Nbw,
     OptProgressState,
     PreorderedSubset,
+    complement_fdfw_optimal,
+    gen_bn,
+    gen_bn_dbw,
     initial_preordered,
     optimal_leading_congruence,
     optimal_progress_congruence,
@@ -212,3 +215,23 @@ def test_progress_payload_matches_reference_map(a, u, w):
     } == {qi: bi for qi, (bi, _) in direct.items()}
     assert state.via_acc == sum(1 << qi for qi, (_, hit) in direct.items() if hit)
     assert lead.payloads[state.lead] == ordered_reach(a, u + w)
+
+
+def test_one_build_steps_each_payload_once_per_letter(monkeypatch):
+    # a progress step does not depend on the leading class whose DFW reached
+    # the payload, so one complement build steps each (payload, letter) once
+    # however many of its progress DFWs share the payload
+    calls: dict[tuple[OptProgressState, str], int] = {}
+
+    def counted(a, lead, st, sym):
+        calls[st, sym] = calls.get((st, sym), 0) + 1
+        return progress_step(a, lead, st, sym)
+
+    monkeypatch.setattr("buchicong.preorder.progress_step", counted)
+    for a in [gen_bn(3), gen_bn_dbw(3), random_nbw(1731, 5), random_nbw(1729, 6)]:
+        calls.clear()
+        f = complement_fdfw_optimal(a)
+        payloads = [p for prog in f.progress.values() for p in prog.payloads]
+        assert len(set(payloads)) < len(payloads)  # some payload is shared
+        assert set(calls) == {(p, sym) for p in payloads for sym in a.alphabet}
+        assert set(calls.values()) == {1}

@@ -13,14 +13,19 @@ from buchicong import (
     Profile,
     UpWord,
     classical_congruence,
+    complement_fdfw_improved,
     compose,
     epsilon_profile,
+    gen_bn,
+    gen_bn_dbw,
     lasso_membership,
     letter_profile,
     periodic_membership_from_profile,
     progress_congruence_improved,
+    random_nbw,
     subset_congruence,
 )
+from buchicong.profiles import _row_compose
 from conftest import edge_members, seeded_nbws, words
 from reference import reach, restrict, state_mask, step, word_profile
 from test_automata import inf_many
@@ -226,3 +231,27 @@ def test_dfw_run_and_accepting_helpers(b3):
     marked = lead.with_accepting(frozenset({lead.run(("0",))}))
     assert marked.accepts(("0",))
     assert not marked.accepts(())
+
+
+def test_one_build_composes_each_row_once_per_letter(monkeypatch):
+    # row images depend only on the automaton, so one complement build
+    # composes each (source row, letter) once across all its progress DFWs
+    calls = [0]
+
+    def counted(row_r, row_rf, second):
+        calls[0] += 1
+        return _row_compose(row_r, row_rf, second)
+
+    monkeypatch.setattr("buchicong.profiles._row_compose", counted)
+    for a in [gen_bn(3), gen_bn_dbw(3), random_nbw(1731, 5), random_nbw(1729, 6)]:
+        calls[0] = 0
+        f = complement_fdfw_improved(a)
+        rows = {
+            (p.reach[i], p.reach_f[i], sym)
+            for m, prog in f.progress.items()
+            for p in prog.payloads
+            for i in range(len(a.states))
+            if f.leading.payloads[m] >> i & 1
+            for sym in a.alphabet
+        }
+        assert calls[0] == len(rows)

@@ -9,17 +9,22 @@ import subprocess
 import sys
 from pathlib import Path
 
-from buchicong import fdfw
+from buchicong import fdfw, random_nbw
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_functions_resolve():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
     )
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_functions_resolve():
+    tracing = _load_tracing()
     missing = [
         f"{module.__name__}.{attr}"
         for module, attr, _, _ in tracing.WRAPPED
@@ -42,13 +47,26 @@ def test_benchmark_names_match_its_declaration():
 def test_tracing_only_imports_are_still_wrapped():
     # fdfw.py imports some names only so that tracing can patch them there;
     # once tracing stops wrapping one, this names the import to delete
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
-    )
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load_tracing()
     source = (ROOT / "src" / "buchicong" / "fdfw.py").read_text()
     pinned = re.findall(r"^\s+(\w+),\s+# noqa: F401\b.*perfbench/tracing\.py", source, re.M)
     wrapped = {attr for module, attr, _, _ in tracing.WRAPPED if module is fdfw}
     assert pinned
     assert [name for name in pinned if name not in wrapped] == []
+
+
+def test_traced_build_counts_every_progress_relation():
+    # the per-layer progress metrics count one traced call per leading class
+    # and sum their class counts, even though the progress DFWs of one build
+    # share a step memo
+    tracing = _load_tracing()
+    a = random_nbw(1731, 5)
+    for build, name in [
+        ("complement_fdfw_optimal", "preorder.progress"),
+        ("complement_fdfw_improved", "profiles.improved_progress"),
+    ]:
+        with tracing.Tracer() as tracer:
+            f = getattr(fdfw, build)(a)
+            got = tracer.take()
+        assert got["calls"][name] == len(f.leading)
+        assert got["sizes"][name + "_classes"] == f.size()[1]
