@@ -89,6 +89,14 @@ def _int_at_least(low: int):
     return integer
 
 
+def _int_list(raw: str) -> list[int]:
+    """argparse type for a comma list of integers such as `2,3`."""
+    try:
+        return [int(tok) for tok in raw.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a comma list of integers, got {raw!r}") from None
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -175,14 +183,14 @@ def _max_witness_len(dfw: CongruenceDfw) -> int:
 
 def cmd_classes(args) -> int:
     a = _load_nbw(args.infile)
-    budget = args.budget
     context = parse_word(a.alphabet, args.u or "")
-    if args.dump and args.relation == "all":
-        print("--dump needs one concrete --relation", file=sys.stderr)
+    if args.dump == "-" or (args.dump and args.relation == "all"):
+        need = "a file name, not -" if args.dump == "-" else "one concrete --relation"
+        print(f"--dump needs {need}", file=sys.stderr)
         return EXIT_BAD_INPUT
     rows = []
     dumped: CongruenceDfw | None = None
-    for name, dfw, elapsed in _relations(a, args.relation, context, budget):
+    for name, dfw, elapsed in _relations(a, args.relation, context, args.budget):
         rows.append(
             {
                 "relation": name,
@@ -435,16 +443,9 @@ def run_bounds_suite(automata: list[tuple[str, Nbw]], budget: int) -> list[Stats
 _BOUNDS_COLUMNS = [f.name for f in dataclasses.fields(StatsRow)]
 
 
-def _parse_int_list(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split(",") if tok.strip()]
-
-
 def _suite_automata(args) -> list[tuple[str, Nbw]]:
-    out: list[tuple[str, Nbw]] = []
-    for n in _parse_int_list(args.bn):
-        out.append((f"bn{n}", gen_bn(n)))
-    for n in _parse_int_list(args.bn_dbw):
-        out.append((f"bn-dbw{n}", gen_bn_dbw(n)))
+    out = [(f"bn{n}", gen_bn(n)) for n in args.bn]
+    out += [(f"bn-dbw{n}", gen_bn_dbw(n)) for n in args.bn_dbw]
     symbols = tuple(args.symbols.split())
     for i in range(args.random):
         size = 2 + i % (args.states - 1) if args.states > 1 else 1
@@ -559,8 +560,8 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _add_suite_selection(p: argparse.ArgumentParser):
-    p.add_argument("--bn", default="3", help="comma list of permutation family sizes")
-    p.add_argument("--bn-dbw", dest="bn_dbw", default="", help="comma list of deterministic family sizes")
+    p.add_argument("--bn", type=_int_list, default="3", help="comma list of permutation family sizes")
+    p.add_argument("--bn-dbw", type=_int_list, default="", help="comma list of deterministic family sizes")
     p.add_argument("--random", type=_int_at_least(0), default=5, help="number of random automata")
     p.add_argument("--states", type=_int_at_least(1), default=4, help="max states of random automata")
     p.add_argument("--symbols", default="a b", help="alphabet of random automata")

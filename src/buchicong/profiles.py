@@ -14,15 +14,16 @@ Two constructions live here, both over the compiled successor rows of
   progress congruence (again at most 3^(n^2) classes, but typically far
   fewer).
 
-Profiles are stored as per-row bitmasks over the state order of the
-automaton, which keeps composition cheap and hashable.
+A profile is the NamedTuple (reach, reach_f) of plain tuples of row bitmasks
+over the state order of the automaton.  It has no size field, and only
+`compose` and `periodic_membership_from_profile` validate profiles.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping
+from typing import Callable, Hashable, Mapping, NamedTuple
 
 from .automata import Alphabet, Nbw, Word, _bits, cyclic_components
 
@@ -44,25 +45,18 @@ class BudgetExceededError(RuntimeError):
 # --- pair profiles ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Two nested relations on state pairs, row-encoded as bitmasks:
+class Profile(NamedTuple):
+    """Two nested relations on state pairs, as plain tuples of row bitmasks:
     bit j of reach[i] says a run on the word goes from state i to state j,
     bit j of reach_f[i] says some such run visits an accepting state
-    (endpoints included).  reach_f[i] is always a submask of reach[i].  A
-    profile built over a source set keeps the rows of all other states
+    (endpoints included), so reach_f[i] is a submask of reach[i].  The state
+    count is len(reach), not len(profile), which is 2.  Building one checks
+    nothing; the readers `compose` and `periodic_membership_from_profile` do.
+    A profile built over a source set keeps the rows of all other states
     zero; the source set is fixed per build and not part of the value."""
 
-    size: int
     reach: tuple[int, ...]
     reach_f: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.reach) != self.size or len(self.reach_f) != self.size:
-            raise ValueError("row count must equal size")
-        for r, rf in zip(self.reach, self.reach_f):
-            if rf & ~r:
-                raise ValueError("reach_f must be contained in reach")
 
     def image(self) -> int:
         """Mask of the states some run on the word ends in."""
@@ -74,7 +68,7 @@ class Profile:
 
 def epsilon_profile(a: Nbw) -> Profile:
     diagonal = tuple(1 << i for i in range(len(a.states)))
-    return Profile(len(diagonal), diagonal, tuple(d & a.bitmasks()[1] for d in diagonal))
+    return Profile(diagonal, tuple(d & a.bitmasks()[1] for d in diagonal))
 
 
 def letter_profile(a: Nbw, sym: str) -> Profile:
@@ -83,7 +77,7 @@ def letter_profile(a: Nbw, sym: str) -> Profile:
     succ, acc = a.bitmasks()
     rows = succ[sym]
     reach_f = tuple(row if acc >> i & 1 else row & acc for i, row in enumerate(rows))
-    return Profile(len(rows), rows, reach_f)
+    return Profile(rows, reach_f)
 
 
 def _row_compose(row_r: int, row_rf: int, second: Profile) -> tuple[int, int]:
@@ -97,13 +91,20 @@ def _row_compose(row_r: int, row_rf: int, second: Profile) -> tuple[int, int]:
     return out_r, out_rf & out_r
 
 
+def _check(*profiles: Profile) -> None:
+    for p in profiles:
+        if len(p.reach) != len(p.reach_f) or any(rf & ~r for r, rf in zip(p.reach, p.reach_f)):
+            raise ValueError("reach_f needs one row per reach row, each a submask of it")
+
+
 def compose(first: Profile, second: Profile) -> Profile:
     """Profile of a concatenation from the profiles of its parts.  A composed
     pair visits acceptance when either leg does on some stitching midpoint."""
-    if first.size != second.size:
+    _check(first, second)
+    if len(first.reach) != len(second.reach):
         raise ValueError("profile sizes differ")
-    rows = [_row_compose(first.reach[i], first.reach_f[i], second) for i in range(first.size)]
-    return Profile(first.size, tuple(r for r, _ in rows), tuple(rf for _, rf in rows))
+    rows = [_row_compose(r, rf, second) for r, rf in zip(first.reach, first.reach_f)]
+    return Profile(tuple(r for r, _ in rows), tuple(rf for _, rf in rows))
 
 
 def periodic_membership_from_profile(p: Profile, sources: int) -> bool:
@@ -116,6 +117,7 @@ def periodic_membership_from_profile(p: Profile, sources: int) -> bool:
     in one strongly connected component.  Requires the image condition,
     otherwise the folding is unsound.
     """
+    _check(p)
     # reach_f rows are submasks of reach rows, so the reach rows suffice
     if any(r and not sources >> i & 1 for i, r in enumerate(p.reach)):
         raise ValueError("nonzero row outside the source set")
@@ -233,8 +235,7 @@ def _profile_congruence(
     row images found so far.  Row images depend only on `a`, so builds over
     other source masks may share it; without one, a fresh memo is used."""
     srcs = list(_bits(sources))
-    eps = epsilon_profile(a)
-    n = eps.size
+    n = len(a.states)
     letters = {sym: letter_profile(a, sym) for sym in a.alphabet}
     memo = {} if memo is None else memo
     images: dict[str, dict[tuple[int, int], tuple[int, int]]] = {
@@ -243,21 +244,18 @@ def _profile_congruence(
 
     def step_profile(p: Profile, sym: str) -> Profile:
         known = images[sym]
-        reach = [0] * n
-        reach_f = [0] * n
+        reach, reach_f = [0] * n, [0] * n
         for i in srcs:
             row = p.reach[i], p.reach_f[i]
             img = known.get(row)
             if img is None:
                 img = known[row] = _row_compose(*row, letters[sym])
             reach[i], reach_f[i] = img
-        return Profile(n, tuple(reach), tuple(reach_f))
+        return Profile(tuple(reach), tuple(reach_f))
 
-    # epsilon rows are diagonal: masking row i by the sources zeroes it
-    # exactly when i is no source
-    init = Profile(
-        n, tuple(r & sources for r in eps.reach), tuple(rf & sources for rf in eps.reach_f)
-    )
+    # epsilon rows are diagonal: masking row i of both relations by the
+    # sources zeroes it exactly when i is no source
+    init = Profile(*(tuple(r & sources for r in rows) for rows in epsilon_profile(a)))
     return build_congruence_dfw(phase, a.alphabet, init, step_profile, budget)
 
 

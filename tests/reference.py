@@ -149,4 +149,4 @@ def restrict(p: Profile, sources: int) -> Profile:
     """The profile with every row outside the source mask zeroed."""
     reach = tuple(r if sources >> i & 1 else 0 for i, r in enumerate(p.reach))
     reach_f = tuple(rf if sources >> i & 1 else 0 for i, rf in enumerate(p.reach_f))
-    return Profile(p.size, reach, reach_f)
+    return Profile(reach, reach_f)

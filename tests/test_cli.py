@@ -156,6 +156,17 @@ def test_classes_dump_needs_a_concrete_relation(b3_file, tmp_path, capsys):
     assert code == 2
 
 
+def test_classes_dump_rejects_stdout(b3_file, tmp_path, capsys, monkeypatch):
+    # "-" would put the DFW into the stdout report and the class table into
+    # a file named "-.witnesses.tsv"
+    monkeypatch.chdir(tmp_path)
+    code = main(["classes", "--in", b3_file, "--relation", "subset", "--dump", "-"])
+    assert code == 2
+    assert "--dump" in capsys.readouterr().err
+    assert not (tmp_path / "-.witnesses.tsv").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- membership and containment ------------------------------------------------------
 
 
@@ -398,6 +409,15 @@ def test_suites_reject_negative_counts_and_empty_state_ranges(capsys):
             with pytest.raises(SystemExit) as exc:
                 run(capsys, suite, "--bn", "", *bad)
             assert exc.value.code == 2
+
+
+def test_suites_name_the_flag_of_a_bad_family_list(capsys):
+    for suite in ("bounds-suite", "equiv-suite"):
+        for flag, bad in (("--bn", "x"), ("--bn-dbw", "2,y")):
+            with pytest.raises(SystemExit) as exc:
+                run(capsys, suite, flag, bad, "--random", "0")
+            assert exc.value.code == 2
+            assert f"argument {flag}: must be a comma list of integers" in capsys.readouterr().err
 
 
 def test_readme_reproduction_commands_pass(capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from buchicong import (
     periodic_membership_from_profile,
     progress_congruence_improved,
     random_nbw,
+    serialize_dfw,
     subset_congruence,
 )
 from buchicong.profiles import _row_compose
@@ -50,17 +53,22 @@ def brute_profile(a: Nbw, word) -> Profile:
             out_r[i] |= 1 << j
             if hit:
                 out_rf[i] |= 1 << j
-    return Profile(n, tuple(out_r), tuple(out_rf))
+    return Profile(tuple(out_r), tuple(out_rf))
 
 
 # --- profile values ---------------------------------------------------------------
 
 
 def test_profile_rejects_visit_outside_reach():
-    with pytest.raises(ValueError):
-        Profile(1, (0,), (1,))
-    with pytest.raises(ValueError):
-        Profile(2, (1,), (0,))
+    # the constructor checks nothing; the public readers reject a visit
+    # outside reach and rows of different lengths
+    good = Profile((1,), (0,))
+    for bad in (Profile((0,), (1,)), Profile((1,), (0, 0))):
+        with pytest.raises(ValueError, match="reach_f needs"):
+            periodic_membership_from_profile(bad, 1)
+        for pair in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="reach_f needs"):
+                compose(*pair)
 
 
 def test_epsilon_profile_is_identity_with_accepting_diagonal():
@@ -96,8 +104,8 @@ def test_profile_composition_is_concatenation(a, x, y):
 
 
 def test_compose_rejects_size_mismatch():
-    with pytest.raises(ValueError):
-        compose(Profile(1, (1,), (0,)), Profile(2, (1, 2), (0, 0)))
+    with pytest.raises(ValueError, match="sizes differ"):
+        compose(Profile((1,), (0,)), Profile((1, 2), (0, 0)))
 
 
 # --- restriction and periodic membership ----------------------------------------------
@@ -174,6 +182,16 @@ def test_periodic_membership_agrees_with_oracle(a, v):
 
 def test_classical_class_count_on_permutation_family(b3):
     assert len(classical_congruence(b3)) == 65
+
+
+def test_classical_bytes_are_pinned():
+    # classical_congruence runs the profile builder that every improved
+    # progress DFW shares, so these bytes pin that builder too
+    corpus = [gen_bn(3), gen_bn_dbw(3)] + [random_nbw(s, 2 + s % 5) for s in range(2000, 2100)]
+    digest = hashlib.sha256()
+    for a in corpus:
+        digest.update(serialize_dfw(classical_congruence(a)).encode())
+    assert digest.hexdigest() == "65842ed440a77d46f80be5b0c08d93092c045a9ddca2fb595de84d00734a52d0"
 
 
 def test_subset_classes_on_permutation_family(b3):
