@@ -278,6 +278,20 @@ def test_translation_bytes_are_pinned(aid, variant):
     assert pinned == ((aid, variant) == ("mixed", "improved"))
 
 
+# one sha256 over serialize_nbw(fdfw_to_nbw(f)) for both complement families
+# of 200 random automata of 2 to 6 states
+WIDE_TRANSLATION_DIGEST = "d0616d47d6391ad4367cd184a8d537a102d406a544066a15b2bb11e691c48b65"
+
+
+def test_wide_translation_bytes_are_pinned():
+    h = hashlib.sha256()
+    for s in range(2000, 2200):
+        a = random_nbw(s, 2 + s % 5)
+        for build in (complement_fdfw_optimal, complement_fdfw_improved):
+            h.update(serialize_nbw(fdfw_to_nbw(build(a))).encode())
+    assert h.hexdigest() == WIDE_TRANSLATION_DIGEST
+
+
 # sha256 of serialize_fdfw(f): class counts, class order, accepting sets and
 # transitions of both complement families
 FAMILY_DIGESTS = {
