@@ -171,14 +171,18 @@ def _relations(a: Nbw, relation: str, context: tuple[str, ...], budget: int):
                 yield lead_name, lead, elapsed
             for m in range(len(lead)) if relation == "all" else [lead.run(context)]:
                 yield (
-                    f"{progress_name}[{_join_word(lead.witnesses[m])}]",
+                    f"{progress_name}[{_join_word(lead.witness(m))}]",
                     *_timed(build_progress, a, lead, m, budget),
                 )
 
 
 def _max_witness_len(dfw: CongruenceDfw) -> int:
-    lens = [len(w) for w in dfw.witnesses if w is not None]
-    return max(lens) if lens else 0
+    """Depth of the deepest class; a built DFW numbers parents first."""
+    depth = [0] * len(dfw)
+    for c, (parent, k) in enumerate(zip(dfw.parent, dfw.via)):
+        if k >= 0:
+            depth[c] = depth[parent] + 1
+    return max(depth)
 
 
 def cmd_classes(args) -> int:
@@ -203,7 +207,8 @@ def cmd_classes(args) -> int:
     if args.dump and dumped is not None:
         _write_text(args.dump, serialize_dfw(dumped))
         wit_lines = ["class\twitness"]
-        for c, w in enumerate(dumped.witnesses):
+        for c in range(len(dumped)):
+            w = dumped.witness(c)
             wit_lines.append(f"{DFW_CLASS_PREFIX}{c}\t{'' if w is None else _join_word(w)}")
         _write_text(args.dump + ".witnesses.tsv", "\n".join(wit_lines) + "\n")
     _emit(["relation", "classes", "max_witness_len", "elapsed_ms"], rows, args.json)
@@ -681,6 +686,10 @@ def main(argv: list[str] | None = None) -> int:
             args.budget = _positive_budget(raw)
         except argparse.ArgumentTypeError as e:
             parser.error(str(e))
+    # these commands print a report on stdout, which the output file must not share
+    if args.command in ("complement", "to-nbw") and args.out == "-":
+        print("--out needs a file name, not -", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         return args.func(args)
     except ParseError as e:

@@ -17,6 +17,8 @@ which keeps it sound for any saturated family, not only the constructed ones.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
@@ -37,7 +39,6 @@ from .automata import (
     intersect,  # noqa: F401  perfbench/tracing.py patches it here
     is_empty,  # noqa: F401  perfbench/tracing.py patches it here
     lasso_membership,  # noqa: F401  no builder calls it; perfbench/tracing.py patches it here
-    path_to,
 )
 from .preorder import optimal_leading_congruence, optimal_progress_congruence
 from .profiles import (
@@ -133,7 +134,7 @@ def _positions(f: Fdfw, w: UpWord) -> Iterator[tuple[Word, Word, int]]:
         yield tuple(prefix), r[phase:] + r[:phase], m
         sym = r[phase]
         prefix.append(sym)
-        m = lead.table[(m, sym)]
+        m = lead.rows[sym][m]
 
 
 def find_accepting_decomposition(f: Fdfw, w: UpWord) -> UpWord | None:
@@ -275,7 +276,7 @@ def _complement_family(
     ids p of prog for which accepting(m, prog, p) holds.  One step memo serves
     every leading class of this build and is dropped with it."""
     progress: dict[int, CongruenceDfw] = {}
-    memo: dict[str, dict] = {}
+    memo: dict = {}
     for m in range(len(lead)):
         prog = build_progress(a, lead, m, budget, memo=memo)
         progress[m] = prog.with_accepting(
@@ -288,14 +289,15 @@ def complement_fdfw_optimal(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw:
     """Complement family over the ordered-subset congruences.  A progress class
     of leading class m accepts when its payload returns to m (normalized for
     every member) and `OptProgressState.accepts_period` rejects.  Class 0
-    with no table entry into it holds only the empty word, no period, and is
-    left non-accepting."""
+    with no edge into it holds only the empty word, no period, and is left
+    non-accepting; the rows are searched for such an edge once per progress
+    DFW, at class 0."""
 
     lead = optimal_leading_congruence(a, budget)
 
     def accepting(m: int, prog: CongruenceDfw, p: int) -> bool:
         st = prog.payloads[p]
-        if st.lead != m or p == 0 and 0 not in prog.table.values():
+        if st.lead != m or p == 0 and not any(0 in row for row in prog.rows.values()):
             return False
         return not st.accepts_period(lead.payloads[m].blocks)
 
@@ -341,11 +343,9 @@ def _accepting_composition_closed(f: Fdfw, q: int) -> bool:
     which member stands in for the second class."""
     prog = f.progress[q]
     acc = prog.accepting
-    for f1 in acc:
-        for f2 in acc:
-            w2 = prog.witnesses[f2]
-            if w2 is None or prog.run(w2, start=f1) not in acc:
-                return False
+    for w2 in map(prog.witness, acc):  # each witness is rebuilt once
+        if w2 is None or not acc.issuperset(prog.run(w2, start=f1) for f1 in acc):
+            return False
     return True
 
 
@@ -370,41 +370,60 @@ def fdfw_to_nbw(f: Fdfw) -> Nbw:
     copy is reachable from the copy's start (progress initial, q); and the
     relay steps exactly like that start, so the path that reached it leads
     back to it.  States are named L<m> (leading copy), G<q>.<fa>.<p>.<m>
-    (gadget) and R<q>.<fa> (relay), in the order the search discovered them."""
-    lead = f.leading
-    # fa == -1 marks a shared gadget closing at any accepting class
-    pins = {
-        m: [-1] if _accepting_composition_closed(f, m) else sorted(prog.accepting)
-        for m, prog in f.progress.items()
-        if prog.accepting
-    }
+    (gadget) and R<q>.<fa> (relay), in the order the search discovered them.
+    The search runs on integers: leading node m is m, and gadget copy c, for
+    the pair (q, fa) = copies[c], holds its relay at base[c] and gadget node
+    (p, m) at base[c] + 1 + p * |leading| + m."""
+    lead, symbols = f.leading, f.alphabet.symbols
+    nl = len(lead)
+    # copies[c] is (q, fa), fa == -1 marking a shared gadget closing at any
+    # accepting class; starts[q] lists the copies a leading node q starts
+    copies, base, starts = [], [], [[] for _ in range(nl)]
+    top = nl
+    for q, prog in f.progress.items():
+        if not prog.accepting:
+            continue
+        for fa in [-1] if _accepting_composition_closed(f, q) else sorted(prog.accepting):
+            starts[q].append(len(copies))
+            copies.append((q, fa))
+            base.append(top)
+            top += 1 + len(prog) * nl
 
-    def gadget_step(q: int, fa: int, p: int, m: int, sym: str) -> list[tuple]:
+    def gadget_step(c: int, p: int, m: int, sym: str) -> list[int]:
+        q, fa = copies[c]
         prog = f.progress[q]
-        p2, m2 = prog.table[(p, sym)], lead.table[(m, sym)]
-        out = [("G", q, fa, p2, m2)]
+        p2, m2 = prog.rows[sym][p], lead.rows[sym][m]
+        out = [base[c] + 1 + p2 * nl + m2]
         if m2 == q and (p2 == fa or fa == -1 and p2 in prog.accepting):
-            out.append(("R", q, fa))
+            out.append(base[c])
         return out
 
-    def successors(node: tuple) -> list[list[tuple]]:
-        kind, q = node[0], node[1]
-        # a relay starts the next block exactly like a gadget at its start
-        if kind == "R":
-            node = ("G", *node[1:], f.progress[q].initial, q)
-        out = []
-        for sym in f.alphabet:
-            if kind == "L":
-                targets = [("L", lead.table[(q, sym)])]
-                # the next letter may instead start the first block at class q
-                for fa in pins.get(q, ()):
-                    targets += gadget_step(q, fa, f.progress[q].initial, q, sym)
-            else:
-                targets = gadget_step(*node[1:], sym)
-            out.append(targets)
-        return out
+    def locate(x: int) -> tuple[int, int, int]:
+        """(c, p, m) of a node of gadget copy c; p is -1 for the relay."""
+        c = bisect_right(base, x) - 1
+        return (c, *divmod(x - base[c] - 1, nl))
 
-    keys, ids, _, _, steps = explore([("L", lead.initial)], successors)
+    def successors(x: int) -> list[list[int]]:
+        if x < nl:
+            out = [[lead.rows[sym][x]] for sym in symbols]
+            # the next letter may instead start the first block at class x
+            for c in starts[x]:
+                for sym, targets in zip(symbols, out):
+                    targets += gadget_step(c, f.progress[x].initial, x, sym)
+            return out
+        c, p, m = locate(x)
+        if p < 0:  # a relay starts the next block exactly like a gadget at its start
+            p, m = f.progress[copies[c][0]].initial, copies[c][0]
+        return [gadget_step(c, p, m, sym) for sym in symbols]
+
+    def label(x: int) -> str:
+        if x < nl:
+            return f"L{x}"
+        c, p, m = locate(x)
+        q, fa = copies[c]
+        return f"R{q}.{fa}" if p < 0 else f"G{q}.{fa}.{p}.{m}"
+
+    keys, ids, _, _, steps = explore([lead.initial], successors)
     adj = list(steps)
     # trim: keep the nodes from which a relay is reachable, found by a
     # search on the reversed edges
@@ -413,17 +432,18 @@ def fdfw_to_nbw(f: Fdfw) -> Nbw:
         for targets in edges:
             for node in targets:
                 rev[ids[node]].append(i)
-    useful, _, _, _, steps = explore((i for i, node in enumerate(keys) if node[0] == "R"), lambda i: [rev[i]])
+    relays = set(base)
+    useful, _, _, _, steps = explore((i for i, x in enumerate(keys) if x in relays), lambda i: [rev[i]])
     for _ in steps:  # the search lists the nodes it reaches in `useful`
         pass
     kept = sorted(useful)
     if not kept or kept[0] != 0:
         return Nbw(f.alphabet, ("dead",), frozenset({"dead"}), {}, frozenset())
     # kept nodes get their names once, in discovery order
-    name = {keys[i]: keys[i][0] + ".".join(map(str, keys[i][1:])) for i in kept}
+    name = {keys[i]: label(keys[i]) for i in kept}
     trans: dict[tuple[str, str], frozenset[str]] = {}
     for i in kept:
-        for sym, targets in zip(f.alphabet, adj[i]):
+        for sym, targets in zip(symbols, adj[i]):
             tgts = frozenset(name[node] for node in targets if node in name)
             if tgts:
                 trans[(name[keys[i]], sym)] = tgts
@@ -432,7 +452,7 @@ def fdfw_to_nbw(f: Fdfw) -> Nbw:
         tuple(name.values()),
         frozenset({name[keys[0]]}),
         trans,
-        frozenset(name[node] for node in name if node[0] == "R"),
+        frozenset(name[x] for x in name if x in relays),
     )
 
 
@@ -456,8 +476,8 @@ def _serialize_dfw_block(dfw: CongruenceDfw, prefix: str) -> list[str]:
     if dfw.accepting is not None:
         lines.append("accepting: " + " ".join(names[c] for c in sorted(dfw.accepting)))
     for cid in range(len(names)):
-        for sym in dfw.alphabet:
-            lines.append(f"trans: {names[cid]} {sym} -> {names[dfw.table[(cid, sym)]]}")
+        for sym in dfw.alphabet.symbols:
+            lines.append(f"trans: {names[cid]} {sym} -> {names[dfw.rows[sym][cid]]}")
     return lines
 
 
@@ -517,6 +537,7 @@ def _parse_dfw_block(
         for sym in alphabet:
             if (ids[nm], sym) not in table:
                 raise ParseError(f"missing transition for {nm!r} on {sym!r}")
+    rows = {sym: array("i", (table[(c, sym)] for c in range(len(names)))) for sym in alphabet.symbols}
     acc_ids = None
     if want_accepting:
         no, value = fields.get("accepting", (None, ""))
@@ -524,14 +545,14 @@ def _parse_dfw_block(
             if nm not in ids:
                 raise ParseError(f"undeclared accepting state {nm!r}", no)
         acc_ids = frozenset(ids[nm] for nm in value.split())
-    # witnesses by a search numbering the classes in discovery order
-    found, _, pred, via, steps = explore([initial], lambda c: [[table[(c, sym)]] for sym in alphabet])
+    # witness edges by a search numbering the classes in discovery order
+    found, _, pred, via, steps = explore([initial], lambda c: [[row[c]] for row in rows.values()])
     for _ in steps:  # the search lists the classes it reaches in `found`
         pass
-    witnesses: list[Word | None] = [None] * len(names)
-    for r, c in enumerate(found):
-        witnesses[c] = tuple(alphabet.symbols[k] for k in path_to(pred, via, r)[1])
-    return CongruenceDfw(alphabet, tuple(witnesses), names, table, initial, acc_ids)
+    parent, letter = array("i", [-1]) * len(names), array("i", [-1]) * len(names)
+    for r in range(1, len(found)):  # found[0] is the initial class
+        parent[found[r]], letter[found[r]] = found[pred[r]], via[r]
+    return CongruenceDfw(alphabet, names, rows, parent, letter, initial, acc_ids)
 
 
 def parse_fdfw(text: str | bytes) -> Fdfw:

@@ -18,6 +18,7 @@ within n^n (n+1)^n on everything the suite measures.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -167,7 +168,7 @@ def progress_step(a: Nbw, lead: CongruenceDfw, st: OptProgressState, sym: str) -
     is flagged when accepting or reached from a flagged state of its block."""
     succ, acc = a.bitmasks()
     back, via = _claim(succ[sym], acc, st.back, st.via_acc)
-    nxt = lead.table[(st.lead, sym)]
+    nxt = lead.rows[sym][st.lead]
     return OptProgressState(nxt, tuple(back), via).check(lead.payloads[nxt].mask)
 
 
@@ -176,27 +177,40 @@ def optimal_progress_congruence(
     lead: CongruenceDfw,
     m: int,
     budget: int = DEFAULT_CLASS_BUDGET,
-    memo: dict[str, dict] | None = None,
+    memo: dict | None = None,
 ) -> CongruenceDfw:
     """Progress congruence for class m of the optimal leading congruence `lead`.
-    `memo` maps each letter to the steps taken so far, payload to successor.
-    A step reads only the payload, the letter, `a` and `lead`, so the progress
-    DFWs of every class of `lead` may share one memo; without one, a fresh
-    memo is used."""
+    `memo` holds a payload graph: `memo["payloads"]` lists each distinct
+    payload once, by global id, `memo["ids"]` maps it back, and `memo[k]` lists
+    each id's successor on the symbol of index k, -1 until first stepped.  A
+    step reads only the payload, the letter, `a` and `lead`, so the progress
+    DFWs of every class of `lead` may share one graph, each a breadth-first
+    search over global ids renumbered in discovery order; without a memo, a
+    fresh graph is used."""
     memo = {} if memo is None else memo
-    steps = {sym: memo.setdefault(sym, {}) for sym in a.alphabet}
+    payloads, ids = memo.setdefault("payloads", []), memo.setdefault("ids", {})
+    succ = {sym: memo.setdefault(k, []) for k, sym in enumerate(a.alphabet.symbols)}
 
-    def step(st: OptProgressState, sym: str) -> OptProgressState:
-        known = steps[sym]
-        nxt = known.get(st)
-        if nxt is None:
-            nxt = known[st] = progress_step(a, lead, st, sym)
+    def node(st: OptProgressState) -> int:
+        g = ids.setdefault(st, len(payloads))
+        if g == len(payloads):
+            payloads.append(st)
+            for row in succ.values():
+                row.append(-1)
+        return g
+
+    def step(g: int, sym: str) -> int:
+        row = succ[sym]
+        nxt = row[g]
+        if nxt < 0:
+            nxt = row[g] = node(progress_step(a, lead, payloads[g], sym))
         return nxt
 
-    return build_congruence_dfw(
-        f"optimal-progress[{' '.join(lead.witnesses[m])}]",
+    dfw = build_congruence_dfw(
+        f"optimal-progress[{' '.join(lead.witness(m))}]",
         a.alphabet,
-        initial_progress_state(lead, m),
+        node(initial_progress_state(lead, m)),
         step,
         budget,
     )
+    return dataclasses.replace(dfw, payloads=tuple(payloads[g] for g in dfw.payloads))

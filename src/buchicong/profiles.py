@@ -22,8 +22,9 @@ over the state order of the automaton.  It has no size field, and only
 from __future__ import annotations
 
 import dataclasses
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, NamedTuple
+from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
 from .automata import Alphabet, Nbw, Word, _bits, cyclic_components
 
@@ -138,30 +139,40 @@ def periodic_membership_from_profile(p: Profile, sources: int) -> bool:
 @dataclass(frozen=True)
 class CongruenceDfw:
     """Deterministic complete transition system over congruence classes,
-    numbered from 0.  Class c has the canonical access word `witnesses[c]`
-    (None only for classes a parsed structure declares but never reaches)
-    and the payload `payloads[c]` that defines it.  `table` maps (class id,
-    symbol) to class id; `accepting` is optional and used when the structure
-    doubles as a DFW over finite words."""
+    numbered from 0.  Class c has the payload `payloads[c]` that defines it,
+    and `rows[sym][c]` is its successor on symbol sym.  The edge that first
+    reached c leaves class `parent[c]` on the symbol of index `via[c]`, so
+    `witness(c)` rebuilds c's canonical access word; `via` holds -1 for the
+    initial class and for classes a parsed structure declares but never
+    reaches.  `accepting` is optional and used when the structure doubles as
+    a DFW over finite words."""
 
     alphabet: Alphabet
-    witnesses: tuple[Word | None, ...]
     payloads: tuple[Hashable, ...]
-    table: Mapping[tuple[int, str], int]
+    rows: Mapping[str, Sequence[int]]
+    parent: Sequence[int]
+    via: Sequence[int]
     initial: int = 0
     accepting: frozenset[int] | None = None
 
     def __len__(self) -> int:
         return len(self.payloads)
 
+    def witness(self, c: int) -> Word | None:
+        """Shortest word reaching class c, ties broken by alphabet order, or
+        None when no word does."""
+        letters = []
+        while self.via[c] >= 0:
+            letters.append(self.alphabet.symbols[self.via[c]])
+            c = self.parent[c]
+        return tuple(reversed(letters)) if c == self.initial else None
+
     def run(self, word: Word, start: int | None = None) -> int:
         cur = self.initial if start is None else start
         try:
             for sym in word:
-                cur = self.table[(cur, sym)]
+                cur = self.rows[sym][cur]
         except KeyError:
-            if sym in self.alphabet:
-                raise
             raise ValueError(f"symbol {sym!r} not in alphabet") from None
         return cur
 
@@ -188,23 +199,23 @@ def build_congruence_dfw(
     appear."""
     ids: dict[Hashable, int] = {initial_payload: 0}
     payloads: list[Hashable] = [initial_payload]
-    witnesses: list[Word] = [()]
-    table: dict[tuple[int, str], int] = {}
+    parent, via = array("i", [-1]), array("i", [-1])
+    rows = {sym: array("i") for sym in alphabet.symbols}
+    letters = list(enumerate(rows.items()))
     # class ids are handed out in discovery order, so the list is the queue
     for cid, payload in enumerate(payloads):
-        word = witnesses[cid]
-        for sym in alphabet:
+        for k, (sym, row) in letters:
             nxt = step_payload(payload, sym)
             nid = ids.get(nxt)
             if nid is None:
                 if len(ids) >= budget:
                     raise BudgetExceededError(len(ids), budget, phase)
-                nid = len(ids)
-                ids[nxt] = nid
+                nid = ids[nxt] = len(payloads)
                 payloads.append(nxt)
-                witnesses.append(word + (sym,))
-            table[(cid, sym)] = nid
-    return CongruenceDfw(alphabet, tuple(witnesses), tuple(payloads), table)
+                parent.append(cid)
+                via.append(k)
+            row.append(nid)
+    return CongruenceDfw(alphabet, tuple(payloads), rows, parent, via)
 
 
 # --- the concrete congruences ----------------------------------------------
@@ -276,5 +287,5 @@ def progress_congruence_improved(
     `lead`: the pair profile over the class's state mask as sources.  The
     progress DFWs of every class of `lead` may share one row-image `memo`."""
     return _profile_congruence(
-        a, f"improved-progress[{' '.join(lead.witnesses[m])}]", lead.payloads[m], budget, memo
+        a, f"improved-progress[{' '.join(lead.witness(m))}]", lead.payloads[m], budget, memo
     )

@@ -80,11 +80,17 @@ def bound_pool_automaton(i: int) -> Nbw:
     return random_nbw(DEFAULT_SEED + i, 3 + i % 2)
 
 
+def witnesses(dfw: CongruenceDfw) -> list:
+    """dfw.witness(c) for every class c, in class order."""
+    return [dfw.witness(c) for c in range(len(dfw))]
+
+
 def edge_members(dfw: CongruenceDfw):
-    """(class id, member) for every table edge (src, sym) -> cid: the word
-    witness(src) + (sym,) belongs to class cid."""
-    for (src, sym), cid in dfw.table.items():
-        yield cid, dfw.witnesses[src] + (sym,)
+    """(class id, member) for every edge src --sym--> cid of the rows: the
+    word witness(src) + (sym,) belongs to class cid."""
+    for src, word in enumerate(witnesses(dfw)):
+        for sym in dfw.alphabet.symbols:
+            yield dfw.rows[sym][src], word + (sym,)
 
 
 # --- handcrafted families --------------------------------------------------------
@@ -95,20 +101,11 @@ def single_word_family() -> Fdfw:
     the word ab.  Not saturated: the infinite word (ab)^omega owns both a
     captured decomposition (ab, ab) and an uncaptured one (ab, abab)."""
     alphabet = Alphabet(("a", "b"))
-    lead = CongruenceDfw(alphabet, ((),), ("s",), {(0, "a"): 0, (0, "b"): 0})
-    table = {
-        (0, "a"): 1,
-        (0, "b"): 3,
-        (1, "a"): 3,
-        (1, "b"): 2,
-        (2, "a"): 3,
-        (2, "b"): 3,
-        (3, "a"): 3,
-        (3, "b"): 3,
-    }
-    witnesses = ((), ("a",), ("a", "b"), ("b",))
-    payloads = tuple(f"n{i}" for i in range(len(witnesses)))
-    prog = CongruenceDfw(alphabet, witnesses, payloads, table, accepting=frozenset({2}))
+    lead = CongruenceDfw(alphabet, ("s",), {"a": [0], "b": [0]}, [-1], [-1])
+    # the witnesses are (), a, a b and b
+    rows = {"a": [1, 3, 3, 3], "b": [3, 2, 3, 3]}
+    payloads = tuple(f"n{i}" for i in range(4))
+    prog = CongruenceDfw(alphabet, payloads, rows, [-1, 0, 1, 0], [-1, 0, 1, 1], accepting=frozenset({2}))
     return Fdfw(alphabet, lead, {0: prog}, saturated=False)
 
 

@@ -25,7 +25,7 @@ from buchicong import (
     progress_congruence_improved,
     subset_congruence,
 )
-from conftest import edge_members, pool_automaton, record_criterion, single_word_family
+from conftest import edge_members, pool_automaton, record_criterion, single_word_family, witnesses
 from reference import ordered_reach, ordered_run_dag, state_mask
 
 
@@ -120,13 +120,13 @@ def test_ac05_refinement_between_relations(pool_relations):
     for row in rows:
         # equal full-profile classes must land in equal per-source classes
         for cid, member in edge_members(row.classical):
-            witness = row.classical.witnesses[cid]
+            witness = row.classical.witness(cid)
             for prog in row.improved.values():
                 if prog.run(member) != prog.run(witness):
                     failures.append(f"{row.aid}: profile class split by {member}")
         # equal arrangements must flatten to the same successor set
         for cid, member in edge_members(row.optimal):
-            if row.subset.run(member) != row.subset.run(row.optimal.witnesses[cid]):
+            if row.subset.run(member) != row.subset.run(row.optimal.witness(cid)):
                 failures.append(f"{row.aid}: arrangement class split by {member}")
     record_criterion(
         "AC-5", not failures, f"refinement on all class members of {len(rows)} automata"
@@ -262,7 +262,7 @@ def test_ac12_folded_membership_matches_oracle(pool_relations, complement_runs):
 
     def members(prog):
         # a non-empty member per class: its witness, else the first edge in
-        out = {cid: w for cid, w in enumerate(prog.witnesses) if w}
+        out = {cid: w for cid, w in enumerate(witnesses(prog)) if w}
         for cid, v in edge_members(prog):
             out.setdefault(cid, v)
         return out
@@ -274,14 +274,14 @@ def test_ac12_folded_membership_matches_oracle(pool_relations, complement_runs):
 
     for row in rows:
         a = row.nbw
-        for m, (u, sources) in enumerate(zip(row.subset.witnesses, row.subset.payloads)):
+        for m, (u, sources) in enumerate(zip(witnesses(row.subset), row.subset.payloads)):
             prog = row.improved[m]
             for cid, v in members(prog).items():
                 p = prog.payloads[cid]
                 if p.image() == sources:
                     folded = periodic_membership_from_profile(p, sources)
                     compare("improved", row.aid, a, u, v, folded)
-        for m, (u, base) in enumerate(zip(row.optimal.witnesses, row.optimal.payloads)):
+        for m, (u, base) in enumerate(zip(witnesses(row.optimal), row.optimal.payloads)):
             prog = row.optimal_progress[m]
             for cid, v in members(prog).items():
                 st = prog.payloads[cid]
@@ -292,7 +292,7 @@ def test_ac12_folded_membership_matches_oracle(pool_relations, complement_runs):
     eps_only = 0
     for run in complement_runs[0]:
         for m, prog in run.variants["optimal"].family.progress.items():
-            if 0 not in prog.table.values():
+            if not any(0 in row for row in prog.rows.values()):
                 eps_only += 1
                 if 0 in prog.accepting:
                     failures.append(f"{run.aid}: epsilon-only class of m{m} accepts")

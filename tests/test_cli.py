@@ -167,6 +167,24 @@ def test_classes_dump_rejects_stdout(b3_file, tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["complement", "to-nbw"])
+def test_out_rejects_stdout(command, b3_file, tmp_path, capsys, monkeypatch):
+    # "-" would put the family or automaton text and the report on one stdout
+    monkeypatch.chdir(tmp_path)
+    code = main([command, "--in", b3_file, "--variant", "optimal", "--out", "-"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "--out needs a file name, not -\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_family_out_dash_still_writes_stdout(capsys):
+    code, out = run(capsys, "family", "--variant", "bn", "--n", "2", "--out", "-")
+    assert code == 0
+    assert len(parse_nbw(out).states) == 5
+
+
 # --- membership and containment ------------------------------------------------------
 
 

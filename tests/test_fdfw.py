@@ -43,7 +43,7 @@ from buchicong import (
 from buchicong import fdfw
 from buchicong.automata import _product_lasso
 from buchicong.fdfw import _accepting_composition_closed
-from conftest import canonical_corpus, mixed_blocks_nbw, single_word_family
+from conftest import canonical_corpus, mixed_blocks_nbw, single_word_family, witnesses
 
 
 # --- decomposition semantics -------------------------------------------------------
@@ -350,7 +350,7 @@ def test_shared_step_memo_keeps_the_budget_error(monkeypatch, variant):
     sizes = [len(f.progress[m]) for m in range(len(f.leading))]
     budget = max(len(f.leading), sizes[0])
     stopped = next(m for m, size in enumerate(sizes) if size > budget)
-    phase = f"{variant}-progress[{' '.join(f.leading.witnesses[stopped])}]"
+    phase = f"{variant}-progress[{' '.join(f.leading.witness(stopped))}]"
 
     def raised() -> BudgetExceededError:
         with pytest.raises(BudgetExceededError) as info:
@@ -574,10 +574,24 @@ trans: n0 a -> n1
 """
 
 
+def test_parsed_unreached_class_has_no_witness():
+    prog = parse_fdfw(_progress_text("a b")).progress[0]
+    assert prog.witness(prog.payloads.index("n4")) is None
+
+
+def test_parsed_initial_class_need_not_be_class_0():
+    prog = parse_fdfw(_progress_text("a b")).progress[0]
+    assert prog.initial == prog.payloads.index("n0") == 4
+    assert prog.witness(prog.initial) == ()
+    assert prog.run(("a",)) == prog.payloads.index("n1")
+    with pytest.raises(ValueError, match="symbol 'z' not in alphabet"):
+        prog.run(("a", "z"))
+
+
 def test_parsed_witnesses_are_shortest_in_alphabet_order():
     for alphabet, n3 in (("a b", ("a", "a")), ("b a", ("b", "b"))):
         prog = parse_fdfw(_progress_text(alphabet)).progress[0]
-        witness = dict(zip(prog.payloads, prog.witnesses))
+        witness = dict(zip(prog.payloads, witnesses(prog)))
         assert witness == {
             "n0": (),
             "n1": ("a",),

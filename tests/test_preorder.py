@@ -21,7 +21,7 @@ from buchicong import (
 )
 from buchicong import random_nbw
 from buchicong.preorder import initial_progress_state, progress_step
-from conftest import seeded_nbws, words
+from conftest import seeded_nbws, witnesses, words
 from reference import (
     max_class_map_direct,
     ordered_reach,
@@ -101,13 +101,12 @@ def test_run_dag_levels_match_arrangement_prefixes(a, w):
 def test_leading_classes_on_permutation_family(b3):
     lead = optimal_leading_congruence(b3)
     assert len(lead) == 6
-    witnesses = set(lead.witnesses)
-    assert witnesses == {(), ("0",), ("1",), ("2",), ("3",), ("0", "0")}
+    assert set(witnesses(lead)) == {(), ("0",), ("1",), ("2",), ("3",), ("0", "0")}
 
 
 def test_arrangement_states_equal_reachable_set(b3):
     lead = optimal_leading_congruence(b3)
-    for witness, payload in zip(lead.witnesses, lead.payloads):
+    for witness, payload in zip(witnesses(lead), lead.payloads):
         assert payload.mask == state_mask(b3, reach(b3, witness))
         assert payload.mask == sum(payload.blocks)
 
@@ -120,7 +119,7 @@ def test_arrangement_count_refines_subset_count(a):
     lead = optimal_leading_congruence(a)
     flat = subset_congruence(a)
     assert len(lead) >= len(flat)
-    for witness, payload in zip(lead.witnesses, lead.payloads):
+    for witness, payload in zip(witnesses(lead), lead.payloads):
         assert payload.mask == flat.payloads[flat.run(witness)]
         assert payload.mask == state_mask(a, reach(a, witness))
 
@@ -147,7 +146,7 @@ def test_dead_class_pushes_two_state_arrangements_past_the_live_cap():
 def test_progress_sizes_on_permutation_family(b3):
     lead = optimal_leading_congruence(b3)
     sizes = {
-        lead.witnesses[m]: len(optimal_progress_congruence(b3, lead, m))
+        lead.witness(m): len(optimal_progress_congruence(b3, lead, m))
         for m in range(len(lead))
     }
     assert sizes == {

@@ -22,14 +22,17 @@ from buchicong import (
     gen_bn_dbw,
     lasso_membership,
     letter_profile,
+    optimal_leading_congruence,
+    optimal_progress_congruence,
     periodic_membership_from_profile,
     progress_congruence_improved,
     random_nbw,
     serialize_dfw,
     subset_congruence,
 )
+from buchicong.cli import _max_witness_len
 from buchicong.profiles import _row_compose
-from conftest import edge_members, seeded_nbws, words
+from conftest import edge_members, seeded_nbws, witnesses, words
 from reference import reach, restrict, state_mask, step, word_profile
 from test_automata import inf_many
 
@@ -207,7 +210,7 @@ def test_subset_classes_on_permutation_family(b3):
 def test_improved_progress_sizes_on_permutation_family(b3):
     lead = subset_congruence(b3)
     sizes = {
-        lead.witnesses[m]: len(progress_congruence_improved(b3, lead, m))
+        lead.witness(m): len(progress_congruence_improved(b3, lead, m))
         for m in range(len(lead))
     }
     assert sizes == {
@@ -230,12 +233,12 @@ def test_budget_stops_exploration(b3):
 
 def test_witnesses_are_shortest_lex_and_alternates_stay_in_class(b3):
     lead = subset_congruence(b3)
-    for witness, payload in zip(lead.witnesses, lead.payloads):
+    for witness, payload in zip(witnesses(lead), lead.payloads):
         assert state_mask(b3, reach(b3, witness)) == payload
     for cid, member in edge_members(lead):
         assert state_mask(b3, reach(b3, member)) == lead.payloads[cid]
-        assert len(member) >= len(lead.witnesses[cid])
-    by_payload = dict(zip(lead.payloads, lead.witnesses))
+        assert len(member) >= len(lead.witness(cid))
+    by_payload = dict(zip(lead.payloads, witnesses(lead)))
     assert by_payload[state_mask(b3, ("q0", "qm1"))] == ("0", "0")
     assert by_payload[state_mask(b3, ("q",))] == ()
 
@@ -249,6 +252,44 @@ def test_dfw_run_and_accepting_helpers(b3):
     marked = lead.with_accepting(frozenset({lead.run(("0",))}))
     assert marked.accepts(("0",))
     assert not marked.accepts(())
+
+
+def _shortlex_witnesses(dfw) -> dict:
+    """Class -> first word reaching it in shortlex order (length, then
+    alphabet order), by a breadth-first search that only calls run()."""
+    found = {dfw.initial: ()}
+    queue = [dfw.initial]
+    for c in queue:
+        for sym in dfw.alphabet.symbols:
+            d = dfw.run((sym,), start=c)
+            if d not in found:
+                found[d] = found[c] + (sym,)
+                queue.append(d)
+    return found
+
+
+@pytest.mark.parametrize("aid", ["bn3", "rnd1729n6"])
+def test_witness_is_the_shortlex_first_word_of_every_class(aid):
+    a = gen_bn(3) if aid == "bn3" else random_nbw(1729, 6)
+    relations = [classical_congruence(a)]
+    for build_lead, build_progress in (
+        (subset_congruence, progress_congruence_improved),
+        (optimal_leading_congruence, optimal_progress_congruence),
+    ):
+        lead = build_lead(a)
+        relations += [lead] + [build_progress(a, lead, m) for m in range(len(lead))]
+    for dfw in relations:
+        expected = _shortlex_witnesses(dfw)
+        assert len(expected) == len(dfw)
+        assert [dfw.witness(c) for c in range(len(dfw))] == [expected[c] for c in range(len(dfw))]
+        assert _max_witness_len(dfw) == max(map(len, expected.values()))
+
+
+def test_run_rejects_symbols_outside_the_alphabet(b3):
+    lead = subset_congruence(b3)
+    for word in (("z",), ("1", "z")):
+        with pytest.raises(ValueError, match="symbol 'z' not in alphabet"):
+            lead.run(word)
 
 
 def test_one_build_composes_each_row_once_per_letter(monkeypatch):
