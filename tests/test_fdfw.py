@@ -301,6 +301,8 @@ FAMILY_DIGESTS = {
     ("bn-dbw4", "improved"): "1f3265e84d33eb8001260b04af184ab3693465cf2d38345877600264ab91d907",
     ("rnd1729n7", "optimal"): "146453b90566fb58f2d29b9d119cdc3071cf76790859bca80fa219fd4f89613a",
     ("rnd1729n7", "improved"): "c6bdba3964d3fbaf8160be4fab4633c30f8a0a13ede1a3412b25598cfda55822",
+    # 127,146 improved progress classes: the largest improved family pinned
+    ("rnd1732n7", "improved"): "01478f615fd02625cc95a0e04603fcb29f5872af291ec3ed88ef62210694719a",
 }
 
 
@@ -310,6 +312,7 @@ def test_family_bytes_are_pinned(aid, variant):
         "bn4": lambda: gen_bn(4),
         "bn-dbw4": lambda: gen_bn_dbw(4),
         "rnd1729n7": lambda: random_nbw(1729, 7),
+        "rnd1732n7": lambda: random_nbw(1732, 7),
     }[aid]()
     build = {"optimal": complement_fdfw_optimal, "improved": complement_fdfw_improved}
     text = serialize_fdfw(build[variant](a))
