@@ -44,9 +44,11 @@ from .preorder import optimal_leading_congruence, optimal_progress_congruence
 from .profiles import (
     DEFAULT_CLASS_BUDGET,
     CongruenceDfw,
+    packed_image,
     periodic_membership_from_profile,
     progress_congruence_improved,
     subset_congruence,
+    unpack_profile,
 )
 
 
@@ -308,13 +310,17 @@ def complement_fdfw_improved(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw
     """Complement family over the subset leading congruence and pair profiles
     over each leading class's states.  Acceptance is read off the payloads
     alone: the profile image must re-create the leading class's state mask
-    and the folded periodic membership test must fail."""
+    and the folded periodic membership test must fail.  The image is read
+    off the packed payload; only classes that pass are unpacked."""
 
     lead = subset_congruence(a, budget)
+    n = len(a.states)
 
     def accepting(m: int, prog: CongruenceDfw, p: int) -> bool:
-        prof, sources = prog.payloads[p], lead.payloads[m]
-        return prof.image() == sources and not periodic_membership_from_profile(prof, sources)
+        code, sources = prog.payloads[p], lead.payloads[m]
+        if packed_image(code, n) != sources:
+            return False
+        return not periodic_membership_from_profile(unpack_profile(code, n), sources)
 
     return _complement_family(a, lead, progress_congruence_improved, accepting, budget)
 

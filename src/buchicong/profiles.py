@@ -16,7 +16,11 @@ Two constructions live here, both over the compiled successor rows of
 
 A profile is the NamedTuple (reach, reach_f) of plain tuples of row bitmasks
 over the state order of the automaton.  It has no size field, and only
-`compose` and `periodic_membership_from_profile` validate profiles.
+`compose` and `periodic_membership_from_profile` validate profiles.  The
+pair-profile congruences store each class as one packed int instead: row i
+occupies bits [2n*i, 2n*i + 2n), its low n bits holding reach[i] and its high
+n bits reach_f[i], and rows outside the source set are zero.  `unpack_profile`
+turns such a payload back into a `Profile`.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
-from .automata import Alphabet, Nbw, Word, _bits, cyclic_components
+from .automata import Alphabet, Nbw, Word, _bits
 
 DEFAULT_CLASS_BUDGET = 200_000
 
@@ -108,29 +112,60 @@ def compose(first: Profile, second: Profile) -> Profile:
     return Profile(tuple(r for r, _ in rows), tuple(rf for _, rf in rows))
 
 
+def unpack_profile(code: int, n: int) -> Profile:
+    """The profile a pair-profile congruence over n states packs into `code`:
+    row i is bits [2n*i, 2n*i + 2n), reach[i] low and reach_f[i] high."""
+    mask = (1 << n) - 1
+    return Profile(
+        tuple(code >> 2 * n * i & mask for i in range(n)),
+        tuple(code >> (2 * i + 1) * n & mask for i in range(n)),
+    )
+
+
+def packed_image(code: int, n: int) -> int:
+    """`unpack_profile(code, n).image()` without unpacking: halving folds OR
+    the upper rows onto the lower ones until row 0 holds every reach field.
+    Shifts are whole rows, so reach_f bits never land in a reach field."""
+    rows = n
+    while rows > 1:
+        rows = (rows + 1) >> 1
+        code |= code >> 2 * n * rows
+    return code & (1 << n) - 1
+
+
 def periodic_membership_from_profile(p: Profile, sources: int) -> bool:
     """Whether s v^omega is accepted from some source state s, given the
     profile p of v built over the source mask S, with image(v) == S.
 
     Stability of S under v lets the infinite run be folded into pairs over S:
     in the graph with an edge i -> j for each pair p relates, some source
-    loops through acceptance exactly when a flagged pair (i, j) has i and j
-    in one strongly connected component.  Requires the image condition,
-    otherwise the folding is unsound.
+    loops through acceptance exactly when a flagged pair (i, j) closes a
+    cycle, that is when j reaches i again.  The reachability closure `star`
+    comes from Warshall's algorithm on the row bitmasks.  Requires the image
+    condition, otherwise the folding is unsound.
     """
-    _check(p)
-    # reach_f rows are submasks of reach rows, so the reach rows suffice
-    if any(r and not sources >> i & 1 for i, r in enumerate(p.reach)):
+    image = stray = outside = 0
+    for i, (r, rf) in enumerate(zip(p.reach, p.reach_f)):
+        image |= r
+        stray |= rf & ~r
+        if not sources >> i & 1:
+            outside |= r  # reach_f rows are submasks of reach rows
+    if stray or len(p.reach) != len(p.reach_f):
+        raise ValueError("reach_f needs one row per reach row, each a submask of it")
+    if outside:
         raise ValueError("nonzero row outside the source set")
-    if p.image() != sources:
+    if image != sources:
         raise ValueError("periodic membership needs image(v) == sources")
-    visit = cyclic_components(lambda i: _bits(p.reach[i]))
-    for root in _bits(sources):
-        for nodes, _ in visit(root):
-            members = sum(1 << i for i in nodes)
-            if any(p.reach_f[i] & members for i in nodes):
-                return True
-    return False
+    # star[i]: states reachable from i along a non-empty path; rows outside
+    # the sources are zero, so paths stay inside them
+    star = list(p.reach)
+    srcs = list(_bits(sources))
+    for k in srcs:
+        bit, via_k = 1 << k, star[k]
+        for i in srcs:
+            if star[i] & bit:
+                star[i] |= via_k
+    return any(star[j] >> i & 1 for i in srcs for j in _bits(p.reach_f[i]))
 
 
 # --- generic congruence explorer -------------------------------------------
@@ -241,32 +276,36 @@ def _profile_congruence(
     a: Nbw, phase: str, sources: int, budget: int, memo: dict[str, dict] | None = None
 ) -> CongruenceDfw:
     """Right congruence refined by the pair profile's rows in the source mask
-    `sources`; the other rows stay zero.  Only source rows are composed, and
-    each row image is computed once per `memo`, which maps each letter to the
-    row images found so far.  Row images depend only on `a`, so builds over
-    other source masks may share it; without one, a fresh memo is used."""
-    srcs = list(_bits(sources))
+    `sources`; the other rows stay zero.  Payloads are packed profiles (see
+    the module docstring).  Only source rows are composed, and each row image
+    is computed once per `memo`, which maps each letter to a dict from the
+    2n-bit row codes found so far to their image codes.  Row images depend
+    only on `a`, so builds over other source masks may share it; without
+    one, a fresh memo is used."""
     n = len(a.states)
+    low = (1 << n) - 1
+    row_mask = (1 << 2 * n) - 1
+    shifts = [2 * n * i for i in _bits(sources)]
     letters = {sym: letter_profile(a, sym) for sym in a.alphabet}
     memo = {} if memo is None else memo
-    images: dict[str, dict[tuple[int, int], tuple[int, int]]] = {
-        sym: memo.setdefault(sym, {}) for sym in a.alphabet
-    }
+    images: dict[str, dict[int, int]] = {sym: memo.setdefault(sym, {}) for sym in a.alphabet}
 
-    def step_profile(p: Profile, sym: str) -> Profile:
+    def step_profile(code: int, sym: str) -> int:
         known = images[sym]
-        reach, reach_f = [0] * n, [0] * n
-        for i in srcs:
-            row = p.reach[i], p.reach_f[i]
+        out = 0
+        for shift in shifts:
+            row = code >> shift & row_mask
             img = known.get(row)
             if img is None:
-                img = known[row] = _row_compose(*row, letters[sym])
-            reach[i], reach_f[i] = img
-        return Profile(tuple(reach), tuple(reach_f))
+                r, rf = _row_compose(row & low, row >> n, letters[sym])
+                img = known[row] = r | rf << n
+            out |= img << shift
+        return out
 
-    # epsilon rows are diagonal: masking row i of both relations by the
-    # sources zeroes it exactly when i is no source
-    init = Profile(*(tuple(r & sources for r in rows) for rows in epsilon_profile(a)))
+    # epsilon rows are diagonal: source i relates to itself only, and visits
+    # acceptance when i is accepting
+    acc = a.bitmasks()[1]
+    init = sum((1 << i | (acc & 1 << i) << n) << 2 * n * i for i in _bits(sources))
     return build_congruence_dfw(phase, a.alphabet, init, step_profile, budget)
 
 

@@ -18,6 +18,7 @@ from buchicong import (
     letter_profile,
     ordered_step,
 )
+from buchicong.automata import cyclic_components
 
 
 def step(a: Nbw, subset: frozenset[str], sym: str) -> frozenset[str]:
@@ -150,3 +151,22 @@ def restrict(p: Profile, sources: int) -> Profile:
     reach = tuple(r if sources >> i & 1 else 0 for i, r in enumerate(p.reach))
     reach_f = tuple(rf if sources >> i & 1 else 0 for i, rf in enumerate(p.reach_f))
     return Profile(reach, reach_f)
+
+
+def periodic_membership_tarjan(p: Profile, sources: int) -> bool:
+    """The folded periodic membership verdict by strongly connected
+    components: some flagged pair (i, j) has i and j in one component of the
+    pair graph over the sources.  `periodic_membership_from_profile` answers
+    with a reachability closure instead and also checks its input; this
+    checks nothing."""
+
+    def bits(mask: int) -> list[int]:
+        return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    visit = cyclic_components(lambda i: bits(p.reach[i]))
+    for root in bits(sources):
+        for nodes, _ in visit(root):
+            members = sum(1 << i for i in nodes)
+            if any(p.reach_f[i] & members for i in nodes):
+                return True
+    return False

@@ -24,6 +24,7 @@ from buchicong import (
     periodic_membership_from_profile,
     progress_congruence_improved,
     subset_congruence,
+    unpack_profile,
 )
 from conftest import edge_members, pool_automaton, record_criterion, single_word_family, witnesses
 from reference import ordered_reach, ordered_run_dag, state_mask
@@ -277,7 +278,7 @@ def test_ac12_folded_membership_matches_oracle(pool_relations, complement_runs):
         for m, (u, sources) in enumerate(zip(witnesses(row.subset), row.subset.payloads)):
             prog = row.improved[m]
             for cid, v in members(prog).items():
-                p = prog.payloads[cid]
+                p = unpack_profile(prog.payloads[cid], len(a.states))
                 if p.image() == sources:
                     folded = periodic_membership_from_profile(p, sources)
                     compare("improved", row.aid, a, u, v, folded)

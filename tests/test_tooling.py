@@ -9,7 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from buchicong import fdfw, random_nbw
+from buchicong import fdfw, random_nbw, unpack_profile
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -70,3 +70,20 @@ def test_traced_build_counts_every_progress_relation():
             got = tracer.take()
         assert got["calls"][name] == len(f.leading)
         assert got["sizes"][name + "_classes"] == f.size()[1]
+
+
+def test_traced_improved_marking_reads_every_candidate_class():
+    # the improved marking hands each class whose image is its leading
+    # class's state mask to the traced public reader, and no other class
+    tracing = _load_tracing()
+    a = random_nbw(1731, 5)
+    with tracing.Tracer() as tracer:
+        f = fdfw.complement_fdfw_improved(a)
+        got = tracer.take()
+    candidates = sum(
+        unpack_profile(code, len(a.states)).image() == f.leading.payloads[m]
+        for m, prog in f.progress.items()
+        for code in prog.payloads
+    )
+    assert candidates > 0
+    assert got["calls"]["profiles.periodic_membership"] == candidates
