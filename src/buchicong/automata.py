@@ -30,7 +30,8 @@ class AlphabetMismatchError(ValueError):
 
 
 def _check_token(tok: str, kind: str, line: int | None = None) -> str:
-    if not tok or len(tok.split()) != 1 or tok in _RESERVED_TOKENS:
+    # every text format reads `#` as the start of a comment
+    if not tok or len(tok.split()) != 1 or "#" in tok or tok in _RESERVED_TOKENS:
         raise ParseError(f"invalid {kind} token {tok!r}", line)
     return tok
 

@@ -44,7 +44,6 @@ from .preorder import optimal_leading_congruence, optimal_progress_congruence
 from .profiles import (
     DEFAULT_CLASS_BUDGET,
     CongruenceDfw,
-    packed_image,
     periodic_membership_from_profile,
     progress_congruence_improved,
     subset_congruence,
@@ -275,52 +274,63 @@ def _complement_family(
 ) -> Fdfw:
     """Saturated family over `lead`: per leading class m, the progress DFW
     prog = build_progress(a, lead, m, budget, memo=memo), accepting the class
-    ids p of prog for which accepting(m, prog, p) holds.  One step memo serves
-    every leading class of this build and is dropped with it."""
+    ids p of prog that are normalized at m and for which accepting(m, prog, p)
+    holds.  One step memo serves every leading class of this build and is
+    dropped with it.
+
+    Normalization is decided on the leading DFW alone, by the return map:
+    back[p] is the leading class u v reaches for u in m and v in class p,
+    which is the same for every member v because the progress congruence
+    refines the leading one.  Parents precede their children in class-id
+    order, so one pass over `parent` and `via` fills it, and only classes
+    with back[p] == m reach `accepting`."""
+    lead_rows = [lead.rows[sym] for sym in a.alphabet.symbols]
     progress: dict[int, CongruenceDfw] = {}
     memo: dict = {}
     for m in range(len(lead)):
         prog = build_progress(a, lead, m, budget, memo=memo)
+        back = [m]
+        for parent, k in zip(prog.parent[1:], prog.via[1:]):
+            back.append(lead_rows[k][back[parent]])
         progress[m] = prog.with_accepting(
-            frozenset(p for p in range(len(prog)) if accepting(m, prog, p))
+            frozenset(p for p, b in enumerate(back) if b == m and accepting(m, prog, p))
         )
     return Fdfw(a.alphabet, lead, progress, saturated=True)
 
 
 def complement_fdfw_optimal(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw:
-    """Complement family over the ordered-subset congruences.  A progress class
-    of leading class m accepts when its payload returns to m (normalized for
-    every member) and `OptProgressState.accepts_period` rejects.  Class 0
-    with no edge into it holds only the empty word, no period, and is left
-    non-accepting; the rows are searched for such an edge once per progress
-    DFW, at class 0."""
+    """Complement family over the ordered-subset congruences.  A normalized
+    progress class of leading class m accepts when
+    `OptProgressState.accepts_period` rejects.  Class 0 with no edge into it
+    holds only the empty word, no period, and is left non-accepting; the rows
+    are searched for such an edge once per progress DFW, at class 0.  The
+    improved builder has no such rule, and the two differ there on purpose:
+    both families are pinned byte for byte."""
 
     lead = optimal_leading_congruence(a, budget)
 
     def accepting(m: int, prog: CongruenceDfw, p: int) -> bool:
-        st = prog.payloads[p]
-        if st.lead != m or p == 0 and not any(0 in row for row in prog.rows.values()):
+        if p == 0 and not any(0 in row for row in prog.rows.values()):
             return False
-        return not st.accepts_period(lead.payloads[m].blocks)
+        return not prog.payloads[p].accepts_period(lead.payloads[m].blocks)
 
     return _complement_family(a, lead, optimal_progress_congruence, accepting, budget)
 
 
 def complement_fdfw_improved(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw:
     """Complement family over the subset leading congruence and pair profiles
-    over each leading class's states.  Acceptance is read off the payloads
-    alone: the profile image must re-create the leading class's state mask
-    and the folded periodic membership test must fail.  The image is read
-    off the packed payload; only classes that pass are unpacked."""
+    over each leading class's states.  A normalized progress class accepts
+    when the folded periodic membership test on its unpacked payload fails.
+    Unlike the optimal builder, this accepts a class 0 with no edge into it
+    whenever the leading class holds no accepting state (the empty word's
+    profile then has no flagged pair); changing either builder's rule would
+    change its pinned output."""
 
     lead = subset_congruence(a, budget)
     n = len(a.states)
 
     def accepting(m: int, prog: CongruenceDfw, p: int) -> bool:
-        code, sources = prog.payloads[p], lead.payloads[m]
-        if packed_image(code, n) != sources:
-            return False
-        return not periodic_membership_from_profile(unpack_profile(code, n), sources)
+        return not periodic_membership_from_profile(unpack_profile(prog.payloads[p], n), lead.payloads[m])
 
     return _complement_family(a, lead, progress_congruence_improved, accepting, budget)
 

@@ -20,7 +20,10 @@ over the state order of the automaton.  It has no size field, and only
 pair-profile congruences store each class as one packed int instead: row i
 occupies bits [2n*i, 2n*i + 2n), its low n bits holding reach[i] and its high
 n bits reach_f[i], and rows outside the source set are zero.  `unpack_profile`
-turns such a payload back into a `Profile`.
+turns such a payload back into a `Profile`.  The image of an improved
+progress class's profile is the state mask of the subset class its members
+lead the sources to; the complement builder reads that class off the leading
+DFW's rows by the return map of `fdfw._complement_family`, not off the code.
 """
 
 from __future__ import annotations
@@ -62,18 +65,6 @@ class Profile(NamedTuple):
 
     reach: tuple[int, ...]
     reach_f: tuple[int, ...]
-
-    def image(self) -> int:
-        """Mask of the states some run on the word ends in."""
-        out = 0
-        for r in self.reach:
-            out |= r
-        return out
-
-
-def epsilon_profile(a: Nbw) -> Profile:
-    diagonal = tuple(1 << i for i in range(len(a.states)))
-    return Profile(diagonal, tuple(d & a.bitmasks()[1] for d in diagonal))
 
 
 def letter_profile(a: Nbw, sym: str) -> Profile:
@@ -120,17 +111,6 @@ def unpack_profile(code: int, n: int) -> Profile:
         tuple(code >> 2 * n * i & mask for i in range(n)),
         tuple(code >> (2 * i + 1) * n & mask for i in range(n)),
     )
-
-
-def packed_image(code: int, n: int) -> int:
-    """`unpack_profile(code, n).image()` without unpacking: halving folds OR
-    the upper rows onto the lower ones until row 0 holds every reach field.
-    Shifts are whole rows, so reach_f bits never land in a reach field."""
-    rows = n
-    while rows > 1:
-        rows = (rows + 1) >> 1
-        code |= code >> 2 * n * rows
-    return code & (1 << n) - 1
 
 
 def periodic_membership_from_profile(p: Profile, sources: int) -> bool:

@@ -1,6 +1,7 @@
 """Reference computations the tests compare the library against, each
-written without sharing code with the construction it checks, plus two
-test-only helpers over the library: `ordered_reach` and `pretty`."""
+written without sharing code with the construction it checks, plus
+test-only helpers over the library: `ordered_reach`, `pretty`,
+`epsilon_profile` and `image`."""
 
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from buchicong import (
     Profile,
     Word,
     compose,
-    epsilon_profile,
     initial_preordered,
     letter_profile,
     ordered_step,
@@ -134,6 +134,20 @@ def max_class_map_direct(
         for qi in reach[bi]:
             if qi not in out or bi > out[qi][0]:
                 out[qi] = (bi, qi in touched[bi])
+    return out
+
+
+def epsilon_profile(a: Nbw) -> Profile:
+    """Profile of the empty word: the identity, flagged on accepting states."""
+    diagonal = tuple(1 << i for i in range(len(a.states)))
+    return Profile(diagonal, tuple(d & a.bitmasks()[1] for d in diagonal))
+
+
+def image(p: Profile) -> int:
+    """Mask of the states some run on the word ends in."""
+    out = 0
+    for r in p.reach:
+        out |= r
     return out
 
 

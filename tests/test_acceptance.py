@@ -27,7 +27,7 @@ from buchicong import (
     unpack_profile,
 )
 from conftest import edge_members, pool_automaton, record_criterion, single_word_family, witnesses
-from reference import ordered_reach, ordered_run_dag, state_mask
+from reference import image, ordered_reach, ordered_run_dag, state_mask
 
 
 def bn_payloads(a: Nbw, n: int) -> set[int]:
@@ -279,7 +279,7 @@ def test_ac12_folded_membership_matches_oracle(pool_relations, complement_runs):
             prog = row.improved[m]
             for cid, v in members(prog).items():
                 p = unpack_profile(prog.payloads[cid], len(a.states))
-                if p.image() == sources:
+                if image(p) == sources:
                     folded = periodic_membership_from_profile(p, sources)
                     compare("improved", row.aid, a, u, v, folded)
         for m, (u, base) in enumerate(zip(witnesses(row.optimal), row.optimal.payloads)):

@@ -111,6 +111,11 @@ def test_parse_word_splits_tokens_and_single_chars():
 
 def test_nbw_validates_declarations():
     ab = Alphabet(("a",))
+    # `#` starts a comment in every text format, so no token may hold one
+    with pytest.raises(ValueError, match="invalid state token"):
+        Nbw(ab, ("q#1",), frozenset(), {}, frozenset())
+    with pytest.raises(ValueError, match="invalid symbol token"):
+        Alphabet(("a#1", "b"))
     with pytest.raises(ValueError):
         Nbw(ab, ("p", "p"), frozenset(), {}, frozenset())
     with pytest.raises(ValueError):

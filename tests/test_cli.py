@@ -185,6 +185,15 @@ def test_family_out_dash_still_writes_stdout(capsys):
     assert len(parse_nbw(out).states) == 5
 
 
+def test_family_rejects_a_symbol_holding_a_comment_mark(tmp_path, capsys):
+    # the written file would lose every token after the `#` on reading
+    out = tmp_path / "x.nbw"
+    code = main(["family", "--variant", "random", "--n", "2", "--symbols", "a#1 b", "--out", str(out)])
+    assert code == 2
+    assert "invalid symbol token 'a#1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- membership and containment ------------------------------------------------------
 
 

@@ -39,11 +39,13 @@ from buchicong import (
     serialize_fdfw,
     serialize_nbw,
     subset_congruence,
+    unpack_profile,
 )
 from buchicong import fdfw
 from buchicong.automata import _product_lasso
 from buchicong.fdfw import _accepting_composition_closed
 from conftest import canonical_corpus, mixed_blocks_nbw, single_word_family, witnesses
+from reference import image
 
 
 # --- decomposition semantics -------------------------------------------------------
@@ -396,6 +398,24 @@ def test_optimal_marking_reads_no_profile(monkeypatch):
     automata += [random_nbw(seed, 3 + seed % 3) for seed in range(1729, 1735)]
     for a in automata:
         complement_fdfw_optimal(a)
+
+
+def test_progress_classes_return_where_their_payload_says():
+    # the marking decides normalization by the return map over the leading
+    # rows; it must agree with what each payload records: the optimal
+    # payload's `lead`, and the subset class of the improved profile's image
+    automata = [gen_bn(k) for k in range(1, 5)] + [gen_bn_dbw(k) for k in range(1, 5)]
+    automata += [random_nbw(s, 2 + s % 5) for s in range(2000, 2100)]
+    for a in automata:
+        n = len(a.states)
+        opt, imp = complement_fdfw_optimal(a), complement_fdfw_improved(a)
+        for m, prog in opt.progress.items():
+            for p, st in enumerate(prog.payloads):
+                assert opt.leading.run(prog.witness(p), start=m) == st.lead, (a, m, p)
+        for m, prog in imp.progress.items():
+            for p, code in enumerate(prog.payloads):
+                back = imp.leading.run(prog.witness(p), start=m)
+                assert imp.leading.payloads[back] == image(unpack_profile(code, n)), (a, m, p)
 
 
 def test_congruences_step_on_compiled_masks(monkeypatch):

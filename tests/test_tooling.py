@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 from buchicong import fdfw, random_nbw, unpack_profile
+from reference import image
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -81,9 +82,26 @@ def test_traced_improved_marking_reads_every_candidate_class():
         f = fdfw.complement_fdfw_improved(a)
         got = tracer.take()
     candidates = sum(
-        unpack_profile(code, len(a.states)).image() == f.leading.payloads[m]
+        image(unpack_profile(code, len(a.states))) == f.leading.payloads[m]
         for m, prog in f.progress.items()
         for code in prog.payloads
     )
     assert candidates > 0
     assert got["calls"]["profiles.periodic_membership"] == candidates
+
+
+def test_benchmark_workloads_pass_their_correctness_gate(monkeypatch):
+    # every workload's set-up checks and op checks compare the built families
+    # and automata with the digests pinned for the benchmark instances, so a
+    # change to their bytes fails here rather than in a benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for name, make_pool in workloads.WORKLOADS.items():
+        pool = make_pool(1729)
+        assert [err for err in (check() for check in pool.setup_checks) if err] == [], name
+        assert [err for err in (op.check(op.call()) for op in pool.ops) if err] == [], name
