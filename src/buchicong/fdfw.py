@@ -29,6 +29,7 @@ from .automata import (
     ParseError,
     UpWord,
     Word,
+    _check_token,
     _meaningful_lines,
     _product_lasso,
     _read_alphabet,
@@ -115,50 +116,35 @@ def _normalized_powers(f: Fdfw, m: int, rot: Word) -> Iterator[tuple[int, bool]]
             yield len(seen), pp in prog.accepting
 
 
-def _accepting_power(f: Fdfw, m: int, rot: Word) -> int | None:
-    """Smallest j >= 1 such that rot^j both returns to leading class m and is
-    captured there, or None when no power works."""
-    return next((j for j, captured in _normalized_powers(f, m, rot) if captured), None)
-
-
-def _positions(f: Fdfw, w: UpWord) -> Iterator[tuple[Word, Word, int]]:
-    """(prefix, rotated period, leading class of prefix) for every cut
-    position that can start a decomposition of w.  w must be canonical, so
-    cut positions range over the prefix end plus enough period turns to see
-    every (leading class, phase) pair at least once."""
-    u, r = w.prefix, w.period
-    lead = f.leading
-    m = lead.run(u)
-    prefix = list(u)
-    for t in range(len(r) * (len(lead) + 1) + 1):
-        phase = t % len(r)
-        yield tuple(prefix), r[phase:] + r[:phase], m
-        sym = r[phase]
-        prefix.append(sym)
-        m = lead.rows[sym][m]
-
-
-def find_accepting_decomposition(f: Fdfw, w: UpWord) -> UpWord | None:
-    """Some accepted decomposition of the infinite word, or None.  Every
-    decomposition of w is a cut position plus a power of the rotated period;
-    verdicts depend only on (leading class, phase), which bounds the search."""
-    w = w.canonical()
-    memo: set[tuple[int, int]] = set()
-    for prefix, rot, m in _positions(f, w):
-        key = (m, (len(prefix) - len(w.prefix)) % len(w.period))
-        if key in memo:
-            continue
-        memo.add(key)
-        j = _accepting_power(f, m, rot)
-        if j is not None:
-            return UpWord(prefix, rot * j)
-    return None
+def _cuts(f: Fdfw, w: UpWord) -> Iterator[tuple[int, Word, int]]:
+    """(t, period rotated by t, leading class) for every cut t period letters
+    past the prefix of canonical w = (u, v), the leading class being that of
+    u v^(t // |v|) v[:t % |v|].  Every decomposition of w is such a cut plus
+    a power of its rotated period, and the cuts run over enough period turns
+    to see every (leading class, phase) pair at least once."""
+    u, v = w.prefix, w.period
+    rots = [v[i:] + v[:i] for i in range(len(v))]
+    rows = f.leading.rows
+    m = f.leading.run(u)
+    for t in range(len(v) * (len(f.leading) + 1) + 1):
+        phase = t % len(v)
+        yield t, rots[phase], m
+        m = rows[v[phase]][m]
 
 
 def accepts_upword_general(f: Fdfw, w: UpWord) -> bool:
     """Acceptance by existence of some accepted decomposition.  Always sound;
-    the reference semantics for arbitrary families."""
-    return find_accepting_decomposition(f, w) is not None
+    the reference semantics for arbitrary families.  Verdicts depend only on
+    (leading class, phase), so each pair is searched once."""
+    w = w.canonical()
+    seen: set[tuple[int, int]] = set()
+    for t, rot, m in _cuts(f, w):
+        key = (m, t % len(w.period))
+        if key not in seen:
+            seen.add(key)
+            if any(captured for _, captured in _normalized_powers(f, m, rot)):
+                return True
+    return False
 
 
 def normalize_decomposition(f: Fdfw, d: UpWord) -> UpWord:
@@ -184,7 +170,7 @@ def accepts_upword_saturated(f: Fdfw, w: UpWord) -> bool:
     """Acceptance decided on one pumped normalized decomposition.  Equals the
     general semantics exactly when the family is saturated."""
     norm = normalize_decomposition(f, w)
-    return accepts_decomposition(f, norm.prefix, norm.period)
+    return is_captured(f, norm.prefix, norm.period)
 
 
 def accepts_upword(f: Fdfw, w: UpWord) -> bool:
@@ -199,7 +185,7 @@ def accepts_upword(f: Fdfw, w: UpWord) -> bool:
 
 
 @dataclass(frozen=True)
-class SaturationViolation(Exception):
+class SaturationViolation:
     """One ultimately periodic word with disagreeing normalized
     decompositions: some captured, some not."""
 
@@ -218,15 +204,17 @@ def _normalized_verdicts(
     f: Fdfw, w: UpWord, cap: int
 ) -> tuple[list[UpWord], list[UpWord]]:
     """Normalized decompositions of canonical w split by capturedness, each
-    list truncated to `cap` entries.  Positions are not deduplicated, so the
+    list truncated to `cap` entries.  Cuts are not deduplicated, so the
     reported examples keep their natural cut points."""
+    u, v = w.prefix, w.period
     captured: list[UpWord] = []
     uncaptured: list[UpWord] = []
-    for prefix, rot, m in _positions(f, w):
+    for t, rot, m in _cuts(f, w):
         for j, hit in _normalized_powers(f, m, rot):
             target = captured if hit else uncaptured
             if len(target) < cap:
-                target.append(UpWord(prefix, rot * j))
+                q, phase = divmod(t, len(v))
+                target.append(UpWord(u + v * q + v[:phase], rot * j))
         if len(captured) >= cap and len(uncaptured) >= cap:
             break
     return captured, uncaptured
@@ -529,7 +517,7 @@ def _parse_dfw_block(
     if "states" not in fields or "initial" not in fields:
         raise ParseError("block needs states and initial lines")
     no, value = fields["states"]
-    names = tuple(value.split())
+    names = tuple(_check_token(nm, "state", no) for nm in value.split())
     if not names or len(set(names)) != len(names):
         raise ParseError("states must be non-empty and distinct", no)
     ids = {nm: i for i, nm in enumerate(names)}

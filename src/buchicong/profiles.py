@@ -33,7 +33,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
-from .automata import Alphabet, Nbw, Word, _bits
+from .automata import Alphabet, Nbw, Word, _bits, path_to
 
 DEFAULT_CLASS_BUDGET = 200_000
 
@@ -124,14 +124,12 @@ def periodic_membership_from_profile(p: Profile, sources: int) -> bool:
     comes from Warshall's algorithm on the row bitmasks.  Requires the image
     condition, otherwise the folding is unsound.
     """
-    image = stray = outside = 0
-    for i, (r, rf) in enumerate(zip(p.reach, p.reach_f)):
+    _check(p)
+    image = outside = 0
+    for i, r in enumerate(p.reach):
         image |= r
-        stray |= rf & ~r
         if not sources >> i & 1:
             outside |= r  # reach_f rows are submasks of reach rows
-    if stray or len(p.reach) != len(p.reach_f):
-        raise ValueError("reach_f needs one row per reach row, each a submask of it")
     if outside:
         raise ValueError("nonzero row outside the source set")
     if image != sources:
@@ -176,11 +174,8 @@ class CongruenceDfw:
     def witness(self, c: int) -> Word | None:
         """Shortest word reaching class c, ties broken by alphabet order, or
         None when no word does."""
-        letters = []
-        while self.via[c] >= 0:
-            letters.append(self.alphabet.symbols[self.via[c]])
-            c = self.parent[c]
-        return tuple(reversed(letters)) if c == self.initial else None
+        nodes, letters = path_to(self.parent, self.via, c)
+        return tuple(self.alphabet.symbols[k] for k in letters) if nodes[0] == self.initial else None
 
     def run(self, word: Word, start: int | None = None) -> int:
         cur = self.initial if start is None else start

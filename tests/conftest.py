@@ -109,6 +109,22 @@ def single_word_family() -> Fdfw:
     return Fdfw(alphabet, lead, {0: prog}, saturated=False)
 
 
+# a family whose one leading class is named `->`, which no text format allows
+# as a state id; its `states:` line is line 4
+ARROW_CLASS_FAMILY = """fdfw
+alphabet: a
+leading:
+states: ->
+initial: ->
+trans: -> a -> ->
+progress ->:
+states: n0
+initial: n0
+accepting: n0
+trans: n0 a -> n0
+"""
+
+
 def mixed_blocks_nbw() -> Nbw:
     """Three fully initial states where state 3 alone is accepting and the two
     letters hand acceptance chances back and forth.  Its complement families

@@ -14,7 +14,7 @@ import pytest
 import buchicong
 from buchicong import parse_fdfw, parse_nbw, serialize_fdfw, serialize_nbw
 from buchicong.cli import main
-from conftest import single_word_family
+from conftest import ARROW_CLASS_FAMILY, single_word_family
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +297,16 @@ def test_to_nbw_from_variant_and_from_file(b3_file, tmp_path, capsys):
     assert code == 0
     assert tsv_rows(out)[0]["source"] == str(fam)
     parse_nbw(nbw_out.read_text())
+
+
+def test_to_nbw_rejects_a_family_with_an_arrow_class_name(tmp_path, capsys):
+    fam = tmp_path / "arrow.fdfw"
+    fam.write_text(ARROW_CLASS_FAMILY)
+    code = main(["to-nbw", "--fdfw", str(fam)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "line 4: invalid state token '->'" in err
 
 
 def test_to_nbw_exits_1_on_a_bound_breach(b3_file, capsys, monkeypatch):

@@ -3,7 +3,10 @@ probing, and the translation back to a Büchi automaton."""
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import pickle
+import random
 
 import pytest
 
@@ -44,7 +47,7 @@ from buchicong import (
 from buchicong import fdfw
 from buchicong.automata import _product_lasso
 from buchicong.fdfw import _accepting_composition_closed
-from conftest import canonical_corpus, mixed_blocks_nbw, single_word_family, witnesses
+from conftest import ARROW_CLASS_FAMILY, canonical_corpus, mixed_blocks_nbw, single_word_family, witnesses
 from reference import image
 
 
@@ -97,6 +100,77 @@ def test_saturation_probe_reports_the_disagreeing_pair():
     assert UpWord(("a", "b"), ("a", "b")) in v.captured
     assert UpWord(("a", "b"), ("a", "b", "a", "b")) in v.uncaptured
     assert "captured" in str(v)
+
+
+def test_saturation_violations_copy_and_pickle():
+    # a frozen Exception subclass failed all three with FrozenInstanceError
+    v = check_saturation_sampled(single_word_family(), 2, 2)[0]
+    for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert twin == v
+        assert str(twin) == str(v)
+
+
+def _random_family(rng: random.Random) -> Fdfw:
+    """A family over {a, b} with random leading and progress rows and random
+    initial classes, each progress class accepting with probability 0.4.
+    Such families are rarely saturated."""
+
+    def block(prefix: str, n: int, accepting: bool) -> list[str]:
+        names = [f"{prefix}{i}" for i in range(n)]
+        lines = ["states: " + " ".join(names), f"initial: {rng.choice(names)}"]
+        if accepting:
+            lines.append("accepting: " + " ".join(nm for nm in names if rng.random() < 0.4))
+        lines += [f"trans: {nm} {sym} -> {rng.choice(names)}" for nm in names for sym in "ab"]
+        return lines
+
+    lead_n = rng.randint(1, 3)
+    lines = ["fdfw", "alphabet: a b", "leading:", *block("m", lead_n, False)]
+    for m in range(lead_n):
+        lines += [f"progress m{m}:", *block("n", rng.randint(1, 4), True)]
+    return parse_fdfw("\n".join(lines) + "\n")
+
+
+def _random_families(count: int) -> list[Fdfw]:
+    rng = random.Random(1729)
+    return [_random_family(rng) for _ in range(count)]
+
+
+def _brute_force_accepts(f: Fdfw, w: UpWord) -> bool:
+    """Some decomposition of canonical w = (u, r) is normalized and captured.
+    Each one cuts t period letters after u and takes a power j of r rotated
+    by t; cuts within |leading| + 1 turns and powers up to
+    |leading| * |progress| reach every verdict."""
+    u, r = w.prefix, w.period
+    powers = len(f.leading) * max(map(len, f.progress.values()))
+    for t in range(len(r) * (len(f.leading) + 1)):
+        q, phase = divmod(t, len(r))
+        prefix, rot = u + r * q + r[:phase], r[phase:] + r[:phase]
+        for j in range(1, powers + 1):
+            if is_normalized(f, prefix, rot * j) and is_captured(f, prefix, rot * j):
+                return True
+    return False
+
+
+def test_general_acceptance_matches_brute_force_on_random_families():
+    for f in _random_families(300):
+        for w in canonical_corpus(f.alphabet, 2, 2):
+            assert accepts_upword_general(f, w) == _brute_force_accepts(f, w), (serialize_fdfw(f), str(w))
+
+
+# sha256 over the general and saturated verdicts of every canonical word with
+# |u|, |v| <= 2 and over the words and decompositions that
+# check_saturation_sampled(f, 2, 2, cap=3) reports, on 300 random families
+RANDOM_FAMILY_DIGEST = "d40ecc8c21d291dd"
+
+
+def test_random_family_verdicts_are_pinned():
+    h = hashlib.sha256()
+    for f in _random_families(300):
+        for w in canonical_corpus(f.alphabet, 2, 2):
+            h.update(f"{w} {accepts_upword_general(f, w)} {accepts_upword_saturated(f, w)}\n".encode())
+        for v in check_saturation_sampled(f, 2, 2, cap=3):
+            h.update(" ".join(map(str, (v.word, *v.captured, "|", *v.uncaptured))).encode() + b"\n")
+    assert h.hexdigest()[:16] == RANDOM_FAMILY_DIGEST
 
 
 def test_foreign_symbols_are_value_errors():
@@ -644,3 +718,7 @@ def test_family_parse_rejects_malformed_blocks():
         with pytest.raises(ParseError) as err:
             parse_fdfw(text.replace("saturated: false\n", f"saturated: false\n{dup}\n"))
         assert err.value.line == 4
+    # `->` used to parse as a class name and come back as m0
+    with pytest.raises(ParseError, match="invalid state token '->'") as err:
+        parse_fdfw(ARROW_CLASS_FAMILY)
+    assert err.value.line == 4
