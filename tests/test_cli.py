@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -475,6 +477,80 @@ def test_reports_are_byte_identical(capsys):
     code2, out2 = run(capsys, *argv)
     assert (code1, code2) == (0, 0)
     assert out1 == out2
+
+
+def _mask_elapsed(out: str) -> str:
+    """The report with every elapsed_ms value replaced by `-`."""
+    if out.startswith("["):
+        return re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": -', out)
+    rows = [line.split("\t") for line in out.splitlines()]
+    if rows and "elapsed_ms" in rows[0]:
+        col = rows[0].index("elapsed_ms")
+        for row in rows[1:]:
+            row[col] = "-"
+    return "".join("\t".join(row) + "\n" for row in rows)
+
+
+def _report_commands() -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """(argv, files it writes) for every subcommand on bn3 and bn-dbw3."""
+    cmds: list = [
+        (("family", "--variant", "bn", "--n", "3"), ()),
+        (("family", "--variant", "bn-dbw", "--n", "3"), ()),
+        (("contains", "bn3.nbw", "dbw3.nbw"), ()),
+        (("contains", "dbw3.nbw", "bn3.nbw", "--json"), ()),
+        (("saturation-check", "--fdfw", "single.fdfw", "--max-u", "2", "--max-v", "2"), ()),
+        (("saturation-check", "--fdfw", "single.fdfw", "--max-u", "1", "--max-v", "2", "--json"), ()),
+    ]
+    suites = ("--bn", "3", "--bn-dbw", "3", "--random", "0")
+    for extra in ((), ("--json",), ("--timings",), ("--json", "--timings"), ("--budget", "9")):
+        cmds.append((("bounds-suite", *suites, *extra), ()))
+    for name in ("bn3", "dbw3"):
+        src = ("--in", f"{name}.nbw")
+        for fmt in ((), ("--json",)):
+            cmds.append((("classes", *src, *fmt), ()))
+            for relation in ("subset", "optimal-progress"):
+                dump = f"{name}.{relation}{''.join(fmt)}.dfw"
+                context = ("--u", "0") if relation.endswith("progress") else ()
+                argv = ("classes", *src, "--relation", relation, *context, "--dump", dump, *fmt)
+                cmds.append((argv, (dump, dump + ".witnesses.tsv")))
+            for variant in ("optimal", "improved"):
+                fam = f"{name}.{variant}{''.join(fmt)}.fdfw"
+                for timings in ((), ("--timings",)):
+                    argv = ("complement", *src, "--variant", variant, *timings, *fmt)
+                    cmds.append((argv, ()))
+                cmds.append((("complement", *src, "--variant", variant, "--out", fam, *fmt), (fam,)))
+                cmds.append((("to-nbw", "--fdfw", fam, "--out", fam + ".nbw", *fmt), (fam + ".nbw",)))
+                cmds.append((("to-nbw", *src, "--variant", variant, *fmt), ()))
+                argv = ("saturation-check", *src, "--variant", variant, "--max-u", "1", "--max-v", "2", *fmt)
+                cmds.append((argv, ()))
+            for via in ("oracle", "complement-optimal", "complement-improved"):
+                for u, v in (("1", "1 1"), ("", "0"), ("0 1", "2 3")):
+                    cmds.append((("member", *src, "--u", u, "--v", v, "--via", via, *fmt), ()))
+            for timings in ((), ("--timings",)):
+                argv = ("equiv-suite", *src, "--bn", "", "--random", "0", "--max-u", "2", "--max-v", "2")
+                cmds.append(((*argv, *timings, *fmt), ()))
+    return cmds
+
+
+# sha256 over the argv, exit code, stdout and written files of every command
+# of _report_commands, with elapsed_ms values masked
+REPORT_DIGEST = "a04647d9057c0b64"
+
+
+def test_every_report_is_pinned(tmp_path, capsys, monkeypatch, b3):
+    from buchicong import gen_bn_dbw
+
+    monkeypatch.chdir(tmp_path)
+    Path("bn3.nbw").write_text(serialize_nbw(b3))
+    Path("dbw3.nbw").write_text(serialize_nbw(gen_bn_dbw(3)))
+    Path("single.fdfw").write_text(serialize_fdfw(single_word_family()))
+    h = hashlib.sha256()
+    for argv, written in _report_commands():
+        code, out = run(capsys, *argv)
+        h.update(f"{argv!r}\n{code}\n{_mask_elapsed(out)}".encode())
+        for path in written:
+            h.update(Path(path).read_bytes())
+    assert h.hexdigest()[:16] == REPORT_DIGEST
 
 
 def test_equiv_suite_exit_reflects_agreement(capsys):
