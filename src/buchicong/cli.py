@@ -13,13 +13,11 @@ failed, 2 malformed input or usage, 3 class budget exceeded.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from .automata import (
     Nbw,
@@ -116,14 +114,21 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _emit(columns: list[str], rows: list[dict], as_json: bool) -> None:
-    if as_json:
-        doc = [{c: row.get(c) for c in columns} for row in rows]
-        print(json.dumps(doc, indent=2))
-        return
-    print("\t".join(columns))
-    for row in rows:
-        print("\t".join(_cell(row.get(c)) for c in columns))
+def _emit(columns: list[str], rows: list[dict], args) -> None:
+    """Print rows under `columns` as TSV, or as one JSON list with --json.  A
+    command that offers --timings keeps its elapsed_ms column only with it."""
+    if not getattr(args, "timings", True):
+        columns = [c for c in columns if c != "elapsed_ms"]
+    if args.json:
+        print(json.dumps([{c: row.get(c) for c in columns} for row in rows], indent=2))
+    else:
+        sys.stdout.write(_tsv(columns, rows))
+
+
+def _tsv(columns: list[str], rows: list[dict]) -> str:
+    lines = ["\t".join(columns)]
+    lines += ["\t".join(_cell(row.get(c)) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _cell(value) -> str:
@@ -131,8 +136,6 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "yes" if value else "no"
-    if isinstance(value, float):
-        return f"{value:.6g}"
     return str(value)
 
 
@@ -206,12 +209,12 @@ def cmd_classes(args) -> int:
         dumped = dfw
     if args.dump and dumped is not None:
         _write_text(args.dump, serialize_dfw(dumped))
-        wit_lines = ["class\twitness"]
-        for c in range(len(dumped)):
-            w = dumped.witness(c)
-            wit_lines.append(f"{DFW_CLASS_PREFIX}{c}\t{'' if w is None else _join_word(w)}")
-        _write_text(args.dump + ".witnesses.tsv", "\n".join(wit_lines) + "\n")
-    _emit(["relation", "classes", "max_witness_len", "elapsed_ms"], rows, args.json)
+        witnesses = [
+            {"class": f"{DFW_CLASS_PREFIX}{c}", "witness": _join_word(dumped.witness(c) or ())}
+            for c in range(len(dumped))
+        ]
+        _write_text(args.dump + ".witnesses.tsv", _tsv(["class", "witness"], witnesses))
+    _emit(["relation", "classes", "max_witness_len", "elapsed_ms"], rows, args)
     return EXIT_OK
 
 
@@ -233,12 +236,13 @@ def cmd_complement(args) -> int:
         "progress_classes": progress,
         "accepting_classes": sum(len(p.accepting) for p in f.progress.values()),
         "macrostates": leading + progress,
+        "elapsed_ms": elapsed,
     }
-    cols = ["variant", "leading_classes", "progress_classes", "accepting_classes", "macrostates"]
-    if args.timings:
-        row["elapsed_ms"] = elapsed
-        cols.append("elapsed_ms")
-    _emit(cols, [row], args.json)
+    cols = [
+        "variant", "leading_classes", "progress_classes", "accepting_classes", "macrostates",
+        "elapsed_ms",
+    ]
+    _emit(cols, [row], args)
     return EXIT_OK
 
 
@@ -263,7 +267,7 @@ def cmd_to_nbw(args) -> int:
         "state_bound": bound,
         "within_bound": len(nbw.states) <= bound,
     }
-    _emit(["source", "nbw_states", "state_bound", "within_bound"], [row], args.json)
+    _emit(["source", "nbw_states", "state_bound", "within_bound"], [row], args)
     return EXIT_OK if row["within_bound"] else EXIT_CHECK_FAILED
 
 
@@ -295,7 +299,7 @@ def cmd_member(args) -> int:
         f = _VARIANTS[args.via.removeprefix("complement-")](a, args.budget)
         row["accepted"] = not accepts_upword(f, w)
         cols = ["u", "v", "via", "accepted"]
-    _emit(cols, [row], args.json)
+    _emit(cols, [row], args)
     return EXIT_OK
 
 
@@ -308,7 +312,7 @@ def cmd_contains(args) -> int:
         "counterexample_prefix": _join_word(cex.prefix) if cex else None,
         "counterexample_period": _join_word(cex.period) if cex else None,
     }
-    _emit(["holds", "counterexample_prefix", "counterexample_period"], [row], args.json)
+    _emit(["holds", "counterexample_prefix", "counterexample_period"], [row], args)
     return EXIT_OK if holds else EXIT_CHECK_FAILED
 
 
@@ -345,33 +349,11 @@ def cmd_saturation_check(args) -> int:
         }
         for v in violations
     ]
-    _emit(["word_prefix", "word_period", "captured", "uncaptured"], rows, args.json)
+    _emit(["word_prefix", "word_period", "captured", "uncaptured"], rows, args)
     return EXIT_OK if not violations else EXIT_CHECK_FAILED
 
 
 # --- bounds suite ----------------------------------------------------------------
-
-
-@dataclass
-class StatsRow:
-    """Per-automaton bound measurements; None marks a phase that exceeded its
-    class budget (recorded in budget_exceeded, never aborting the table)."""
-
-    id: str
-    n: int
-    deterministic: bool
-    classical: int | None = None
-    subset: int | None = None
-    improved_max: int | None = None
-    improved_sum: int | None = None
-    optimal: int | None = None
-    optimal_progress_max: int | None = None
-    optimal_progress_sum: int | None = None
-    macro_improved: int | None = None
-    macro_optimal: int | None = None
-    bounds_ok: bool = True
-    budget_exceeded: str = ""
-    elapsed_ms: int | None = None
 
 
 def _arrangement_count(n: int) -> int:
@@ -384,13 +366,15 @@ def _arrangement_count(n: int) -> int:
     return sum(math.comb(n, k) * fubini[k] for k in range(n + 1))
 
 
-def run_bounds_suite(automata: list[tuple[str, Nbw]], budget: int) -> list[StatsRow]:
+def run_bounds_suite(automata: list[tuple[str, Nbw]], budget: int) -> list[dict]:
     """Compute every congruence per automaton, check the per-relation class
-    bounds, and account complement macrostates per variant."""
+    bounds, and account complement macrostates per variant.  A count is None
+    when its phase exceeded the class budget; budget_exceeded names the phase,
+    and the table goes on."""
     rows = []
     for aid, a in automata:
         n = len(a.states)
-        row = StatsRow(aid, n, a.is_deterministic() and a.is_complete())
+        deterministic = a.is_deterministic() and a.is_complete()
         blown: list[str] = []
         t0 = time.perf_counter()
 
@@ -417,35 +401,34 @@ def run_bounds_suite(automata: list[tuple[str, Nbw]], budget: int) -> list[Stats
                 return len(lead), None, None, None
             return len(lead), max(sizes), sum(sizes), len(lead) + sum(sizes)
 
-        row.classical = guarded(lambda: len(classical_congruence(a, budget)))
-        row.subset, row.improved_max, row.improved_sum, row.macro_improved = measure(
-            subset_congruence, progress_congruence_improved
-        )
-        row.optimal, row.optimal_progress_max, row.optimal_progress_sum, row.macro_optimal = (
-            measure(optimal_leading_congruence, optimal_progress_congruence)
-        )
-
-        checks = []
-        if row.classical is not None:
-            checks.append(row.classical <= 3 ** (n * n))
-        if row.subset is not None:
-            checks.append(row.subset <= 2**n)
-        if row.improved_max is not None:
-            checks.append(row.improved_max <= 3 ** (n * n))
-            if row.deterministic:
-                checks.append(row.improved_sum <= 2 * n * n)
-        if row.optimal is not None:
-            checks.append(row.optimal <= _arrangement_count(n))
-        if row.optimal_progress_max is not None:
-            checks.append(row.optimal_progress_max <= n**n * (n + 1) ** n)
-        row.bounds_ok = all(checks)
-        row.budget_exceeded = ";".join(blown)
-        row.elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
+        row = {"id": aid, "n": n, "deterministic": deterministic}
+        row["classical"] = guarded(lambda: len(classical_congruence(a, budget)))
+        improved = ("subset", "improved_max", "improved_sum", "macro_improved")
+        optimal = ("optimal", "optimal_progress_max", "optimal_progress_sum", "macro_optimal")
+        row.update(zip(improved, measure(subset_congruence, progress_congruence_improved)))
+        row.update(zip(optimal, measure(optimal_leading_congruence, optimal_progress_congruence)))
+        # the paper's bounds as (count, cap); the 2n^2 cap on the progress sum
+        # holds for deterministic automata only
+        bounds = [
+            (row["classical"], 3 ** (n * n)),
+            (row["subset"], 2**n),
+            (row["improved_max"], 3 ** (n * n)),
+            (row["improved_sum"] if deterministic else None, 2 * n * n),
+            (row["optimal"], _arrangement_count(n)),
+            (row["optimal_progress_max"], n**n * (n + 1) ** n),
+        ]
+        row["bounds_ok"] = all(count <= cap for count, cap in bounds if count is not None)
+        row["budget_exceeded"] = ";".join(blown)
+        row["elapsed_ms"] = int(round((time.perf_counter() - t0) * 1000))
         rows.append(row)
     return rows
 
 
-_BOUNDS_COLUMNS = [f.name for f in dataclasses.fields(StatsRow)]
+_BOUNDS_COLUMNS = [
+    "id", "n", "deterministic", "classical", "subset", "improved_max", "improved_sum", "optimal",
+    "optimal_progress_max", "optimal_progress_sum", "macro_improved", "macro_optimal",
+    "bounds_ok", "budget_exceeded", "elapsed_ms",
+]
 
 
 def _suite_automata(args) -> list[tuple[str, Nbw]]:
@@ -459,46 +442,21 @@ def _suite_automata(args) -> list[tuple[str, Nbw]]:
     return out
 
 
-def _emit_suite(columns: list[str], rows: list, args) -> None:
-    """Emit suite rows under the fields of their row type; the trailing
-    elapsed_ms column only with --timings."""
-    cols = columns if args.timings else columns[:-1]
-    _emit(cols, [dataclasses.asdict(r) for r in rows], args.json)
-
-
 def cmd_bounds_suite(args) -> int:
     rows = run_bounds_suite(_suite_automata(args), args.budget)
-    _emit_suite(_BOUNDS_COLUMNS, rows, args)
-    if any(not r.bounds_ok for r in rows):
+    _emit(_BOUNDS_COLUMNS, rows, args)
+    if any(not r["bounds_ok"] for r in rows):
         return EXIT_CHECK_FAILED
-    return EXIT_BUDGET if any(r.budget_exceeded for r in rows) else EXIT_OK
+    return EXIT_BUDGET if any(r["budget_exceeded"] for r in rows) else EXIT_OK
 
 
 # --- equivalence suite -------------------------------------------------------------
 
 
-@dataclass
-class EquivRow:
-    """Per (automaton, variant) comparison of complement-family acceptance,
-    complement-automaton acceptance, and the negated lasso oracle over the
+def run_equivalence_suite(aid: str, a: Nbw, max_u: int, max_v: int, budget: int) -> list[dict]:
+    """One row per complement variant: the mismatches of complement-family and
+    complement-automaton acceptance against the negated lasso oracle over the
     whole corpus, plus the exact product-emptiness check."""
-
-    id: str
-    n: int
-    variant: str
-    corpus: int
-    fdfw_mismatches: int
-    nbw_mismatches: int
-    disjoint: bool
-    macrostates: int
-    nbw_states: int
-    nbw_within_bound: bool
-    elapsed_ms: int | None = None
-
-
-def run_equivalence_suite(
-    aid: str, a: Nbw, max_u: int, max_v: int, budget: int
-) -> list[EquivRow]:
     corpus = canonical_upwords(a.alphabet, max_u, max_v)
     oracle = {w: lasso_membership(a, w).accepted for w in corpus}
     rows = []
@@ -506,45 +464,46 @@ def run_equivalence_suite(
         t0 = time.perf_counter()
         f = builder(a, budget)
         nbw = fdfw_to_nbw(f)
-        fdfw_mis = sum(1 for w in corpus if accepts_upword(f, w) == oracle[w])
-        nbw_mis = sum(
-            1 for w in corpus if lasso_membership(nbw, w).accepted == oracle[w]
-        )
-        disjoint = _product_lasso(a, nbw) is None
         leading, progress = f.size()
         rows.append(
-            EquivRow(
-                id=aid,
-                n=len(a.states),
-                variant=variant,
-                corpus=len(corpus),
-                fdfw_mismatches=fdfw_mis,
-                nbw_mismatches=nbw_mis,
-                disjoint=disjoint,
-                macrostates=leading + progress,
-                nbw_states=len(nbw.states),
-                nbw_within_bound=len(nbw.states) <= nbw_state_bound(f),
-                elapsed_ms=int(round((time.perf_counter() - t0) * 1000)),
-            )
+            {
+                "id": aid,
+                "n": len(a.states),
+                "variant": variant,
+                "corpus": len(corpus),
+                "fdfw_mismatches": sum(1 for w in corpus if accepts_upword(f, w) == oracle[w]),
+                "nbw_mismatches": sum(
+                    1 for w in corpus if lasso_membership(nbw, w).accepted == oracle[w]
+                ),
+                "disjoint": _product_lasso(a, nbw) is None,
+                "macrostates": leading + progress,
+                "nbw_states": len(nbw.states),
+                "nbw_within_bound": len(nbw.states) <= nbw_state_bound(f),
+                "elapsed_ms": int(round((time.perf_counter() - t0) * 1000)),
+            }
         )
     return rows
 
 
-_EQUIV_COLUMNS = [f.name for f in dataclasses.fields(EquivRow)]
+_EQUIV_COLUMNS = [
+    "id", "n", "variant", "corpus", "fdfw_mismatches", "nbw_mismatches", "disjoint",
+    "macrostates", "nbw_states", "nbw_within_bound", "elapsed_ms",
+]
 
 
 def cmd_equiv_suite(args) -> int:
     budget = args.budget
-    rows: list[EquivRow] = []
+    rows: list[dict] = []
     if args.infile:
         rows.extend(
             run_equivalence_suite(args.infile, _load_nbw(args.infile), args.max_u, args.max_v, budget)
         )
     for aid, a in _suite_automata(args):
         rows.extend(run_equivalence_suite(aid, a, args.max_u, args.max_v, budget))
-    _emit_suite(_EQUIV_COLUMNS, rows, args)
+    _emit(_EQUIV_COLUMNS, rows, args)
     failed = any(
-        r.fdfw_mismatches or r.nbw_mismatches or not r.disjoint or not r.nbw_within_bound
+        r["fdfw_mismatches"] or r["nbw_mismatches"] or not r["disjoint"]
+        or not r["nbw_within_bound"]
         for r in rows
     )
     return EXIT_CHECK_FAILED if failed else EXIT_OK
