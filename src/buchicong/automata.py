@@ -715,7 +715,7 @@ def _parse_native(lines: list[tuple[int, str]]) -> Nbw:
             raise ParseError(f"missing {key} line")
     alphabet = _read_alphabet(*fields["alphabet"])
     no, value = fields["states"]
-    states = tuple(value.split())
+    states = tuple(_check_token(q, "state", no) for q in value.split())
     known = set(states)
     if len(known) != len(states):
         raise ParseError("duplicate state declaration", no)
@@ -776,7 +776,8 @@ def _parse_hoa(lines: list[tuple[int, str]]) -> Nbw:
         if line == "--END--":
             break
         if line.startswith("State:"):
-            rest = line.split(":", 1)[1].split()
+            head, _, mark = line.removeprefix("State:").partition("{")
+            rest = head.split()
             idx = _hoa_int(rest[0] if rest else "", "'State: <index>'", no)
             if not 0 <= idx < n_states:
                 raise ParseError(f"state index {idx} out of range", no)
@@ -784,7 +785,12 @@ def _parse_hoa(lines: list[tuple[int, str]]) -> Nbw:
                 raise ParseError(f"duplicate 'State: {idx}' line", no)
             defined.add(idx)
             cur = states[idx]
-            if any(tok.startswith("{") for tok in rest[1:]):
+            # the acceptance signature {...}: Buchi acceptance has set 0 alone
+            sets = mark.partition("}")[0].split()
+            for acc in sets:
+                if acc != "0":
+                    raise ParseError(f"acceptance set {acc!r} not in 'Acceptance: Buchi'", no)
+            if sets:
                 accepting.add(cur)
         else:
             if cur is None:

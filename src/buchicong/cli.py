@@ -407,8 +407,8 @@ def run_bounds_suite(automata: list[tuple[str, Nbw]], budget: int) -> list[dict]
         optimal = ("optimal", "optimal_progress_max", "optimal_progress_sum", "macro_optimal")
         row.update(zip(improved, measure(subset_congruence, progress_congruence_improved)))
         row.update(zip(optimal, measure(optimal_leading_congruence, optimal_progress_congruence)))
-        # the paper's bounds as (count, cap); the 2n^2 cap on the progress sum
-        # holds for deterministic automata only
+        # the paper's class bounds as (count, cap), skipping None counts; the
+        # 2n^2 cap on the improved progress sum holds for deterministic automata
         bounds = [
             (row["classical"], 3 ** (n * n)),
             (row["subset"], 2**n),

@@ -209,6 +209,15 @@ def test_intersection_language():
     assert not lasso_membership(both, UpWord(("a",), ("b",))).accepted
 
 
+def test_intersection_without_an_initial_pair_is_one_dead_state():
+    a = parse_nbw("nbw\nalphabet: a\nstates: p\ninitial:\naccepting: p\ntrans: p a -> p\n")
+    b = parse_nbw("nbw\nalphabet: a\nstates: q\ninitial: q\naccepting: q\ntrans: q a -> q\n")
+    for left, right in ((a, b), (b, a)):
+        c = intersect(left, right)
+        assert (c.states, c.initial, c.accepting) == (("(dead)",), frozenset(), frozenset())
+        assert is_empty(c) == (True, None)
+
+
 def test_intersection_requires_shared_alphabet():
     with pytest.raises(AlphabetMismatchError):
         intersect(inf_many("a", "b"), inf_many("a", "c"))
@@ -458,6 +467,50 @@ def test_parse_rejects_malformed_input():
             "State: 0\na 1\nState: 1\na 1\nState: 0 {0}\na 0\n--END--\n"
         )
     assert exc.value.line == 11
+
+
+def test_hoa_marks_follow_the_acceptance_signature():
+    # {} puts the state in no set and Buchi acceptance declares set 0 alone;
+    # both used to make the state accepting
+    hoa = (
+        "HOA: v1\nStates: 1\nStart: 0\nAlphabet: a\nAcceptance: Buchi\n"
+        "--BODY--\nState: 0 {mark}\na 0\n--END--\n"
+    )
+    assert parse_nbw(hoa.format(mark="{0}")).accepting == frozenset({"s0"})
+    assert parse_nbw(hoa.format(mark="{}")).accepting == frozenset()
+    for mark in ("{1}", "{0 1}"):
+        with pytest.raises(ParseError, match="acceptance set '1'") as exc:
+            parse_nbw(hoa.format(mark=mark))
+        assert exc.value.line == 7
+
+
+def test_parse_errors_name_their_line():
+    nbw = "nbw\nalphabet: a\nstates: p q\ninitial: p\naccepting: q\ntrans: p a -> q\n"
+    for old, new, message in (
+        # a state id `->` used to fail later, in Nbw, without its line
+        ("states: p q", "states: -> q", "invalid state token '->'"),
+        ("states: p q", "states: p p", "duplicate state declaration"),
+        ("alphabet: a", "alphabet:", "alphabet must be non-empty"),
+        ("trans: p a -> q", "trans: p a q", "expected 'trans:"),
+        ("trans: p a -> q", "trans: p b -> q", "undeclared symbol 'b'"),
+        ("trans: p a -> q", "trans: p a -> r", "undeclared state 'r'"),
+    ):
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_nbw(nbw.replace(old, new))
+        assert exc.value.line == nbw.splitlines().index(old) + 1
+    hoa = (
+        "HOA: v1\nStates: 2\nStart: 0\nAlphabet: a\nAcceptance: Buchi\n"
+        "--BODY--\nState: 0\na 1\n--END--\n"
+    )
+    for old, new, message in (
+        ("State: 0", "State: 2", "state index 2 out of range"),
+        ("a 1", "a 1 1", "expected '<symbol> <target-index>'"),
+        ("a 1", "b 1", "undeclared symbol 'b'"),
+        ("a 1", "a 2", "state index 2 out of range"),
+    ):
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_nbw(hoa.replace(old, new))
+        assert exc.value.line == hoa.splitlines().index(old) + 1
 
 
 @given(seeded_nbws(max_states=6))

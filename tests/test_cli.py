@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import re
@@ -71,6 +72,21 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("nbw\n")
+
+
+def test_family_bn_dbw_is_deterministic(capsys):
+    code, out = run(capsys, "family", "--variant", "bn-dbw", "--n", "3")
+    assert code == 0
+    a = parse_nbw(out)
+    assert a.is_deterministic() and a.is_complete()
+    assert len(a.states) == 5
+
+
+def test_dash_reads_the_automaton_from_stdin(b3, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_nbw(b3)))
+    code, out = run(capsys, "member", "--in", "-", "--u", "1", "--v", "1 1")
+    assert code == 0
+    assert tsv_rows(out)[0]["accepted"] == "yes"
 
 
 def test_classes_reports_one_relation(b3_file, capsys):
@@ -440,6 +456,15 @@ def test_bounds_suite_names_blown_relations_by_their_budget_phase(capsys):
     assert rows["bn3"]["budget_exceeded"] == "classical;optimal-progress[]"
 
 
+def test_bounds_suite_exits_1_after_the_whole_table_on_a_broken_cap(capsys, monkeypatch):
+    monkeypatch.setattr("buchicong.cli._arrangement_count", lambda n: 0)
+    code, out = run(capsys, "bounds-suite", "--bn", "2,3", "--random", "2")
+    assert code == 1
+    rows = tsv_rows(out)
+    assert [r["id"] for r in rows] == ["bn2", "bn3", "rnd1729n2", "rnd1730n3"]
+    assert {r["bounds_ok"] for r in rows} == {"no"}
+
+
 def test_suites_reject_negative_counts_and_empty_state_ranges(capsys):
     # a negative --random printed an empty table and --states 0 built
     # one-state automata, both with exit 0
@@ -565,6 +590,19 @@ def test_equiv_suite_exit_reflects_agreement(capsys):
         assert row["nbw_within_bound"] == "yes"
 
 
+def test_equiv_suite_includes_the_in_file(b3_file, capsys):
+    code, out = run(
+        capsys, "equiv-suite", "--in", b3_file, "--bn", "", "--random", "1",
+        "--max-u", "1", "--max-v", "1",
+    )
+    assert code == 0
+    rows = tsv_rows(out)
+    assert [(r["id"], r["variant"]) for r in rows] == [
+        (b3_file, "optimal"), (b3_file, "improved"), ("rnd1729n2", "optimal"), ("rnd1729n2", "improved")
+    ]
+    assert rows[0]["n"] == "6"
+
+
 def test_equiv_suite_counts_a_bound_breach_as_failure(capsys, monkeypatch):
     monkeypatch.setattr("buchicong.cli.nbw_state_bound", lambda f: 0)
     code, out = run(
@@ -633,6 +671,16 @@ def test_malformed_file_is_bad_input(tmp_path, capsys):
     bad.write_text("totally not an automaton\n")
     code, _ = run(capsys, "member", "--in", str(bad), "--v", "a")
     assert code == 2
+
+
+def test_bad_state_id_is_bad_input_at_its_line(tmp_path, capsys):
+    bad = tmp_path / "arrow.nbw"
+    bad.write_text("nbw\nalphabet: a\nstates: -> q\ninitial: q\n")
+    code = main(["member", "--in", str(bad), "--v", "a"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "input error: line 3: invalid state token '->'\n"
 
 
 def test_foreign_symbol_is_bad_input(b3_file, capsys):

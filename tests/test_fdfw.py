@@ -718,6 +718,34 @@ def test_family_parse_rejects_malformed_blocks():
         with pytest.raises(ParseError) as err:
             parse_fdfw(text.replace("saturated: false\n", f"saturated: false\n{dup}\n"))
         assert err.value.line == 4
+
+
+def test_family_parse_errors_name_their_line():
+    text = serialize_fdfw(single_word_family())
+    lines = text.splitlines()
+    for old, new, message in (
+        ("states: n0 n1 n2 n3", "states: n0 n1 n2 n0", "states must be non-empty and distinct"),
+        ("states: n0 n1 n2 n3", "states:", "states must be non-empty and distinct"),
+        ("initial: n0", "initial: n0 n1", "need exactly one initial state"),
+        ("initial: n0", "initial: n7", "undeclared initial state 'n7'"),
+        ("trans: n0 a -> n1", "trans: n0 a -> n1 n2", "expected 'trans:"),
+        ("accepting: n2", "accepting: n9", "undeclared accepting state 'n9'"),
+        ("saturated: false", "saturated: maybe", "saturated must be true or false"),
+    ):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_fdfw(text.replace(old, new))
+        assert err.value.line == lines.index(old) + 1
+    leading = "\n".join(lines[3:8]) + "\n"
+    progress = "\n".join(lines[8:]) + "\n"
+    for extra, message in ((leading, "duplicate leading block"), (progress, "duplicate progress block")):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_fdfw(text + extra)
+        assert err.value.line == len(lines) + 1
+    with pytest.raises(ParseError, match="first block must be 'leading:'"):
+        parse_fdfw(text.replace(leading, "").replace(progress, progress + leading))
+    with pytest.raises(ParseError, match="missing progress blocks for 1 leading classes"):
+        parse_fdfw(text.replace(progress, ""))
+    assert serialize_fdfw(parse_fdfw(text.encode())) == text
     # `->` used to parse as a class name and come back as m0
     with pytest.raises(ParseError, match="invalid state token '->'") as err:
         parse_fdfw(ARROW_CLASS_FAMILY)
