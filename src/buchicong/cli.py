@@ -179,15 +179,6 @@ def _relations(a: Nbw, relation: str, context: tuple[str, ...], budget: int):
                 )
 
 
-def _max_witness_len(dfw: CongruenceDfw) -> int:
-    """Depth of the deepest class; a built DFW numbers parents first."""
-    depth = [0] * len(dfw)
-    for c, (parent, k) in enumerate(zip(dfw.parent, dfw.via)):
-        if k >= 0:
-            depth[c] = depth[parent] + 1
-    return max(depth)
-
-
 def cmd_classes(args) -> int:
     a = _load_nbw(args.infile)
     context = parse_word(a.alphabet, args.u or "")
@@ -202,7 +193,8 @@ def cmd_classes(args) -> int:
             {
                 "relation": name,
                 "classes": len(dfw),
-                "max_witness_len": _max_witness_len(dfw),
+                # classes are numbered breadth first, so the last is the deepest
+                "max_witness_len": len(dfw.witness(len(dfw) - 1)),
                 "elapsed_ms": elapsed,
             }
         )
@@ -238,11 +230,7 @@ def cmd_complement(args) -> int:
         "macrostates": leading + progress,
         "elapsed_ms": elapsed,
     }
-    cols = [
-        "variant", "leading_classes", "progress_classes", "accepting_classes", "macrostates",
-        "elapsed_ms",
-    ]
-    _emit(cols, [row], args)
+    _emit(list(row), [row], args)
     return EXIT_OK
 
 
@@ -257,6 +245,8 @@ def _family(args) -> tuple[Fdfw, str]:
 
 def cmd_to_nbw(args) -> int:
     f, source = _family(args)
+    if not f.saturated:
+        print("warning: unsaturated family, so the automaton may accept more words", file=sys.stderr)
     nbw = fdfw_to_nbw(f)
     if args.out:
         _write_text(args.out, serialize_nbw(nbw))
@@ -267,7 +257,7 @@ def cmd_to_nbw(args) -> int:
         "state_bound": bound,
         "within_bound": len(nbw.states) <= bound,
     }
-    _emit(["source", "nbw_states", "state_bound", "within_bound"], [row], args)
+    _emit(list(row), [row], args)
     return EXIT_OK if row["within_bound"] else EXIT_CHECK_FAILED
 
 
@@ -285,21 +275,16 @@ def cmd_member(args) -> int:
     row: dict = {"u": _join_word(u), "v": _join_word(v), "via": args.via}
     if args.via == "oracle":
         verdict = lasso_membership(a, w)
+        lasso = verdict.witness
         row["accepted"] = verdict.accepted
-        row["witness_stem"] = (
-            _join_word(verdict.witness.stem_letters) if verdict.witness else None
-        )
-        row["witness_cycle"] = (
-            _join_word(verdict.witness.cycle_letters) if verdict.witness else None
-        )
-        cols = ["u", "v", "via", "accepted", "witness_stem", "witness_cycle"]
+        row["witness_stem"] = _join_word(lasso.stem_letters) if lasso else None
+        row["witness_cycle"] = _join_word(lasso.cycle_letters) if lasso else None
     else:
         # the complement family accepts exactly the words outside L(A), so
         # membership is its negated verdict
         f = _VARIANTS[args.via.removeprefix("complement-")](a, args.budget)
         row["accepted"] = not accepts_upword(f, w)
-        cols = ["u", "v", "via", "accepted"]
-    _emit(cols, [row], args)
+    _emit(list(row), [row], args)
     return EXIT_OK
 
 
@@ -312,7 +297,7 @@ def cmd_contains(args) -> int:
         "counterexample_prefix": _join_word(cex.prefix) if cex else None,
         "counterexample_period": _join_word(cex.period) if cex else None,
     }
-    _emit(["holds", "counterexample_prefix", "counterexample_period"], [row], args)
+    _emit(list(row), [row], args)
     return EXIT_OK if holds else EXIT_CHECK_FAILED
 
 
@@ -403,10 +388,12 @@ def run_bounds_suite(automata: list[tuple[str, Nbw]], budget: int) -> list[dict]
 
         row = {"id": aid, "n": n, "deterministic": deterministic}
         row["classical"] = guarded(lambda: len(classical_congruence(a, budget)))
-        improved = ("subset", "improved_max", "improved_sum", "macro_improved")
-        optimal = ("optimal", "optimal_progress_max", "optimal_progress_sum", "macro_optimal")
-        row.update(zip(improved, measure(subset_congruence, progress_congruence_improved)))
-        row.update(zip(optimal, measure(optimal_leading_congruence, optimal_progress_congruence)))
+        progress_columns = (
+            ("improved_max", "improved_sum", "macro_improved"),
+            ("optimal_progress_max", "optimal_progress_sum", "macro_optimal"),
+        )
+        for (lead_name, build_lead, _, build_progress), names in zip(_LEADING_AND_PROGRESS, progress_columns):
+            row.update(zip((lead_name, *names), measure(build_lead, build_progress)))
         # the paper's class bounds as (count, cap), skipping None counts; the
         # 2n^2 cap on the improved progress sum holds for deterministic automata
         bounds = [
@@ -492,14 +479,12 @@ _EQUIV_COLUMNS = [
 
 
 def cmd_equiv_suite(args) -> int:
-    budget = args.budget
-    rows: list[dict] = []
+    automata = _suite_automata(args)
     if args.infile:
-        rows.extend(
-            run_equivalence_suite(args.infile, _load_nbw(args.infile), args.max_u, args.max_v, budget)
-        )
-    for aid, a in _suite_automata(args):
-        rows.extend(run_equivalence_suite(aid, a, args.max_u, args.max_v, budget))
+        automata.insert(0, (args.infile, _load_nbw(args.infile)))
+    rows: list[dict] = []
+    for aid, a in automata:
+        rows += run_equivalence_suite(aid, a, args.max_u, args.max_v, args.budget)
     _emit(_EQUIV_COLUMNS, rows, args)
     failed = any(
         r["fdfw_mismatches"] or r["nbw_mismatches"] or not r["disjoint"]
@@ -531,6 +516,12 @@ def _add_suite_selection(p: argparse.ArgumentParser):
     p.add_argument("--symbols", default="a b", help="alphabet of random automata")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base RNG seed")
     p.add_argument("--timings", action="store_true", help="append wall-clock column")
+
+
+def _add_corpus_bounds(p: argparse.ArgumentParser) -> None:
+    """The prefix and period length bounds of the canonical word corpus."""
+    p.add_argument("--max-u", type=int, default=3)
+    p.add_argument("--max-v", type=int, default=3)
 
 
 def _add_source(p: argparse.ArgumentParser, fdfw_help: str) -> None:
@@ -608,8 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("saturation-check", help="probe saturation on a word corpus")
     _add_source(p, "check this family file instead")
-    p.add_argument("--max-u", dest="max_u", type=int, default=3)
-    p.add_argument("--max-v", dest="max_v", type=int, default=3)
+    _add_corpus_bounds(p)
     p.add_argument("--cap", type=int, default=8, help="examples kept per violation side")
     _add_common(p)
     p.set_defaults(func=cmd_saturation_check)
@@ -622,8 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv-suite", help="complement pipeline equivalence table")
     p.add_argument("--in", dest="infile", default=None, help="also include this automaton file")
     _add_suite_selection(p)
-    p.add_argument("--max-u", dest="max_u", type=int, default=3)
-    p.add_argument("--max-v", dest="max_v", type=int, default=3)
+    _add_corpus_bounds(p)
     _add_common(p)
     p.set_defaults(func=cmd_equiv_suite)
 

@@ -12,7 +12,9 @@ samples.
 
 The conversion to a nondeterministic Büchi automaton pins one accepting
 progress class per run and tracks the leading round trip inside each gadget,
-which keeps it sound for any saturated family, not only the constructed ones.
+so it accepts exactly the family's words for any saturated family, not only
+the constructed ones.  For an unsaturated family it accepts a superset: the
+blocks of an accepting run need not be powers of one period.
 """
 
 from __future__ import annotations
@@ -147,30 +149,32 @@ def accepts_upword_general(f: Fdfw, w: UpWord) -> bool:
     return False
 
 
-def normalize_decomposition(f: Fdfw, d: UpWord) -> UpWord:
-    """The normalized decomposition (u v^h, v^k) of the given pair with
-    minimal h >= 0, then minimal k >= 1, such that the leading class of
-    u v^h recurs at u v^(h+k).  Both h and k are at most the number of
-    leading classes, and the result denotes the same infinite word."""
-    u, v = d.prefix, d.period
+def _pumping(f: Fdfw, d: UpWord) -> tuple[int, int, int]:
+    """(h, k, m) for the given pair (u, v): minimal h >= 0, then minimal
+    k >= 1, such that the leading class m of u v^h recurs at u v^(h+k).
+    Both h and k are at most the number of leading classes."""
     lead = f.leading
     seen: dict[int, int] = {}
-    m = lead.run(u)
-    i = 0
+    m = lead.run(d.prefix)
     while m not in seen:
-        seen[m] = i
-        m = lead.run(v, start=m)
-        i += 1
-    h = seen[m]
-    k = i - h
-    return UpWord(u + v * h, v * k)
+        seen[m] = len(seen)
+        m = lead.run(d.period, start=m)
+    return seen[m], len(seen) - seen[m], m
+
+
+def normalize_decomposition(f: Fdfw, d: UpWord) -> UpWord:
+    """The normalized decomposition (u v^h, v^k) of the given pair (u, v)
+    pumped by _pumping; it denotes the same infinite word."""
+    h, k, _ = _pumping(f, d)
+    return UpWord(d.prefix + d.period * h, d.period * k)
 
 
 def accepts_upword_saturated(f: Fdfw, w: UpWord) -> bool:
-    """Acceptance decided on one pumped normalized decomposition.  Equals the
-    general semantics exactly when the family is saturated."""
-    norm = normalize_decomposition(f, w)
-    return is_captured(f, norm.prefix, norm.period)
+    """Acceptance decided on one pumped normalized decomposition (u v^h, v^k):
+    the pumping walk ends at its leading class m, so only v^k is read, by m's
+    progress DFW.  Equals the general semantics exactly when saturated."""
+    _, k, m = _pumping(f, w)
+    return f.progress[m].accepts(w.period * k)
 
 
 def accepts_upword(f: Fdfw, w: UpWord) -> bool:

@@ -120,6 +120,10 @@ def test_nbw_validates_declarations():
         Nbw(ab, ("p", "p"), frozenset(), {}, frozenset())
     with pytest.raises(ValueError):
         Nbw(ab, ("p",), frozenset({"q"}), {}, frozenset())
+    with pytest.raises(ValueError, match="accepting states not declared"):
+        Nbw(ab, ("p",), frozenset(), {}, frozenset({"q"}))
+    with pytest.raises(ValueError, match="transition on undeclared state"):
+        Nbw(ab, ("p",), frozenset(), {("p", "a"): frozenset({"q"})}, frozenset())
     with pytest.raises(ValueError):
         Nbw(ab, ("p",), frozenset(), {("p", "z"): frozenset({"p"})}, frozenset())
 

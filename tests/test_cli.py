@@ -317,6 +317,20 @@ def test_to_nbw_from_variant_and_from_file(b3_file, tmp_path, capsys):
     parse_nbw(nbw_out.read_text())
 
 
+def test_to_nbw_warns_on_an_unsaturated_family(b3_file, tmp_path, capsys):
+    fam = tmp_path / "single.fdfw"
+    fam.write_text(serialize_fdfw(single_word_family()))
+    code = main(["to-nbw", "--fdfw", str(fam)])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert tsv_rows(out)[0]["within_bound"] == "yes"
+    assert err.count("\n") == 1
+    assert err.startswith("warning: unsaturated family")
+    # a built complement is saturated and translates without a word
+    assert main(["to-nbw", "--in", b3_file]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_to_nbw_rejects_a_family_with_an_arrow_class_name(tmp_path, capsys):
     fam = tmp_path / "arrow.fdfw"
     fam.write_text(ARROW_CLASS_FAMILY)

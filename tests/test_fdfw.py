@@ -63,6 +63,13 @@ def test_family_validates_structure():
         Fdfw(f.alphabet, f.leading, {0: bare}, saturated=False)
 
 
+def test_family_rejects_a_progress_dfw_over_another_alphabet(b3):
+    f = single_word_family()
+    foreign = subset_congruence(b3).with_accepting(frozenset())
+    with pytest.raises(ValueError, match="alphabet mismatch inside family"):
+        Fdfw(f.alphabet, f.leading, {0: foreign}, saturated=False)
+
+
 def test_decomposition_verdicts_on_single_word_family():
     f = single_word_family()
     ab = ("a", "b")
@@ -274,6 +281,27 @@ def test_translation_of_empty_family_is_the_dead_automaton(b3):
     nbw = fdfw_to_nbw(muted)
     assert is_empty(nbw)[0]
     assert len(nbw.states) == 1
+
+
+def test_translation_of_an_unsaturated_family_accepts_a_superset():
+    # the automaton accepts every word of the family; unsaturated, it may
+    # accept more, since a run may chain blocks that are not powers of one period
+    for f in _random_families(300):
+        nbw = fdfw_to_nbw(f)
+        for w in canonical_corpus(f.alphabet, 3, 3):
+            if accepts_upword_general(f, w):
+                assert lasso_membership(nbw, w).accepted, (serialize_fdfw(f), str(w))
+
+
+def test_translation_chains_blocks_of_different_periods():
+    # (ab)^omega splits into the blocks aba and bab, both of the odd length
+    # that the accepting class of family 133 takes, yet each normalized
+    # period of (ab)^omega has even length
+    f = _random_families(134)[133]
+    w = UpWord((), ("a", "b"))
+    assert not f.saturated
+    assert not accepts_upword_general(f, w)
+    assert lasso_membership(fdfw_to_nbw(f), w).accepted
 
 
 def test_non_composing_accepting_classes_stay_pinned():

@@ -30,7 +30,6 @@ from buchicong import (
     subset_congruence,
     unpack_profile,
 )
-from buchicong.cli import _max_witness_len
 from buchicong.profiles import _row_compose
 from conftest import edge_members, seeded_nbws, witnesses, words
 from reference import (
@@ -324,7 +323,7 @@ def test_witness_is_the_shortlex_first_word_of_every_class(aid):
         expected = _shortlex_witnesses(dfw)
         assert len(expected) == len(dfw)
         assert [dfw.witness(c) for c in range(len(dfw))] == [expected[c] for c in range(len(dfw))]
-        assert _max_witness_len(dfw) == max(map(len, expected.values()))
+        assert len(dfw.witness(len(dfw) - 1)) == max(map(len, expected.values()))
 
 
 def test_run_rejects_symbols_outside_the_alphabet(b3):
