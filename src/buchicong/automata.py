@@ -503,68 +503,79 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _product_lasso(a: Nbw, b: Nbw) -> UpWord | None:
+def _product_lasso(a: Nbw, b: Nbw, verdict_on: Nbw | None = None) -> UpWord | None:
     """The word of the lasso that is_empty(intersect(a, b)) returns, or None
     when that product is empty; a and b must share their alphabet.  Both
     passes run on integer keys over the state indices p of a and q of b
     and build no product automaton.
 
     The verdict: the product is non-empty exactly when some reachable cyclic
-    component of the pair graph, on the keys p * |b| + q, holds a pair with
+    component of the pair graph, on the keys q * |a| + p, holds a pair with
     p accepting in a and a pair with q accepting in b.  One Tarjan pass
     decides it and stops at the first such component, so a product found
-    empty costs one pass and stores no edges.
+    empty costs one pass and stores no edges.  With `verdict_on`, an
+    automaton with the language of b, that pass runs on a and verdict_on
+    instead.
 
     The witness: a non-empty product is searched again with intersect's
-    two-copy counter c, keyed c * |a||b| + p * |b| + q, since a node of an
+    two-copy counter c, keyed c * |a||b| + q * |a| + p, since a node of an
     accepting pair component need not lie on a cycle of the counter graph.
     Listing each symbol's targets in (p, q) index order makes the search
     number the nodes as intersect does, so the stem, the cycle and the word
     match.  Successor rows are decoded once per call, only for the states
-    the passes reach."""
+    the passes reach; both passes read the same rows of a."""
     succ_a, acc_a = a.bitmasks()
-    succ_b, acc_b = b.bitmasks()
-    nb = len(b.states)
-    count = len(a.states) * nb
+    na = len(a.states)
     syms = a.alphabet.symbols
-    # per state, per symbol: the successors p' of a as p' * |b|, q' of b as
-    # q'; tuples, which the collector stops tracking, so that the rows do
-    # not slow its later passes
-    rows_a: list = [None] * len(a.states)
-    rows_b: list = [None] * nb
+    # per state, per symbol: the successors p' of a as p', q' of the other
+    # side as q' * |a|; tuples, which the collector stops tracking, so that
+    # the rows do not slow its later passes
+    rows_a: list = [None] * na
 
-    def letters(pair: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Per symbol, the successors of the pair's two states."""
-        p, q = divmod(pair, nb)
-        row_a = rows_a[p]
-        if row_a is None:
-            row_a = rows_a[p] = tuple([tuple([nb * pp for pp in _bits(succ_a[sym][p])]) for sym in syms])
-        row_b = rows_b[q]
-        if row_b is None:
-            row_b = rows_b[q] = tuple([tuple(_bits(succ_b[sym][q])) for sym in syms])
-        return zip(row_a, row_b)
+    def pair_graph(c: Nbw) -> tuple[list[int], Callable[[int], Iterator]]:
+        """(roots, letters) of the pair graph of a and c: letters(pair) gives,
+        per symbol, the successors of the pair's two states."""
+        succ_c = c.bitmasks()[0]
+        rows_c: list = [None] * len(c.states)
 
-    def pair_successors(pair: int) -> list[int]:
-        return [pa + qb for ta, tb in letters(pair) for pa in ta for qb in tb]
+        def letters(pair: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+            q, p = divmod(pair, na)
+            row_a = rows_a[p]
+            if row_a is None:
+                row_a = rows_a[p] = tuple([tuple(_bits(succ_a[sym][p])) for sym in syms])
+            row_c = rows_c[q]
+            if row_c is None:
+                row_c = rows_c[q] = tuple([tuple([na * qq for qq in _bits(succ_c[sym][q])]) for sym in syms])
+            return zip(row_a, row_c)
 
-    roots = [
-        a.index(p) * nb + b.index(q)
-        for p in a.sort_states(a.initial)
-        for q in b.sort_states(b.initial)
-    ]
-    visit = cyclic_components(pair_successors)
+        roots = [
+            c.index(q) * na + a.index(p)
+            for p in a.sort_states(a.initial)
+            for q in c.sort_states(c.initial)
+        ]
+        return roots, letters
+
+    v = verdict_on or b
+    roots, letters = pair_graph(v)
+    acc_v = v.bitmasks()[1]
+    visit = cyclic_components(lambda pair: [pa + qc for ta, tc in letters(pair) for pa in ta for qc in tc])
     if not any(
         cyclic
-        and any(acc_a >> pair // nb & 1 for pair in nodes)
-        and any(acc_b >> pair % nb & 1 for pair in nodes)
+        and any(acc_a >> pair % na & 1 for pair in nodes)
+        and any(acc_v >> pair // na & 1 for pair in nodes)
         for root in roots
         for nodes, cyclic in visit(root)
     ):
         return None
 
+    if v is not b:
+        roots, letters = pair_graph(b)
+    acc_b = b.bitmasks()[1]
+    count = na * len(b.states)
+
     def successors(key: int) -> tuple[tuple[int, ...], ...]:
         c, pair = divmod(key, count)
-        p, q = divmod(pair, nb)
+        q, p = divmod(pair, na)
         if c:
             base = 0 if acc_b >> q & 1 else count
         else:
@@ -572,8 +583,84 @@ def _product_lasso(a: Nbw, b: Nbw) -> UpWord | None:
         # tuples, like the rows: the search keeps every node's edges
         return tuple([tuple([base + pa + qb for pa in ta for qb in tb]) for ta, tb in letters(pair)])
 
-    hit = _find_accepting_lasso(roots, successors, lambda key: key >= count and acc_b >> key % nb & 1, True)
+    hit = _find_accepting_lasso(
+        roots, successors, lambda key: key >= count and acc_b >> (key - count) // na & 1, True
+    )
+    if hit is None:
+        raise AssertionError("the verdict found the product non-empty, but the witness search found no lasso")
     return UpWord(tuple(syms[k] for k in hit[1]), tuple(syms[k] for k in hit[3]))
+
+
+def _simulation_reduce(c: Nbw) -> Nbw:
+    """An automaton with the language of c, reduced by direct simulation
+    (Etessami, Wilke and Schuller, SIAM J. Comput. 2005): r simulates q
+    when r is accepting if q is and, for every letter, each successor of q
+    is simulated by some successor of r.  States that simulate each other
+    merge into the one of least index; a successor, or an initial state,
+    that a sibling simulates strictly is dropped; only reachable states
+    stay, with their names and order from c.
+
+    sim[q], the mask of the states that simulate q, starts from the
+    acceptance condition and shrinks to the greatest fixpoint on a
+    worklist: when sim[r] shrinks, its pre-image under each letter is taken
+    once and cut into sim[q] for each predecessor q of r."""
+    succ, acc = c.bitmasks()
+    n = len(c.states)
+    rows = [succ[sym] for sym in c.alphabet.symbols]
+    preds = []  # per letter, per state r: the mask of the states with r as a successor
+    for row in rows:
+        pred = [0] * n
+        for q, m in enumerate(row):
+            for r in _bits(m):
+                pred[r] |= 1 << q
+        preds.append(pred)
+    full = (1 << n) - 1
+    sim = [acc if acc >> q & 1 else full for q in range(n)]
+    images: dict = {}  # (letter index, mask) -> the pre-image of the mask
+    work = dict.fromkeys(range(n))  # a stack that holds each state once
+    while work:
+        r, _ = work.popitem()
+        s = sim[r]
+        for k, pred in enumerate(preds):
+            if not pred[r]:
+                continue
+            image = images.get((k, s))
+            if image is None:
+                image = 0
+                for t in _bits(s):
+                    image |= pred[t]
+                images[k, s] = image
+            for q in _bits(pred[r]):
+                if sim[q] & ~image:
+                    sim[q] &= image
+                    work[q] = None
+    # rep[q]: the least state that simulates q and that q simulates
+    rep = [next(r for r in _bits(s) if sim[r] >> q & 1) for q, s in enumerate(sim)]
+
+    def maximal(states: Iterable[int]) -> list[int]:
+        """The classes of `states` that no other class among them simulates."""
+        m = 0
+        for q in states:
+            m |= 1 << rep[q]
+        return [t for t in _bits(m) if sim[t] & m == 1 << t]
+
+    initial = maximal(c.index(q) for q in c.initial)
+    keys, _, _, _, steps = explore(initial, lambda q: [maximal(_bits(row[q])) for row in rows])
+    names = c.states
+    trans = {
+        (names[q], sym): frozenset(names[t] for t in targets)
+        for q, edges in zip(keys, list(steps))
+        for sym, targets in zip(c.alphabet.symbols, edges)
+        if targets
+    }
+    kept = sorted(keys)
+    return Nbw(
+        c.alphabet,
+        tuple(names[q] for q in kept),
+        frozenset(names[q] for q in initial),
+        trans,
+        frozenset(names[q] for q in kept if acc >> q & 1),
+    )
 
 
 def _words_upto(alphabet: Alphabet, lo: int, hi: int) -> Iterator[Word]:

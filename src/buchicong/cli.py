@@ -245,7 +245,9 @@ def _family(args) -> tuple[Fdfw, str]:
 
 def cmd_to_nbw(args) -> int:
     f, source = _family(args)
-    if not f.saturated:
+    # a family file only claims saturation, so the claim is probed on
+    # saturation-check's default corpus
+    if not f.saturated or (args.fdfw is not None and check_saturation_sampled(f, *_CORPUS_BOUNDS, cap=1)):
         print("warning: unsaturated family, so the automaton may accept more words", file=sys.stderr)
     nbw = fdfw_to_nbw(f)
     if args.out:
@@ -518,10 +520,13 @@ def _add_suite_selection(p: argparse.ArgumentParser):
     p.add_argument("--timings", action="store_true", help="append wall-clock column")
 
 
+_CORPUS_BOUNDS = (3, 3)  # the default prefix and period length bounds of the word corpus
+
+
 def _add_corpus_bounds(p: argparse.ArgumentParser) -> None:
     """The prefix and period length bounds of the canonical word corpus."""
-    p.add_argument("--max-u", type=int, default=3)
-    p.add_argument("--max-v", type=int, default=3)
+    p.add_argument("--max-u", type=int, default=_CORPUS_BOUNDS[0])
+    p.add_argument("--max-v", type=int, default=_CORPUS_BOUNDS[1])
 
 
 def _add_source(p: argparse.ArgumentParser, fdfw_help: str) -> None:

@@ -37,6 +37,7 @@ from .automata import (
     _read_alphabet,
     _read_fields,
     _read_trans,
+    _simulation_reduce,
     canonical_upwords,
     explore,
     intersect,  # noqa: F401  perfbench/tracing.py patches it here
@@ -241,14 +242,16 @@ def check_saturation_sampled(
 
 
 def containment(a: Nbw, b: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> tuple[bool, UpWord | None]:
-    """Language containment L(a) subseteq L(b), decided by one search of the
+    """Language containment L(a) subseteq L(b), decided by a search of the
     product of a with the complement pipeline of b for an accepting lasso.
     Returns (holds, counterexample): the counterexample is an ultimately
     periodic word in L(a) \\ L(b), the one is_empty(intersect(a, complement))
-    would give."""
+    would give.  The verdict is taken on the complement reduced by direct
+    simulation; the counterexample is searched on the unreduced one."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError("containment needs a shared alphabet")
-    word = _product_lasso(a, fdfw_to_nbw(complement_fdfw_optimal(b, budget)))
+    c = fdfw_to_nbw(complement_fdfw_optimal(b, budget))
+    word = _product_lasso(a, c, _simulation_reduce(c))
     if word is None:
         return True, None
     return False, word.canonical()

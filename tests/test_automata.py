@@ -14,14 +14,17 @@ from buchicong import (
     Nbw,
     ParseError,
     UpWord,
+    complement_fdfw_improved,
     complement_fdfw_optimal,
     enumerate_upwords,
+    fdfw_to_nbw,
     intersect,
     is_empty,
     lasso_membership,
     parse_fdfw,
     parse_nbw,
     parse_word,
+    random_nbw,
     serialize_fdfw,
     serialize_nbw,
 )
@@ -278,6 +281,33 @@ def test_lasso_search_expands_each_node_a_bounded_number_of_times(monkeypatch):
     assert is_empty(a) == (True, None)
     # a few expansions per node, not one per (candidate, tail node) pair
     assert counts["decoded"] <= 3 * len(a.states) and counts["cycle test"] <= 3 * len(a.states)
+
+
+def test_simulation_reduction_keeps_the_language_and_never_grows():
+    def transitions(c: Nbw) -> int:
+        return sum(map(len, c.transitions.values()))
+
+    shrunk = 0
+    for s in range(2000, 2100):
+        a = random_nbw(s, 2 + s % 5)
+        for build in (complement_fdfw_optimal, complement_fdfw_improved):
+            c = fdfw_to_nbw(build(a))
+            r = automata._simulation_reduce(c)
+            assert len(r.states) <= len(c.states) and transitions(r) <= transitions(c), s
+            shrunk += len(r.states) < len(c.states)
+            for w in canonical_corpus(a.alphabet, 2, 2):
+                assert lasso_membership(r, w).accepted == lasso_membership(c, w).accepted, (s, w)
+    assert shrunk > 0
+
+
+def test_product_search_rejects_a_verdict_automaton_of_another_language():
+    # the verdict pass, run on an automaton with a larger language than b,
+    # finds the product non-empty; the witness search on b then finds no lasso
+    a = inf_many("a", "b")
+    nothing = Nbw(a.alphabet, ("r",), frozenset({"r"}), {}, frozenset())
+    assert _product_lasso(a, nothing) is None
+    with pytest.raises(AssertionError, match="the witness search found no lasso"):
+        _product_lasso(a, nothing, verdict_on=a)
 
 
 # --- dense graph core ---------------------------------------------------------------------

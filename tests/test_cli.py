@@ -331,6 +331,28 @@ def test_to_nbw_warns_on_an_unsaturated_family(b3_file, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_to_nbw_probes_a_family_file_that_claims_saturation(b3_file, tmp_path, capsys):
+    fam = tmp_path / "single.fdfw"
+    honest = serialize_fdfw(single_word_family())
+    fam.write_text(honest)
+    assert main(["to-nbw", "--fdfw", str(fam)]) == 0
+    out_honest = capsys.readouterr().out
+    # the same family, claiming saturation falsely: (a b)^omega has a
+    # captured and an uncaptured decomposition within |u|, |v| <= 3
+    fam.write_text(honest.replace("saturated: false", "saturated: true"))
+    code = main(["to-nbw", "--fdfw", str(fam)])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert out == out_honest
+    assert err == "warning: unsaturated family, so the automaton may accept more words\n"
+    # a built complement's file claims saturation truly
+    built = tmp_path / "b3.fdfw"
+    assert main(["complement", "--in", b3_file, "--variant", "optimal", "--out", str(built)]) == 0
+    capsys.readouterr()
+    assert main(["to-nbw", "--fdfw", str(built)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_to_nbw_rejects_a_family_with_an_arrow_class_name(tmp_path, capsys):
     fam = tmp_path / "arrow.fdfw"
     fam.write_text(ARROW_CLASS_FAMILY)
