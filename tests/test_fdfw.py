@@ -382,6 +382,17 @@ def test_translation_bytes_are_pinned(aid, variant):
     assert pinned == ((aid, variant) == ("mixed", "improved"))
 
 
+def test_pinned_gadgets_translate_byte_identically_at_scale():
+    # nine leading classes of this improved family have accepting sets not
+    # closed under composition, so most of its relays close pinned gadgets
+    nbw = fdfw_to_nbw(complement_fdfw_improved(random_nbw(2077, 6)))
+    text = serialize_nbw(nbw)
+    assert hashlib.sha256(text.encode()).hexdigest() == "f40f712cf5c28f6cb4806ce22986d74f7e0339d98a15b9637eab899ec34ee33d"
+    assert len(nbw.states) == 18426
+    assert len(nbw.accepting) == 322
+    assert sum(r.split(".")[1] != "-1" for r in nbw.accepting) == 316
+
+
 # one sha256 over serialize_nbw(fdfw_to_nbw(f)) for both complement families
 # of 200 random automata of 2 to 6 states
 WIDE_TRANSLATION_DIGEST = "d0616d47d6391ad4367cd184a8d537a102d406a544066a15b2bb11e691c48b65"
