@@ -20,7 +20,6 @@ blocks of an accepting run need not be powers of one period.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
@@ -40,6 +39,7 @@ from .automata import (
     _simulation_reduce,
     canonical_upwords,
     explore,
+    path_to,
     intersect,  # noqa: F401  perfbench/tracing.py patches it here
     is_empty,  # noqa: F401  perfbench/tracing.py patches it here
     lasso_membership,  # noqa: F401  no builder calls it; perfbench/tracing.py patches it here
@@ -351,13 +351,40 @@ def _accepting_composition_closed(f: Fdfw, q: int) -> bool:
     progress DFW always lands in an accepting class again.  Running the DFW
     from a class on another class's witness computes the concatenation class:
     both progress payloads compose, so the landing class does not depend on
-    which member stands in for the second class."""
-    prog = f.progress[q]
-    acc = prog.accepting
-    for w2 in map(prog.witness, acc):  # each witness is rebuilt once
-        if w2 is None or not acc.issuperset(prog.run(w2, start=f1) for f1 in acc):
+    which member stands in for the second class.  One walk down the witness
+    tree carries the images of all accepting classes at once."""
+    prog, acc = f.progress[q], f.progress[q].accepting
+    images = {prog.initial: list(acc)}
+    for fa in acc:
+        nodes, letters = path_to(prog.parent, prog.via, fa)  # parent first
+        if nodes[0] != prog.initial:  # an unreached class has no witness
             return False
-    return True
+        for parent, c, k in zip(nodes, nodes[1:], letters):
+            if c not in images:
+                images[c] = [prog.rows[f.alphabet.symbols[k]][x] for x in images[parent]]
+    return all(acc.issuperset(images[fa]) for fa in acc)
+
+
+def _lead_progress_product(f: Fdfw, q: int) -> tuple[list[int], dict[int, int], list, list]:
+    """Breadth-first search of prog(q) times the leading DFW from (progress
+    initial, q) on keys p * |leading| + m: node i has key keys[i] == x and
+    ids[x] == i, successors succ[i] by letter and edge sources preds[i]."""
+    nl, prog = len(f.leading), f.progress[q]
+    rows = [(prog.rows[sym], f.leading.rows[sym]) for sym in f.alphabet.symbols]
+    keys = [prog.initial * nl + q]
+    ids, succ, preds = {keys[0]: 0}, [], [[]]
+    for i, x in enumerate(keys):  # the list is the queue
+        p, m = divmod(x, nl)
+        succ.append([])
+        for prow, lrow in rows:
+            y = prow[p] * nl + lrow[m]
+            if y not in ids:
+                ids[y] = len(keys)
+                keys.append(y)
+                preds.append([])
+            preds[ids[y]].append(i)
+            succ[i].append(ids[y])
+    return keys, ids, succ, preds
 
 
 def fdfw_to_nbw(f: Fdfw) -> Nbw:
@@ -375,96 +402,69 @@ def fdfw_to_nbw(f: Fdfw) -> Nbw:
     every block of a run ends in that same class; mixing unrelated accepting
     classes is unsound.  Relays between blocks are the accepting states.
 
-    The result is trimmed to the states that can reach a relay.  No cycle
-    test is needed, because every reachable relay R<q>.<fa> lies on a cycle:
-    it is entered only by a step of gadget copy (q, fa); every node of that
-    copy is reachable from the copy's start (progress initial, q); and the
-    relay steps exactly like that start, so the path that reached it leads
-    back to it.  States are named L<m> (leading copy), G<q>.<fa>.<p>.<m>
-    (gadget) and R<q>.<fa> (relay), in the order the search discovered them.
-    The search runs on integers: leading node m is m, and gadget copy c, for
-    the pair (q, fa) = copies[c], holds its relay at base[c] and gadget node
-    (p, m) at base[c] + 1 + p * |leading| + m."""
-    lead, symbols = f.leading, f.alphabet.symbols
-    nl = len(lead)
-    # copies[c] is (q, fa), fa == -1 marking a shared gadget closing at any
-    # accepting class; starts[q] lists the copies a leading node q starts
-    copies, base, starts = [], [], [[] for _ in range(nl)]
-    top = nl
+    Only states that can reach a relay are kept.  The copies of q share one
+    product of prog(q) and the leading DFW; a backward search in it finds a
+    copy's nodes that reach a step closing a block, and the copy is live when
+    its start (progress initial, q) is one.  A leading class is kept when a
+    live start is reachable from it.  A reachable relay lies on a cycle: it
+    is entered from nodes its copy's start reaches, and steps like that start.
+    Whatever reaches a kept state is kept, so a search listing kept targets
+    only names L<m>, G<q>.<fa>.<p>.<m> and R<q>.<fa> in a full search's order."""
+    lead, symbols, nl = f.leading, f.alphabet.symbols, len(f.leading)
+    # copies[c] = (q, fa, keys, succ, useful, closing), fa == -1 for a shared gadget; search
+    # keys: (-1, m) for leading class m, (c, i) for product node i of copy c, (c, -1) its relay
+    copies, starts = [], [[] for _ in range(nl)]
     for q, prog in f.progress.items():
-        if not prog.accepting:
-            continue
-        for fa in [-1] if _accepting_composition_closed(f, q) else sorted(prog.accepting):
-            starts[q].append(len(copies))
-            copies.append((q, fa))
-            base.append(top)
-            top += 1 + len(prog) * nl
+        if prog.accepting:
+            keys, ids, succ, preds = _lead_progress_product(f, q)
+            for fa in [-1] if _accepting_composition_closed(f, q) else sorted(prog.accepting):
+                ends = [fa * nl + q] if fa >= 0 else [a * nl + q for a in prog.accepting]
+                closing = {ids[x] for x in ends if x in ids}
+                _, useful, _, _, steps = explore((i for j in closing for i in preds[j]), lambda i: [preds[i]])
+                for _ in steps:  # the search on reversed edges lists the nodes reaching a closing step
+                    pass
+                if 0 in useful:
+                    starts[q].append(len(copies))
+                    copies.append((q, fa, keys, succ, useful, closing))
+    lead_rows = [lead.rows[sym] for sym in symbols]
+    rev: list[list[int]] = [[] for _ in range(nl)]
+    for row in lead_rows:
+        for m, m2 in enumerate(row):
+            rev[m2].append(m)
+    _, kept, _, _, steps = explore((q for q in range(nl) if starts[q]), lambda m: [rev[m]])
+    for _ in steps:
+        pass
+    if lead.initial not in kept:
+        return Nbw(f.alphabet, ("dead",), frozenset({"dead"}), {}, frozenset())
 
-    def gadget_step(c: int, p: int, m: int, sym: str) -> list[int]:
-        q, fa = copies[c]
-        prog = f.progress[q]
-        p2, m2 = prog.rows[sym][p], lead.rows[sym][m]
-        out = [base[c] + 1 + p2 * nl + m2]
-        if m2 == q and (p2 == fa or fa == -1 and p2 in prog.accepting):
-            out.append(base[c])
+    def successors(x: tuple[int, int]) -> list[list[tuple[int, int]]]:
+        c, i = x
+        if c < 0:  # the next letter may instead start the first block at class i
+            out = [[(-1, row[i])] if row[i] in kept else [] for row in lead_rows]
+            run, i = starts[i], 0
+        else:  # a relay starts the next block exactly like its copy's start, node 0
+            out, run, i = [[] for _ in symbols], [c], max(i, 0)
+        for c in run:
+            _, _, _, succ, useful, closing = copies[c]
+            for targets, j in zip(out, succ[i]):
+                targets += ([(c, j)] if j in useful else []) + ([(c, -1)] if j in closing else [])
         return out
 
-    def locate(x: int) -> tuple[int, int, int]:
-        """(c, p, m) of a node of gadget copy c; p is -1 for the relay."""
-        c = bisect_right(base, x) - 1
-        return (c, *divmod(x - base[c] - 1, nl))
+    def label(c: int, i: int) -> str:
+        if c < 0:
+            return f"L{i}"
+        q, fa, keys = copies[c][:3]
+        return f"R{q}.{fa}" if i < 0 else "G{}.{}.{}.{}".format(q, fa, *divmod(keys[i], nl))
 
-    def successors(x: int) -> list[list[int]]:
-        if x < nl:
-            out = [[lead.rows[sym][x]] for sym in symbols]
-            # the next letter may instead start the first block at class x
-            for c in starts[x]:
-                for sym, targets in zip(symbols, out):
-                    targets += gadget_step(c, f.progress[x].initial, x, sym)
-            return out
-        c, p, m = locate(x)
-        if p < 0:  # a relay starts the next block exactly like a gadget at its start
-            p, m = f.progress[copies[c][0]].initial, copies[c][0]
-        return [gadget_step(c, p, m, sym) for sym in symbols]
-
-    def label(x: int) -> str:
-        if x < nl:
-            return f"L{x}"
-        c, p, m = locate(x)
-        q, fa = copies[c]
-        return f"R{q}.{fa}" if p < 0 else f"G{q}.{fa}.{p}.{m}"
-
-    keys, ids, _, _, steps = explore([lead.initial], successors)
+    nodes, _, _, _, steps = explore([(-1, lead.initial)], successors)
     adj = list(steps)
-    # trim: keep the nodes from which a relay is reachable, found by a
-    # search on the reversed edges
-    rev: list[list[int]] = [[] for _ in keys]
-    for i, edges in enumerate(adj):
-        for targets in edges:
-            for node in targets:
-                rev[ids[node]].append(i)
-    relays = set(base)
-    useful, _, _, _, steps = explore((i for i, x in enumerate(keys) if x in relays), lambda i: [rev[i]])
-    for _ in steps:  # the search lists the nodes it reaches in `useful`
-        pass
-    kept = sorted(useful)
-    if not kept or kept[0] != 0:
-        return Nbw(f.alphabet, ("dead",), frozenset({"dead"}), {}, frozenset())
-    # kept nodes get their names once, in discovery order
-    name = {keys[i]: label(keys[i]) for i in kept}
-    trans: dict[tuple[str, str], frozenset[str]] = {}
-    for i in kept:
-        for sym, targets in zip(symbols, adj[i]):
-            tgts = frozenset(name[node] for node in targets if node in name)
-            if tgts:
-                trans[(name[keys[i]], sym)] = tgts
-    return Nbw(
-        f.alphabet,
-        tuple(name.values()),
-        frozenset({name[keys[0]]}),
-        trans,
-        frozenset(name[x] for x in name if x in relays),
-    )
+    name = {x: label(*x) for x in nodes}
+    trans = {
+        (name[x], sym): frozenset(map(name.__getitem__, targets))
+        for x, edges in zip(nodes, adj) for sym, targets in zip(symbols, edges) if targets
+    }
+    relays = frozenset(name[x] for x in nodes if x[0] >= 0 > x[1])
+    return Nbw(f.alphabet, tuple(name.values()), frozenset({name[nodes[0]]}), trans, relays)
 
 
 def nbw_state_bound(f: Fdfw) -> int:
