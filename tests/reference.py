@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from buchicong import (
+    Fdfw,
     Nbw,
     PreorderedSubset,
     Profile,
@@ -184,3 +185,16 @@ def periodic_membership_tarjan(p: Profile, sources: int) -> bool:
             if any(p.reach_f[i] & members for i in nodes):
                 return True
     return False
+
+
+def accepting_composition_closed(f: Fdfw, q: int) -> bool:
+    """Whether concatenating members of any two accepting classes of q's
+    progress DFW lands in an accepting class again, by running the DFW from
+    every accepting class on every accepting class's witness: |acc|² runs,
+    and False as soon as an accepting class has no witness."""
+    prog = f.progress[q]
+    acc = prog.accepting
+    for w2 in map(prog.witness, acc):
+        if w2 is None or not acc.issuperset(prog.run(w2, start=f1) for f1 in acc):
+            return False
+    return True

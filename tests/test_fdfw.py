@@ -48,7 +48,7 @@ from buchicong import fdfw
 from buchicong.automata import _product_lasso
 from buchicong.fdfw import _accepting_composition_closed
 from conftest import ARROW_CLASS_FAMILY, canonical_corpus, mixed_blocks_nbw, single_word_family, witnesses
-from reference import image
+from reference import accepting_composition_closed, image
 
 
 # --- decomposition semantics -------------------------------------------------------
@@ -355,6 +355,63 @@ def test_every_translated_relay_lies_on_a_cycle():
         relays += len(nbw.accepting)
         assert all(_returns_to(nbw, r) for r in nbw.accepting), serialize_nbw(nbw)
     assert relays > 0
+
+
+@pytest.fixture(scope="module")
+def translation_families() -> list[Fdfw]:
+    """Parsed random families (unsaturated, with unreached classes), the
+    single-word family, both builders' families of 100 random automata and
+    the parsed improved family of mixed_blocks_nbw()."""
+    families = _random_families(300) + [single_word_family()]
+    for s in range(2000, 2100):
+        a = random_nbw(s, 2 + s % 5)
+        families += [complement_fdfw_optimal(a), complement_fdfw_improved(a)]
+    families.append(parse_fdfw(serialize_fdfw(complement_fdfw_improved(mixed_blocks_nbw()))))
+    return families
+
+
+def test_composition_closure_matches_the_witness_runs(translation_families):
+    verdicts = []
+    for f in translation_families:
+        for q, prog in f.progress.items():
+            if prog.accepting:
+                verdicts.append(_accepting_composition_closed(f, q))
+                assert verdicts[-1] == accepting_composition_closed(f, q), (serialize_fdfw(f), q)
+    # both verdicts occur, and so does an accepting class without a witness
+    assert set(verdicts) == {True, False}
+    assert any(
+        prog.witness(c) is None for f in translation_families for prog in f.progress.values() for c in prog.accepting
+    )
+
+
+def _reached(nbw: Nbw, roots, step) -> set[str]:
+    """The states a plain search reaches from `roots` along step(q, sym)."""
+    seen = set(roots)
+    queue = list(seen)
+    for q in queue:
+        for sym in nbw.alphabet:
+            for nxt in step(q, sym) - seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+def test_every_translated_state_is_reachable_and_reaches_a_relay(translation_families):
+    dead = 0
+    for f in translation_families:
+        nbw = fdfw_to_nbw(f)
+        if not nbw.accepting:
+            assert nbw.states == ("dead",)
+            dead += 1
+            continue
+        back: dict[tuple[str, str], set[str]] = {}
+        for (q, sym), targets in nbw.transitions.items():
+            for r in targets:
+                back.setdefault((r, sym), set()).add(q)
+        states = set(nbw.states)
+        assert _reached(nbw, nbw.initial, nbw.successors) == states, serialize_nbw(nbw)
+        assert _reached(nbw, nbw.accepting, lambda q, sym: back.get((q, sym), set())) == states, serialize_nbw(nbw)
+    assert 0 < dead < len(translation_families)
 
 
 # sha256 of serialize_nbw(fdfw_to_nbw(f)): any change to the translated
