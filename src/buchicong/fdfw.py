@@ -352,11 +352,11 @@ def _accepting_composition_closed(f: Fdfw, q: int) -> bool:
     from a class on another class's witness computes the concatenation class:
     both progress payloads compose, so the landing class does not depend on
     which member stands in for the second class.  One walk down the witness
-    tree carries the images of all accepting classes at once."""
+    tree, root first, carries the images of all accepting classes at once."""
     prog, acc = f.progress[q], f.progress[q].accepting
     images = {prog.initial: list(acc)}
     for fa in acc:
-        nodes, letters = path_to(prog.parent, prog.via, fa)  # parent first
+        nodes, letters = path_to(prog.parent, prog.via, fa)  # a parent may have the higher id
         if nodes[0] != prog.initial:  # an unreached class has no witness
             return False
         for parent, c, k in zip(nodes, nodes[1:], letters):
