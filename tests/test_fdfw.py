@@ -638,6 +638,10 @@ def test_containment_builds_no_named_product(monkeypatch):
     assert verdicts == {True, False}
 
 
+def seeded_pairs() -> list[tuple[Nbw, Nbw]]:
+    return [(random_nbw(s, 3 + s % 5), random_nbw(s + 7, 2 + s % 4)) for s in range(3000, 3400)]
+
+
 def test_containment_matches_the_named_product():
     # the fused search returns exactly the verdict and canonical counterexample
     # of intersecting with the translated complement and walking that product
@@ -650,8 +654,7 @@ def test_containment_matches_the_named_product():
     a, b = random_nbw(3218, 6), random_nbw(3225, 4)
     assert containment(a, b) == via_product(a, b) == (False, UpWord((), ("a", "b", "b")))
     held = 0
-    for s in range(3000, 3400):
-        a, b = random_nbw(s, 3 + s % 5), random_nbw(s + 7, 2 + s % 4)
+    for s, (a, b) in enumerate(seeded_pairs(), 3000):
         assert a.alphabet == b.alphabet
         got = containment(a, b)
         assert got == via_product(a, b), s
@@ -692,11 +695,14 @@ def test_witness_search_keeps_the_counter():
 WIDE_CONTAINMENT_DIGEST = "715d9b5eee9d16b08abf8821908983bcb15da55b07fc56de9199507c5a401286"
 
 
-def test_wide_containment_outputs_are_pinned():
+def wide_pairs() -> list[tuple[Nbw, Nbw]]:
     pairs = [(random_nbw(s, 20 + s % 30), random_nbw(s + 1, 3 + s % 2)) for s in range(5000, 5120)]
-    pairs += [(random_nbw(s, 60 + s % 60), random_nbw(s + 1, 3 + s % 2)) for s in range(6000, 6100)]
+    return pairs + [(random_nbw(s, 60 + s % 60), random_nbw(s + 1, 3 + s % 2)) for s in range(6000, 6100)]
+
+
+def test_wide_containment_outputs_are_pinned():
     h = hashlib.sha256()
-    for a, b in pairs:
+    for a, b in wide_pairs():
         h.update(repr(containment(a, b)).encode())
     assert h.hexdigest() == WIDE_CONTAINMENT_DIGEST
 
@@ -708,20 +714,41 @@ def test_wide_containment_outputs_are_pinned():
 SEARCH_OUTPUTS_DIGEST = "d4504c95a38717b497ea26be99fabcc67b591433116226aef7bc467ff925bc44"
 
 
-def test_search_outputs_are_pinned():
-    corpus = [random_nbw(s, 2 + s % 5) for s in range(2000, 2200)]
+def search_corpus() -> list[Nbw]:
+    return [random_nbw(s, 2 + s % 5) for s in range(2000, 2200)]
+
+
+def search_pairs() -> list[tuple[Nbw, Nbw]]:
+    corpus = search_corpus()
     pairs = list(zip(corpus, corpus[1:]))
     pairs += [(gen_bn(n), gen_bn_dbw(n)) for n in range(1, 5)]
-    pairs += [(gen_bn_dbw(n), gen_bn(n)) for n in range(1, 5)]
-    corpus += [gen_bn(n) for n in range(1, 5)]
+    return pairs + [(gen_bn_dbw(n), gen_bn(n)) for n in range(1, 5)]
+
+
+def test_search_outputs_are_pinned():
     h = hashlib.sha256()
-    for a in corpus:
+    for a in search_corpus() + [gen_bn(n) for n in range(1, 5)]:
         h.update(repr(is_empty(a)).encode())
         for w in canonical_corpus(a.alphabet, 2, 2):
             h.update(repr(lasso_membership(a, w)).encode())
-    for a, b in pairs:
+    for a, b in search_pairs():
         h.update(repr(containment(a, b)).encode())
     assert h.hexdigest() == SEARCH_OUTPUTS_DIGEST
+
+
+def test_containment_verdicts_and_counterexamples_are_sound():
+    # every verdict is the emptiness of the named product with the unreduced
+    # translated complement, and every counterexample is a word of a that b
+    # rejects, by the oracle; the corpora are those of the pinned digests
+    # and of test_containment_matches_the_named_product
+    failed = 0
+    for a, b in wide_pairs() + search_pairs() + seeded_pairs():
+        holds, word = containment(a, b)
+        assert holds == is_empty(intersect(a, fdfw_to_nbw(complement_fdfw_optimal(b))))[0]
+        if not holds:
+            failed += 1
+            assert lasso_membership(a, word).accepted and not lasso_membership(b, word).accepted
+    assert failed == 156 + 108 + 213
 
 
 # --- text format -------------------------------------------------------------------------
