@@ -503,7 +503,7 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _product_lasso(a: Nbw, b: Nbw, verdict_on: Nbw | None = None) -> UpWord | None:
+def _product_lasso(a: Nbw, b: Nbw) -> UpWord | None:
     """The word of the lasso that is_empty(intersect(a, b)) returns, or None
     when that product is empty; a and b must share their alphabet.  Both
     passes run on integer keys over the state indices p of a and q of b
@@ -513,9 +513,7 @@ def _product_lasso(a: Nbw, b: Nbw, verdict_on: Nbw | None = None) -> UpWord | No
     component of the pair graph, on the keys q * |a| + p, holds a pair with
     p accepting in a and a pair with q accepting in b.  One Tarjan pass
     decides it and stops at the first such component, so a product found
-    empty costs one pass and stores no edges.  With `verdict_on`, an
-    automaton with the language of b, that pass runs on a and verdict_on
-    instead.
+    empty costs one pass and stores no edges.
 
     The witness: a non-empty product is searched again with intersect's
     two-copy counter c, keyed c * |a||b| + q * |a| + p, since a node of an
@@ -523,54 +521,38 @@ def _product_lasso(a: Nbw, b: Nbw, verdict_on: Nbw | None = None) -> UpWord | No
     Listing each symbol's targets in (p, q) index order makes the search
     number the nodes as intersect does, so the stem, the cycle and the word
     match.  Successor rows are decoded once per call, only for the states
-    the passes reach; both passes read the same rows of a."""
-    succ_a, acc_a = a.bitmasks()
+    the passes reach, and both passes read them."""
+    (succ_a, acc_a), (succ_b, acc_b) = a.bitmasks(), b.bitmasks()
     na = len(a.states)
     syms = a.alphabet.symbols
-    # per state, per symbol: the successors p' of a as p', q' of the other
-    # side as q' * |a|; tuples, which the collector stops tracking, so that
-    # the rows do not slow its later passes
+    # per state, per symbol: the successors p' of a as p', q' of b as
+    # q' * |a|; tuples, which the collector stops tracking, so that the rows
+    # do not slow its later passes
     rows_a: list = [None] * na
+    rows_b: list = [None] * len(b.states)
 
-    def pair_graph(c: Nbw) -> tuple[list[int], Callable[[int], Iterator]]:
-        """(roots, letters) of the pair graph of a and c: letters(pair) gives,
-        per symbol, the successors of the pair's two states."""
-        succ_c = c.bitmasks()[0]
-        rows_c: list = [None] * len(c.states)
+    def letters(pair: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Per symbol, the successors of the pair's two states."""
+        q, p = divmod(pair, na)
+        row_a = rows_a[p]
+        if row_a is None:
+            row_a = rows_a[p] = tuple([tuple(_bits(succ_a[sym][p])) for sym in syms])
+        row_b = rows_b[q]
+        if row_b is None:
+            row_b = rows_b[q] = tuple([tuple([na * qq for qq in _bits(succ_b[sym][q])]) for sym in syms])
+        return zip(row_a, row_b)
 
-        def letters(pair: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-            q, p = divmod(pair, na)
-            row_a = rows_a[p]
-            if row_a is None:
-                row_a = rows_a[p] = tuple([tuple(_bits(succ_a[sym][p])) for sym in syms])
-            row_c = rows_c[q]
-            if row_c is None:
-                row_c = rows_c[q] = tuple([tuple([na * qq for qq in _bits(succ_c[sym][q])]) for sym in syms])
-            return zip(row_a, row_c)
-
-        roots = [
-            c.index(q) * na + a.index(p)
-            for p in a.sort_states(a.initial)
-            for q in c.sort_states(c.initial)
-        ]
-        return roots, letters
-
-    v = verdict_on or b
-    roots, letters = pair_graph(v)
-    acc_v = v.bitmasks()[1]
-    visit = cyclic_components(lambda pair: [pa + qc for ta, tc in letters(pair) for pa in ta for qc in tc])
+    roots = [b.index(q) * na + a.index(p) for p in a.sort_states(a.initial) for q in b.sort_states(b.initial)]
+    visit = cyclic_components(lambda pair: [pa + qb for ta, tb in letters(pair) for pa in ta for qb in tb])
     if not any(
         cyclic
         and any(acc_a >> pair % na & 1 for pair in nodes)
-        and any(acc_v >> pair // na & 1 for pair in nodes)
+        and any(acc_b >> pair // na & 1 for pair in nodes)
         for root in roots
         for nodes, cyclic in visit(root)
     ):
         return None
 
-    if v is not b:
-        roots, letters = pair_graph(b)
-    acc_b = b.bitmasks()[1]
     count = na * len(b.states)
 
     def successors(key: int) -> tuple[tuple[int, ...], ...]:
@@ -586,8 +568,6 @@ def _product_lasso(a: Nbw, b: Nbw, verdict_on: Nbw | None = None) -> UpWord | No
     hit = _find_accepting_lasso(
         roots, successors, lambda key: key >= count and acc_b >> (key - count) // na & 1, True
     )
-    if hit is None:
-        raise AssertionError("the verdict found the product non-empty, but the witness search found no lasso")
     return UpWord(tuple(syms[k] for k in hit[1]), tuple(syms[k] for k in hit[3]))
 
 
