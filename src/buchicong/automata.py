@@ -542,7 +542,11 @@ def _product_lasso(a: Nbw, b: Nbw) -> UpWord | None:
             row_b = rows_b[q] = tuple([tuple([na * qq for qq in _bits(succ_b[sym][q])]) for sym in syms])
         return zip(row_a, row_b)
 
-    roots = [b.index(q) * na + a.index(p) for p in a.sort_states(a.initial) for q in b.sort_states(b.initial)]
+    roots = [
+        b.index(q) * na + a.index(p)
+        for p in a.sort_states(a.initial)
+        for q in b.sort_states(b.initial)
+    ]
     visit = cyclic_components(lambda pair: [pa + qb for ta, tb in letters(pair) for pa in ta for qb in tb])
     if not any(
         cyclic
@@ -568,6 +572,8 @@ def _product_lasso(a: Nbw, b: Nbw) -> UpWord | None:
     hit = _find_accepting_lasso(
         roots, successors, lambda key: key >= count and acc_b >> (key - count) // na & 1, True
     )
+    if hit is None:
+        raise AssertionError("the verdict found the product non-empty, but the witness search found no lasso")
     return UpWord(tuple(syms[k] for k in hit[1]), tuple(syms[k] for k in hit[3]))
 
 
