@@ -236,7 +236,6 @@ def _find_accepting_lasso(
     roots: Iterable[Hashable],
     successors: Callable[[Hashable], Edges],
     is_acc: Callable[[Hashable], int],
-    by_number: bool = False,
 ):
     """Search the graph reachable from `roots`, whose edges leave node x as
     successors(x) = [targets of letter 0, targets of letter 1, ...], for a
@@ -249,12 +248,10 @@ def _find_accepting_lasso(
     first accepting node in that order that lies on a cycle, the stem is
     the BFS path to it, and the cycle is a shortest way back to it inside
     its component, trying letters in order and the targets of one letter in
-    the order successors lists them, or with `by_number` in numbering order
-    (the order of the state names of intersect, when the nodes are its
-    states).  The search stops at that lasso: the BFS runs only as far as
-    the candidates and the ties of the return search need, and one
-    resumable Tarjan search tests the candidates in order on its own keys,
-    numbering nothing and expanding each node once over all candidates."""
+    the order successors lists them.  The search stops at that lasso: the
+    BFS runs only as far as the candidates need, and one resumable Tarjan
+    search tests the candidates in order on its own keys, numbering nothing
+    and expanding each node once over all candidates."""
     out: dict = {}  # node -> successors(node), for the nodes expanded so far
 
     def edges(x: Hashable) -> Edges:
@@ -263,7 +260,7 @@ def _find_accepting_lasso(
             e = out[x] = successors(x)
         return e
 
-    keys, ids, pred, via, steps = explore(roots, edges)
+    keys, _, pred, via, steps = explore(roots, edges)
     visit = cyclic_components(lambda x: itertools.chain.from_iterable(edges(x)))
     cycles: dict = {}  # node -> the node set of its component, for nodes on a cycle
     i = 0
@@ -281,29 +278,7 @@ def _find_accepting_lasso(
         i += 1
     stem_nodes, stem_letters = path_to(pred, via, i)
 
-    # the return search runs inside the target's component.  In numbering
-    # order only the nodes on the shortest cycles through the target decide
-    # its answer, so it keeps to them and numbers no other node: the BFS
-    # layers of the component up to the first with an edge back to the
-    # target give the length, and going back from that layer, layer j keeps
-    # the nodes with an edge to those kept in layer j + 1
-    on = cycles[target]
-    if by_number:
-        layers = [[target]]
-        seen = {target}
-        while not any(target in targets for node in layers[-1] for targets in edges(node)):
-            ahead = []
-            for node in layers[-1]:
-                for targets in edges(node):
-                    for x in targets:
-                        if x in on and x not in seen:
-                            seen.add(x)
-                            ahead.append(x)
-            layers.append(ahead)
-        on, ahead = set(), {target}
-        for layer in reversed(layers):
-            ahead = {node for node in layer if any(x in ahead for targets in edges(node) for x in targets)}
-            on |= ahead
+    on = cycles[target]  # the return search runs inside the target's component
     back = {target: None}  # node -> (node, letter index) of the edge the return search reached it by
     queue = [target]
     for node in queue:  # the loop visits the nodes appended while it runs
@@ -315,16 +290,10 @@ def _find_accepting_lasso(
                     cycle_nodes.append(node)
                     cycle_letters.append(k)
                 return [keys[j] for j in stem_nodes], stem_letters, cycle_nodes[::-1], cycle_letters[::-1]
-            new = [x for x in targets if x in on and x not in back]
-            if by_number and len(new) > 1:
-                # ties go in numbering order: the BFS numbers nodes until at
-                # most one of them is left, which comes last
-                while sum(x not in ids for x in new) > 1:
-                    next(steps)
-                new.sort(key=lambda x: ids.get(x, len(keys)))
-            for x in new:
-                back[x] = node, k
-                queue.append(x)
+            for x in targets:
+                if x in on and x not in back:
+                    back[x] = node, k
+                    queue.append(x)
     raise AssertionError("node in cyclic component must close a cycle")
 
 
@@ -504,8 +473,8 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _product_lasso(a: Nbw, b: Nbw) -> UpWord | None:
-    """The word of the lasso that is_empty(intersect(a, b)) returns, or None
-    when that product is empty; a and b must share their alphabet.  Both
+    """The word of an accepting lasso of intersect(a, b), or None when that
+    product is empty; a and b must share their alphabet.  Both
     passes run on integer keys over the state indices p of a and q of b
     and build no product automaton.
 
@@ -519,9 +488,11 @@ def _product_lasso(a: Nbw, b: Nbw) -> UpWord | None:
     two-copy counter c, keyed c * |a||b| + q * |a| + p, since a node of an
     accepting pair component need not lie on a cycle of the counter graph.
     Listing each symbol's targets in (p, q) index order makes the search
-    number the nodes as intersect does, so the stem, the cycle and the word
-    match.  Successor rows are decoded once per call, only for the states
-    the passes reach, and both passes read them."""
+    number the nodes as intersect does, so the target, the stem and the
+    cycle length are those of is_empty(intersect(a, b)); only the cycle's
+    letters can differ, at a tie within a letter.  Successor rows are
+    decoded once per call, only for the states the passes reach, and both
+    passes read them."""
     (succ_a, acc_a), (succ_b, acc_b) = a.bitmasks(), b.bitmasks()
     na = len(a.states)
     syms = a.alphabet.symbols
@@ -570,7 +541,7 @@ def _product_lasso(a: Nbw, b: Nbw) -> UpWord | None:
         return tuple([tuple([base + pa + qb for pa in ta for qb in tb]) for ta, tb in letters(pair)])
 
     hit = _find_accepting_lasso(
-        roots, successors, lambda key: key >= count and acc_b >> (key - count) // na & 1, True
+        roots, successors, lambda key: key >= count and acc_b >> (key - count) // na & 1
     )
     if hit is None:
         raise AssertionError("the verdict found the product non-empty, but the witness search found no lasso")

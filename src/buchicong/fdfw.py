@@ -245,9 +245,10 @@ def containment(a: Nbw, b: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> tuple[boo
     """Language containment L(a) subseteq L(b), decided by a search of the
     product of a with the complement pipeline of b for an accepting lasso.
     Returns (holds, counterexample): the counterexample is an ultimately
-    periodic word in L(a) \\ L(b), the one is_empty(intersect(a, reduced))
-    would give, where reduced is the complement reduced by direct
-    simulation.  It may differ from the word of the unreduced product."""
+    periodic word in L(a) \\ L(b) with the stem and cycle length of the
+    lasso is_empty(intersect(a, reduced)) would give, where reduced is the
+    complement reduced by direct simulation.  It may differ from the word
+    of the unreduced product."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError("containment needs a shared alphabet")
     word = _product_lasso(a, _simulation_reduce(fdfw_to_nbw(complement_fdfw_optimal(b, budget))))
