@@ -82,21 +82,6 @@ class Fdfw:
         return len(self.leading), sum(len(p) for p in self.progress.values())
 
 
-def is_normalized(f: Fdfw, prefix: Word, period: Word) -> bool:
-    m = f.leading.run(prefix)
-    return f.leading.run(period, start=m) == m
-
-
-def is_captured(f: Fdfw, prefix: Word, period: Word) -> bool:
-    return f.progress[f.leading.run(prefix)].accepts(period)
-
-
-def accepts_decomposition(f: Fdfw, prefix: Word, period: Word) -> bool:
-    if not period:
-        raise ValueError("period must be non-empty")
-    return is_normalized(f, prefix, period) and is_captured(f, prefix, period)
-
-
 # --- acceptance over all decompositions -------------------------------------
 
 
@@ -161,13 +146,6 @@ def _pumping(f: Fdfw, d: UpWord) -> tuple[int, int, int]:
         seen[m] = len(seen)
         m = lead.run(d.period, start=m)
     return seen[m], len(seen) - seen[m], m
-
-
-def normalize_decomposition(f: Fdfw, d: UpWord) -> UpWord:
-    """The normalized decomposition (u v^h, v^k) of the given pair (u, v)
-    pumped by _pumping; it denotes the same infinite word."""
-    h, k, _ = _pumping(f, d)
-    return UpWord(d.prefix + d.period * h, d.period * k)
 
 
 def accepts_upword_saturated(f: Fdfw, w: UpWord) -> bool:

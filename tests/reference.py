@@ -1,7 +1,8 @@
 """Reference computations the tests compare the library against, each
 written without sharing code with the construction it checks, plus
 test-only helpers over the library: `ordered_reach`, `pretty`,
-`epsilon_profile` and `image`."""
+`epsilon_profile` and `image`.  `is_normalized`, `is_captured` and
+`accepts_decomposition` are the per-decomposition semantics of a family."""
 
 from __future__ import annotations
 
@@ -198,3 +199,18 @@ def accepting_composition_closed(f: Fdfw, q: int) -> bool:
         if w2 is None or not acc.issuperset(prog.run(w2, start=f1) for f1 in acc):
             return False
     return True
+
+
+def is_normalized(f: Fdfw, prefix: Word, period: Word) -> bool:
+    m = f.leading.run(prefix)
+    return f.leading.run(period, start=m) == m
+
+
+def is_captured(f: Fdfw, prefix: Word, period: Word) -> bool:
+    return f.progress[f.leading.run(prefix)].accepts(period)
+
+
+def accepts_decomposition(f: Fdfw, prefix: Word, period: Word) -> bool:
+    if not period:
+        raise ValueError("period must be non-empty")
+    return is_normalized(f, prefix, period) and is_captured(f, prefix, period)

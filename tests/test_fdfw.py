@@ -16,7 +16,6 @@ from buchicong import (
     Nbw,
     ParseError,
     UpWord,
-    accepts_decomposition,
     accepts_upword,
     accepts_upword_general,
     accepts_upword_saturated,
@@ -30,12 +29,9 @@ from buchicong import (
     gen_bn,
     gen_bn_dbw,
     intersect,
-    is_captured,
     is_empty,
-    is_normalized,
     lasso_membership,
     nbw_state_bound,
-    normalize_decomposition,
     parse_fdfw,
     parse_nbw,
     random_nbw,
@@ -48,7 +44,7 @@ from buchicong import fdfw
 from buchicong.automata import _product_lasso, _simulation_reduce
 from buchicong.fdfw import _accepting_composition_closed
 from conftest import ARROW_CLASS_FAMILY, canonical_corpus, mixed_blocks_nbw, single_word_family, witnesses
-from reference import accepting_composition_closed, image
+from reference import accepting_composition_closed, accepts_decomposition, image, is_captured, is_normalized
 
 
 # --- decomposition semantics -------------------------------------------------------
@@ -193,12 +189,12 @@ def test_foreign_symbols_are_value_errors():
             lasso_membership(gen_bn(3), w)
 
 
-def test_normalize_decomposition_pumps_to_a_recurring_class(b3):
+def test_pumping_reaches_a_recurring_class(b3):
     f = complement_fdfw_optimal(b3)
-    got = normalize_decomposition(f, UpWord((), ("1",)))
-    assert got == UpWord((), ("1", "1"))
-    assert is_normalized(f, got.prefix, got.period)
-    assert got.canonical() == UpWord((), ("1",)).canonical()
+    h, k, m = fdfw._pumping(f, UpWord((), ("1",)))
+    assert (h, k) == (0, 2)
+    assert is_normalized(f, ("1",) * h, ("1",) * k)
+    assert m == f.leading.run(("1",) * h)
 
 
 # --- complement constructions ----------------------------------------------------------
