@@ -417,51 +417,37 @@ def is_empty(a: Nbw) -> tuple[bool, Lasso | None]:
 
 def intersect(a: Nbw, b: Nbw) -> Nbw:
     """Büchi intersection via the usual two-copy counter; only the reachable
-    part is kept, so the result has at most 2|a||b| states."""
+    part is kept, so the result has at most 2|a||b| states.  The search runs
+    on triples (p, q, c) of state indices and the counter, and names each
+    reached state once, as (p,q,c) over the state names."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError("intersection needs a shared alphabet")
+    syms = a.alphabet.symbols
+    (succ_a, acc_a), (succ_b, acc_b) = a.bitmasks(), b.bitmasks()
+    rows_a = [[list(_bits(succ_a[sym][p])) for sym in syms] for p in range(len(a.states))]
+    rows_b = [[list(_bits(succ_b[sym][q])) for sym in syms] for q in range(len(b.states))]
 
-    def name(p: str, q: str, c: int) -> str:
-        return f"({p},{q},{c})"
+    def successors(node: tuple[int, int, int]) -> list[list[tuple[int, int, int]]]:
+        p, q, c = node
+        # the counter turns to 1 on leaving an accepting state of a, back to 0
+        # on leaving an accepting state of b
+        nc = acc_a >> p & 1 if c == 0 else 1 - (acc_b >> q & 1)
+        return [[(pp, qq, nc) for pp in ta for qq in tb] for ta, tb in zip(rows_a[p], rows_b[q])]
 
-    start = [
-        (p, q, 0)
-        for p in a.sort_states(a.initial)
-        for q in b.sort_states(b.initial)
-    ]
-    seen: dict[tuple[str, str, int], None] = dict.fromkeys(start)
-    order = list(seen)
-    trans: dict[tuple[str, str], frozenset[str]] = {}
-    i = 0
-    while i < len(order):
-        p, q, c = order[i]
-        i += 1
-        if c == 0:
-            nc = 1 if p in a.accepting else 0
-        else:
-            nc = 0 if q in b.accepting else 1
-        for sym in a.alphabet:
-            targets = []
-            for pp in a.sort_states(a.successors(p, sym)):
-                for qq in b.sort_states(b.successors(q, sym)):
-                    node = (pp, qq, nc)
-                    if node not in seen:
-                        seen[node] = None
-                        order.append(node)
-                    targets.append(name(*node))
-            if targets:
-                trans[(name(p, q, c), sym)] = frozenset(targets)
-    states = tuple(name(*n) for n in order)
-    if not states:
-        states = ("(dead)",)
-        return Nbw(a.alphabet, states, frozenset(), {}, frozenset())
-    return Nbw(
-        a.alphabet,
-        states,
-        frozenset(name(*n) for n in start),
-        trans,
-        frozenset(name(p, q, c) for (p, q, c) in order if c == 1 and q in b.accepting),
-    )
+    roots = [(a.index(p), b.index(q), 0) for p in a.sort_states(a.initial) for q in b.sort_states(b.initial)]
+    keys, ids, _, _, steps = explore(roots, successors)
+    edges = list(steps)
+    if not keys:
+        return Nbw(a.alphabet, ("(dead)",), frozenset(), {}, frozenset())
+    names = [f"({a.states[p]},{b.states[q]},{c})" for p, q, c in keys]
+    trans = {
+        (names[i], sym): frozenset([names[ids[y]] for y in targets])
+        for i, out in enumerate(edges)
+        for sym, targets in zip(syms, out)
+        if targets
+    }
+    accepting = frozenset(names[i] for i, (_, q, c) in enumerate(keys) if c and acc_b >> q & 1)
+    return Nbw(a.alphabet, tuple(names), frozenset(names[: len(roots)]), trans, accepting)
 
 
 def _bits(mask: int) -> Iterator[int]:

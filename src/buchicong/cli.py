@@ -88,11 +88,15 @@ def _int_at_least(low: int):
 
 
 def _int_list(raw: str) -> list[int]:
-    """argparse type for a comma list of integers such as `2,3`."""
+    """argparse type for a comma list of sizes, integers of at least 1 such
+    as `2,3`."""
     try:
-        return [int(tok) for tok in raw.split(",") if tok.strip()]
+        sizes = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be a comma list of integers, got {raw!r}") from None
+    if any(n < 1 for n in sizes):
+        raise argparse.ArgumentTypeError(f"every size must be at least 1, got {raw!r}")
+    return sizes
 
 
 def _read_text(path: str) -> str:

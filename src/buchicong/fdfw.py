@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .automata import (
     Alphabet,
@@ -48,6 +48,7 @@ from .preorder import optimal_leading_congruence, optimal_progress_congruence
 from .profiles import (
     DEFAULT_CLASS_BUDGET,
     CongruenceDfw,
+    build_congruence_dfw,
     periodic_membership_from_profile,
     progress_congruence_improved,
     subset_congruence,
@@ -343,26 +344,14 @@ def _accepting_composition_closed(f: Fdfw, q: int) -> bool:
     return all(acc.issuperset(images[fa]) for fa in acc)
 
 
-def _lead_progress_product(f: Fdfw, q: int) -> tuple[list[int], dict[int, int], list, list]:
-    """Breadth-first search of prog(q) times the leading DFW from (progress
-    initial, q) on keys p * |leading| + m: node i has key keys[i] == x and
-    ids[x] == i, successors succ[i] by letter and edge sources preds[i]."""
-    nl, prog = len(f.leading), f.progress[q]
-    rows = [(prog.rows[sym], f.leading.rows[sym]) for sym in f.alphabet.symbols]
-    keys = [prog.initial * nl + q]
-    ids, succ, preds = {keys[0]: 0}, [], [[]]
-    for i, x in enumerate(keys):  # the list is the queue
-        p, m = divmod(x, nl)
-        succ.append([])
-        for prow, lrow in rows:
-            y = prow[p] * nl + lrow[m]
-            if y not in ids:
-                ids[y] = len(keys)
-                keys.append(y)
-                preds.append([])
-            preds[ids[y]].append(i)
-            succ[i].append(ids[y])
-    return keys, ids, succ, preds
+def _reversed(rows: list[Sequence[int]]) -> list[list[int]]:
+    """Per node of the deterministic graph whose edges leave node i to row[i]
+    for each row, the sources of the edges into it."""
+    preds: list[list[int]] = [[] for _ in rows[0]]
+    for row in rows:
+        for i, j in enumerate(row):
+            preds[j].append(i)
+    return preds
 
 
 def fdfw_to_nbw(f: Fdfw) -> Nbw:
@@ -389,12 +378,21 @@ def fdfw_to_nbw(f: Fdfw) -> Nbw:
     Whatever reaches a kept state is kept, so a search listing kept targets
     only names L<m>, G<q>.<fa>.<p>.<m> and R<q>.<fa> in a full search's order."""
     lead, symbols, nl = f.leading, f.alphabet.symbols, len(f.leading)
-    # copies[c] = (q, fa, keys, succ, useful, closing), fa == -1 for a shared gadget; search
+    lead_rows = [lead.rows[sym] for sym in symbols]
+    # copies[c] = (q, fa, keys, rows, useful, closing), fa == -1 for a shared gadget; search
     # keys: (-1, m) for leading class m, (c, i) for product node i of copy c, (c, -1) its relay
     copies, starts = [], [[] for _ in range(nl)]
     for q, prog in f.progress.items():
         if prog.accepting:
-            keys, ids, succ, preds = _lead_progress_product(f, q)
+            # prog(q) times the leading DFW from (progress initial, q) on keys p * |leading| + m;
+            # it has at most |prog(q)| * |leading| nodes, so the budget cannot bind
+            product = build_congruence_dfw(
+                "translation", f.alphabet, prog.initial * nl + q,
+                lambda x, sym: prog.rows[sym][x // nl] * nl + lead.rows[sym][x % nl], len(prog) * nl,
+            )
+            ids = {x: i for i, x in enumerate(product.payloads)}
+            rows = [product.rows[sym] for sym in symbols]
+            preds = _reversed(rows)
             for fa in [-1] if _accepting_composition_closed(f, q) else sorted(prog.accepting):
                 ends = [fa * nl + q] if fa >= 0 else [a * nl + q for a in prog.accepting]
                 closing = {ids[x] for x in ends if x in ids}
@@ -403,12 +401,8 @@ def fdfw_to_nbw(f: Fdfw) -> Nbw:
                     pass
                 if 0 in useful:
                     starts[q].append(len(copies))
-                    copies.append((q, fa, keys, succ, useful, closing))
-    lead_rows = [lead.rows[sym] for sym in symbols]
-    rev: list[list[int]] = [[] for _ in range(nl)]
-    for row in lead_rows:
-        for m, m2 in enumerate(row):
-            rev[m2].append(m)
+                    copies.append((q, fa, product.payloads, rows, useful, closing))
+    rev = _reversed(lead_rows)
     _, kept, _, _, steps = explore((q for q in range(nl) if starts[q]), lambda m: [rev[m]])
     for _ in steps:
         pass
@@ -423,8 +417,8 @@ def fdfw_to_nbw(f: Fdfw) -> Nbw:
         else:  # a relay starts the next block exactly like its copy's start, node 0
             out, run, i = [[] for _ in symbols], [c], max(i, 0)
         for c in run:
-            _, _, _, succ, useful, closing = copies[c]
-            for targets, j in zip(out, succ[i]):
+            _, _, _, rows, useful, closing = copies[c]
+            for targets, j in zip(out, [row[i] for row in rows]):
                 targets += ([(c, j)] if j in useful else []) + ([(c, -1)] if j in closing else [])
         return out
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -18,6 +19,8 @@ from buchicong import (
     complement_fdfw_optimal,
     enumerate_upwords,
     fdfw_to_nbw,
+    gen_bn,
+    gen_bn_dbw,
     intersect,
     is_empty,
     lasso_membership,
@@ -239,6 +242,29 @@ def test_intersection_agrees_with_conjunction(a, seed2):
     for w in canonical_corpus(a.alphabet, 1, 2):
         want = lasso_membership(a, w).accepted and lasso_membership(b, w).accepted
         assert lasso_membership(prod, w).accepted == want
+
+
+# sha256 over serialize_nbw(intersect(a, b)) and repr(is_empty(intersect(a,
+# b))) on a fixed corpus: any change to the product's states, their names
+# or order, its transitions or the lasso found in it shows here
+INTERSECT_DIGEST = "3b597411b5caa250474282539adf0a5fd7da0637011ba64c83f8104614798ba9"
+
+
+def intersect_pairs() -> list[tuple[Nbw, Nbw]]:
+    pairs = [(random_nbw(s, 1 + s % 7), random_nbw(s + 11, 1 + s % 5)) for s in range(4000, 4600)]
+    abc = ("a", "b", "c")
+    pairs += [(random_nbw(s, 2 + s % 4, abc), random_nbw(s + 11, 1 + s % 3, abc)) for s in range(4600, 4660)]
+    pairs += [(gen_bn(n), gen_bn_dbw(n)) for n in range(1, 5)]
+    return pairs + [(gen_bn_dbw(n), gen_bn(n)) for n in range(1, 5)]
+
+
+def test_intersection_outputs_are_pinned():
+    h = hashlib.sha256()
+    for a, b in intersect_pairs():
+        c = intersect(a, b)
+        h.update(serialize_nbw(c).encode())
+        h.update(repr(is_empty(c)).encode())
+    assert h.hexdigest() == INTERSECT_DIGEST
 
 
 @given(seeded_nbws(max_states=4), seeded_nbws(max_states=4))

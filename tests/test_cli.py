@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -518,6 +519,13 @@ def test_suites_name_the_flag_of_a_bad_family_list(capsys):
                 run(capsys, suite, flag, bad, "--random", "0")
             assert exc.value.code == 2
             assert f"argument {flag}: must be a comma list of integers" in capsys.readouterr().err
+        # a size below 1 used to reach the family generator, whose error
+        # named no flag
+        for flag, bad in (("--bn", "0"), ("--bn-dbw", "2,-1"), ("--bn", "2,0")):
+            with pytest.raises(SystemExit) as exc:
+                run(capsys, suite, flag, bad, "--random", "0")
+            assert exc.value.code == 2
+            assert f"argument {flag}: every size must be at least 1, got {bad!r}" in capsys.readouterr().err
 
 
 def test_readme_reproduction_commands_pass(capsys):
@@ -525,6 +533,19 @@ def test_readme_reproduction_commands_pass(capsys):
     assert code == 0
     code, _ = run(capsys, "equiv-suite", "--bn", "2,3", "--random", "15")
     assert code == 0
+
+
+def test_readme_command_line_examples_pass(tmp_path, monkeypatch, capsys):
+    # every command of the README's "Command line" block, in order, so the
+    # files the first ones write feed the later ones
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("buchicong ")]
+    assert len(commands) == 15
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_reports_are_byte_identical(capsys):
