@@ -458,6 +458,16 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _image(rows: Sequence[int], mask: int) -> int:
+    """The union of rows[i] over the set bits i of `mask`."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def _product_lasso(a: Nbw, b: Nbw) -> UpWord | None:
     """The word of an accepting lasso of intersect(a, b), or None when that
     product is empty; a and b must share their alphabet.  Both
@@ -569,10 +579,7 @@ def _simulation_reduce(c: Nbw) -> Nbw:
                 continue
             image = images.get((k, s))
             if image is None:
-                image = 0
-                for t in _bits(s):
-                    image |= pred[t]
-                images[k, s] = image
+                image = images[k, s] = _image(pred, s)
             for q in _bits(pred[r]):
                 if sim[q] & ~image:
                     sim[q] &= image

@@ -529,8 +529,8 @@ _CORPUS_BOUNDS = (3, 3)  # the default prefix and period length bounds of the wo
 
 def _add_corpus_bounds(p: argparse.ArgumentParser) -> None:
     """The prefix and period length bounds of the canonical word corpus."""
-    p.add_argument("--max-u", type=int, default=_CORPUS_BOUNDS[0])
-    p.add_argument("--max-v", type=int, default=_CORPUS_BOUNDS[1])
+    p.add_argument("--max-u", type=_int_at_least(0), default=_CORPUS_BOUNDS[0])
+    p.add_argument("--max-v", type=_int_at_least(1), default=_CORPUS_BOUNDS[1])
 
 
 def _add_source(p: argparse.ArgumentParser, fdfw_help: str) -> None:
@@ -600,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="emit a benchmark family automaton")
     p.add_argument("--variant", required=True, choices=["bn", "bn-dbw", "random"])
-    p.add_argument("--n", type=int, required=True, help="family size / state count")
+    p.add_argument("--n", type=_int_at_least(1), required=True, help="family size / state count")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for random variant")
     p.add_argument("--symbols", default="a b", help="alphabet for random variant")
     p.add_argument("--out", default=None)
@@ -658,7 +658,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

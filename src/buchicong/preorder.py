@@ -70,6 +70,7 @@ def _claim(post: list[int], acc: int, blocks: tuple[int, ...], flagged: int) -> 
     for b in range(len(blocks) - 1, -1, -1):
         img = img_flagged = 0
         src = blocks[b]
+        # not automata._image: one walk gives both images in the optimal builders' hottest step
         while src:
             low = src & -src
             row = post[low.bit_length() - 1]

@@ -33,7 +33,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
-from .automata import Alphabet, Nbw, Word, _bits, path_to
+from .automata import Alphabet, Nbw, Word, _bits, _image, path_to
 
 DEFAULT_CLASS_BUDGET = 200_000
 
@@ -77,14 +77,8 @@ def letter_profile(a: Nbw, sym: str) -> Profile:
 
 
 def _row_compose(row_r: int, row_rf: int, second: Profile) -> tuple[int, int]:
-    out_r = 0
-    out_rf = 0
-    for j in _bits(row_r):
-        out_r |= second.reach[j]
-        out_rf |= second.reach_f[j]
-    for j in _bits(row_rf):
-        out_rf |= second.reach[j]
-    return out_r, out_rf & out_r
+    out_r = _image(second.reach, row_r)
+    return out_r, (_image(second.reach_f, row_r) | _image(second.reach, row_rf)) & out_r
 
 
 def _check(*profiles: Profile) -> None:
@@ -126,6 +120,7 @@ def periodic_membership_from_profile(p: Profile, sources: int) -> bool:
     """
     _check(p)
     image = outside = 0
+    # not automata._image: one fused pass over the rows costs less than two _image calls here
     for i, r in enumerate(p.reach):
         image |= r
         if not sources >> i & 1:
@@ -235,16 +230,8 @@ def subset_congruence(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> CongruenceD
     """Right congruence refined by the successor set of the initial states.
     Payloads are state bitmasks, bit i standing for the state of index i."""
     succ, _ = a.bitmasks()
-
-    def step_mask(s: int, sym: str) -> int:
-        rows = succ[sym]
-        out = 0
-        for i in _bits(s):
-            out |= rows[i]
-        return out
-
     init = sum(1 << a.index(q) for q in a.initial)
-    return build_congruence_dfw("subset", a.alphabet, init, step_mask, budget)
+    return build_congruence_dfw("subset", a.alphabet, init, lambda s, sym: _image(succ[sym], s), budget)
 
 
 def _profile_congruence(

@@ -60,19 +60,31 @@ def test_family_writes_a_parseable_automaton(tmp_path, capsys):
     assert a.alphabet.symbols == ("0", "1", "2")
 
 
-def test_module_entry_point_runs():
-    # the child imports the package from where this process found it, which
-    # need not be on the inherited PYTHONPATH (pytest's `pythonpath` setting)
+def test_module_entry_point_runs(tmp_path):
+    # `python -m buchicong` returns each exit code the README documents.  The
+    # child imports the package from where this process found it, which need
+    # not be on the inherited PYTHONPATH (pytest's `pythonpath` setting)
+    from buchicong import gen_bn_dbw
+
     package_root = str(Path(buchicong.__file__).parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "buchicong", "family", "--variant", "bn", "--n", "2"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.startswith("nbw\n")
+
+    def exit_code(*argv: str) -> int:
+        proc = subprocess.run(
+            [sys.executable, "-m", "buchicong", *argv],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        return proc.returncode
+
+    assert exit_code("family", "--variant", "bn", "--n", "3", "--out", "bn3.nbw") == 0
+    (tmp_path / "dbw3.nbw").write_text(serialize_nbw(gen_bn_dbw(3)))
+    assert exit_code("contains", "bn3.nbw", "dbw3.nbw") == 1
+    (tmp_path / "bad.nbw").write_text("nbw\n")
+    assert exit_code("classes", "--in", "bad.nbw") == 2
+    assert exit_code("classes", "--in", "bn3.nbw", "--budget", "1") == 3
 
 
 def test_family_bn_dbw_is_deterministic(capsys):
@@ -528,19 +540,43 @@ def test_suites_name_the_flag_of_a_bad_family_list(capsys):
             assert f"argument {flag}: every size must be at least 1, got {bad!r}" in capsys.readouterr().err
 
 
+def _readme_commands(heading: str) -> list[list[str]]:
+    """The argv of each `buchicong` command in the first `sh` block under
+    the README heading `heading`, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split(f"\n## {heading}\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("buchicong ")]
+
+
+def test_bad_corpus_bounds_and_family_size_name_their_flag(capsys):
+    # argparse rejects each before any automaton is read or built, naming
+    # the flag rather than the library's `max_v` or `n`; x.nbw need not exist
+    cases = [
+        (("saturation-check", "--in", "x.nbw"), "--max-u", "-1", 0),
+        (("saturation-check", "--in", "x.nbw"), "--max-v", "0", 1),
+        (("equiv-suite", "--random", "0"), "--max-u", "-1", 0),
+        (("equiv-suite", "--random", "0"), "--max-v", "0", 1),
+        (("family", "--variant", "bn"), "--n", "0", 1),
+    ]
+    for argv, flag, bad, low in cases:
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv, flag, bad)
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be at least {low}, got {bad!r}" in capsys.readouterr().err
+
+
 def test_readme_reproduction_commands_pass(capsys):
-    code, _ = run(capsys, "bounds-suite", "--bn", "2,3", "--bn-dbw", "2,3", "--random", "20")
-    assert code == 0
-    code, _ = run(capsys, "equiv-suite", "--bn", "2,3", "--random", "15")
-    assert code == 0
+    commands = _readme_commands("Reproduction")
+    assert len(commands) == 2
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_readme_command_line_examples_pass(tmp_path, monkeypatch, capsys):
     # every command of the README's "Command line" block, in order, so the
     # files the first ones write feed the later ones
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("buchicong ")]
+    commands = _readme_commands("Command line")
     assert len(commands) == 15
     monkeypatch.chdir(tmp_path)
     for argv in commands:
