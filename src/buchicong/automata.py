@@ -121,7 +121,9 @@ class MembershipVerdict:
 class Nbw:
     """Nondeterministic Büchi automaton.  Missing (state, symbol) entries in
     `transitions` mean the empty successor set.  State identity is the string
-    id; `states` fixes the canonical iteration order."""
+    id; `states` fixes the canonical iteration order.  Two integer views are
+    compiled separately, each on first use: adjacency(), read by the graph
+    searches, and bitmasks(), read by the bit-parallel set algorithms."""
 
     alphabet: Alphabet
     states: tuple[str, ...]
@@ -130,6 +132,7 @@ class Nbw:
     accepting: frozenset[str]
     _order: dict = field(init=False, repr=False, compare=False, default=None)
     _masks: tuple = field(init=False, repr=False, compare=False, default=None)
+    _adjacency: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if len(set(self.states)) != len(self.states):
@@ -169,6 +172,20 @@ class Nbw:
             acc = sum(1 << order[q] for q in self.accepting)
             object.__setattr__(self, "_masks", (succ, acc))
         return self._masks
+
+    def adjacency(self) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], bytes]:
+        """(rows, acc): rows[i][k] the ascending indices of the successors of
+        the state of index i under letter k, acc[i] 1 if that state accepts
+        and 0 if not; compiled on first use."""
+        if self._adjacency is None:
+            order = self._order
+            rows = tuple(
+                tuple(tuple(sorted([order[r] for r in self.successors(q, sym)])) for sym in self.alphabet)
+                for q in self.states
+            )
+            acc = bytes(q in self.accepting for q in self.states)
+            object.__setattr__(self, "_adjacency", (rows, acc))
+        return self._adjacency
 
     def is_deterministic(self) -> bool:
         return len(self.initial) <= 1 and all(
@@ -369,16 +386,16 @@ def lasso_membership(a: Nbw, w: UpWord) -> MembershipVerdict:
         if sym not in a.alphabet:
             raise ValueError(f"symbol {sym!r} not in alphabet")
     n = len(a.states)
-    succ, acc = a.bitmasks()
-    masks = [succ[sym] for sym in word]
+    rows, acc = a.adjacency()
+    letters = [a.alphabet.symbols.index(sym) for sym in word]
 
     def successors(key: int) -> list[list[int]]:
         pos, q = divmod(key, n)
         base = (pos + 1 if pos + 1 < len(word) else len(w.prefix)) * n
-        return [[base + r for r in _bits(masks[pos][q])]]
+        return [[base + r for r in rows[q][letters[pos]]]]
 
     roots = sorted(a.index(q) for q in a.initial)
-    hit = _find_accepting_lasso(roots, successors, lambda key: acc >> key % n & 1)
+    hit = _find_accepting_lasso(roots, successors, lambda key: acc[key % n])
     if hit is None:
         return MembershipVerdict(False, None)
     stem_nodes, _, cycle_nodes, _ = hit
@@ -397,13 +414,8 @@ def lasso_membership(a: Nbw, w: UpWord) -> MembershipVerdict:
 def is_empty(a: Nbw) -> tuple[bool, Lasso | None]:
     """Language emptiness; returns (empty, witness lasso when non-empty)."""
     syms = a.alphabet.symbols
-    succ, acc = a.bitmasks()
-    masks = [succ[sym] for sym in syms]
-    hit = _find_accepting_lasso(
-        sorted(a.index(q) for q in a.initial),
-        lambda q: [list(_bits(m[q])) for m in masks],
-        lambda q: acc >> q & 1,
-    )
+    rows, acc = a.adjacency()
+    hit = _find_accepting_lasso(sorted(a.index(q) for q in a.initial), rows.__getitem__, acc.__getitem__)
     if hit is None:
         return True, None
     stem_nodes, stem_letters, cycle_nodes, cycle_letters = hit
@@ -423,15 +435,13 @@ def intersect(a: Nbw, b: Nbw) -> Nbw:
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError("intersection needs a shared alphabet")
     syms = a.alphabet.symbols
-    (succ_a, acc_a), (succ_b, acc_b) = a.bitmasks(), b.bitmasks()
-    rows_a = [[list(_bits(succ_a[sym][p])) for sym in syms] for p in range(len(a.states))]
-    rows_b = [[list(_bits(succ_b[sym][q])) for sym in syms] for q in range(len(b.states))]
+    (rows_a, acc_a), (rows_b, acc_b) = a.adjacency(), b.adjacency()
 
     def successors(node: tuple[int, int, int]) -> list[list[tuple[int, int, int]]]:
         p, q, c = node
         # the counter turns to 1 on leaving an accepting state of a, back to 0
         # on leaving an accepting state of b
-        nc = acc_a >> p & 1 if c == 0 else 1 - (acc_b >> q & 1)
+        nc = acc_a[p] if c == 0 else 1 - acc_b[q]
         return [[(pp, qq, nc) for pp in ta for qq in tb] for ta, tb in zip(rows_a[p], rows_b[q])]
 
     roots = [(a.index(p), b.index(q), 0) for p in a.sort_states(a.initial) for q in b.sort_states(b.initial)]
@@ -446,7 +456,7 @@ def intersect(a: Nbw, b: Nbw) -> Nbw:
         for sym, targets in zip(syms, out)
         if targets
     }
-    accepting = frozenset(names[i] for i, (_, q, c) in enumerate(keys) if c and acc_b >> q & 1)
+    accepting = frozenset(names[i] for i, (_, q, c) in enumerate(keys) if c and acc_b[q])
     return Nbw(a.alphabet, tuple(names), frozenset(names[: len(roots)]), trans, accepting)
 
 
@@ -486,28 +496,19 @@ def _product_lasso(a: Nbw, b: Nbw) -> UpWord | None:
     Listing each symbol's targets in (p, q) index order makes the search
     number the nodes as intersect does, so the target, the stem and the
     cycle length are those of is_empty(intersect(a, b)); only the cycle's
-    letters can differ, at a tie within a letter.  Successor rows are
-    decoded once per call, only for the states the passes reach, and both
-    passes read them."""
-    (succ_a, acc_a), (succ_b, acc_b) = a.bitmasks(), b.bitmasks()
+    letters can differ, at a tie within a letter.  Both passes read the
+    adjacency() rows of a and b, the latter scaled by |a| once per call."""
+    (rows_a, acc_a), (rows_b, acc_b) = a.adjacency(), b.adjacency()
     na = len(a.states)
     syms = a.alphabet.symbols
-    # per state, per symbol: the successors p' of a as p', q' of b as
-    # q' * |a|; tuples, which the collector stops tracking, so that the rows
-    # do not slow its later passes
-    rows_a: list = [None] * na
-    rows_b: list = [None] * len(b.states)
+    # the successors q' of b as q' * |a|; tuples, which the collector stops
+    # tracking, so that the rows do not slow its later passes
+    rows_b = [tuple([tuple([na * qq for qq in t]) for t in row]) for row in rows_b]
 
     def letters(pair: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Per symbol, the successors of the pair's two states."""
         q, p = divmod(pair, na)
-        row_a = rows_a[p]
-        if row_a is None:
-            row_a = rows_a[p] = tuple([tuple(_bits(succ_a[sym][p])) for sym in syms])
-        row_b = rows_b[q]
-        if row_b is None:
-            row_b = rows_b[q] = tuple([tuple([na * qq for qq in _bits(succ_b[sym][q])]) for sym in syms])
-        return zip(row_a, row_b)
+        return zip(rows_a[p], rows_b[q])
 
     roots = [
         b.index(q) * na + a.index(p)
@@ -517,8 +518,8 @@ def _product_lasso(a: Nbw, b: Nbw) -> UpWord | None:
     visit = cyclic_components(lambda pair: [pa + qb for ta, tb in letters(pair) for pa in ta for qb in tb])
     if not any(
         cyclic
-        and any(acc_a >> pair % na & 1 for pair in nodes)
-        and any(acc_b >> pair // na & 1 for pair in nodes)
+        and any(acc_a[pair % na] for pair in nodes)
+        and any(acc_b[pair // na] for pair in nodes)
         for root in roots
         for nodes, cyclic in visit(root)
     ):
@@ -530,14 +531,14 @@ def _product_lasso(a: Nbw, b: Nbw) -> UpWord | None:
         c, pair = divmod(key, count)
         q, p = divmod(pair, na)
         if c:
-            base = 0 if acc_b >> q & 1 else count
+            base = 0 if acc_b[q] else count
         else:
-            base = count if acc_a >> p & 1 else 0
+            base = count if acc_a[p] else 0
         # tuples, like the rows: the search keeps every node's edges
         return tuple([tuple([base + pa + qb for pa in ta for qb in tb]) for ta, tb in letters(pair)])
 
     hit = _find_accepting_lasso(
-        roots, successors, lambda key: key >= count and acc_b >> (key - count) // na & 1
+        roots, successors, lambda key: key >= count and acc_b[(key - count) // na]
     )
     if hit is None:
         raise AssertionError("the verdict found the product non-empty, but the witness search found no lasso")
@@ -557,18 +558,17 @@ def _simulation_reduce(c: Nbw) -> Nbw:
     acceptance condition and shrinks to the greatest fixpoint on a
     worklist: when sim[r] shrinks, its pre-image under each letter is taken
     once and cut into sim[q] for each predecessor q of r."""
-    succ, acc = c.bitmasks()
+    rows, acc = c.adjacency()
     n = len(c.states)
-    rows = [succ[sym] for sym in c.alphabet.symbols]
-    preds = []  # per letter, per state r: the mask of the states with r as a successor
-    for row in rows:
-        pred = [0] * n
-        for q, m in enumerate(row):
-            for r in _bits(m):
+    # per letter, per state r: the mask of the states with r as a successor
+    preds = [[0] * n for _ in c.alphabet]
+    for q, row in enumerate(rows):
+        for pred, targets in zip(preds, row):
+            for r in targets:
                 pred[r] |= 1 << q
-        preds.append(pred)
     full = (1 << n) - 1
-    sim = [acc if acc >> q & 1 else full for q in range(n)]
+    accepting = sum(1 << q for q in range(n) if acc[q])
+    sim = [accepting if acc[q] else full for q in range(n)]
     images: dict = {}  # (letter index, mask) -> the pre-image of the mask
     work = dict.fromkeys(range(n))  # a stack that holds each state once
     while work:
@@ -595,7 +595,7 @@ def _simulation_reduce(c: Nbw) -> Nbw:
         return [t for t in _bits(m) if sim[t] & m == 1 << t]
 
     initial = maximal(c.index(q) for q in c.initial)
-    keys, _, _, _, steps = explore(initial, lambda q: [maximal(_bits(row[q])) for row in rows])
+    keys, _, _, _, steps = explore(initial, lambda q: [maximal(targets) for targets in rows[q]])
     names = c.states
     trans = {
         (names[q], sym): frozenset(names[t] for t in targets)
@@ -609,7 +609,7 @@ def _simulation_reduce(c: Nbw) -> Nbw:
         tuple(names[q] for q in kept),
         frozenset(names[q] for q in initial),
         trans,
-        frozenset(names[q] for q in kept if acc >> q & 1),
+        frozenset(names[q] for q in kept if acc[q]),
     )
 
 

@@ -292,13 +292,15 @@ def test_lasso_search_expands_each_node_a_bounded_number_of_times(monkeypatch):
     trans = {(c, "a"): frozenset({tail[0], *chain[i + 1:i + 2]}) for i, c in enumerate(chain)}
     trans.update({(t, "a"): frozenset({tail[min(i + 1, k - 1)]}) for i, t in enumerate(tail)})
     a = Nbw(Alphabet(("a",)), tuple(chain + tail), frozenset({"c0"}), trans, frozenset(chain))
-    a.bitmasks()
-    counts = {"decoded": 0, "cycle test": 0}
-    bits, components = automata._bits, automata.cyclic_components
+    counts = {"expanded": 0, "cycle test": 0}
+    search, components = automata._find_accepting_lasso, automata.cyclic_components
 
-    def counted_bits(mask):
-        counts["decoded"] += 1
-        return bits(mask)
+    def counted_search(roots, successors, is_acc):
+        def counted(x):
+            counts["expanded"] += 1
+            return successors(x)
+
+        return search(roots, counted, is_acc)
 
     def counted_components(successors):
         def counted(x):
@@ -307,11 +309,13 @@ def test_lasso_search_expands_each_node_a_bounded_number_of_times(monkeypatch):
 
         return components(counted)
 
-    monkeypatch.setattr(automata, "_bits", counted_bits)
+    monkeypatch.setattr(automata, "_find_accepting_lasso", counted_search)
     monkeypatch.setattr(automata, "cyclic_components", counted_components)
     assert is_empty(a) == (True, None)
-    # a few expansions per node, not one per (candidate, tail node) pair
-    assert counts["decoded"] <= 3 * len(a.states) and counts["cycle test"] <= 3 * len(a.states)
+    # a few expansions per node, not one per (candidate, tail node) pair;
+    # the search reaches every node, so it expands each at least once
+    assert len(a.states) <= counts["expanded"] <= 3 * len(a.states)
+    assert counts["cycle test"] <= 3 * len(a.states)
 
 
 def test_simulation_reduction_keeps_the_language_and_never_grows():
@@ -591,3 +595,13 @@ def test_compiled_masks_match_successors(a):
         for i, q in enumerate(a.states):
             assert decode(succ[sym][i]) == a.successors(q, sym)
     assert decode(acc) == a.accepting
+
+
+@given(seeded_nbws(max_states=6))
+def test_adjacency_matches_successors(a):
+    rows, acc = a.adjacency()
+    assert a.adjacency() is a.adjacency()
+    assert len(rows) == len(a.states)
+    for i, q in enumerate(a.states):
+        assert rows[i] == tuple(tuple(sorted(a.index(r) for r in a.successors(q, sym))) for sym in a.alphabet)
+    assert acc == bytes(q in a.accepting for q in a.states)

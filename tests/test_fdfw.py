@@ -647,6 +647,20 @@ def test_containment_builds_no_named_product(monkeypatch):
     assert verdicts == {True, False}
 
 
+def test_searches_leave_the_bitmasks_of_the_searched_automaton_uncompiled():
+    # the graph searches read Nbw.adjacency(); the wide successor masks of a
+    # large left automaton are never compiled, on either verdict of
+    # containment or in the named product, emptiness and membership
+    x, b = random_nbw(1729, 320), random_nbw(1730, 4)
+    holds, cex = containment(x, b)
+    assert not holds
+    xb = intersect(x, b)
+    assert len(xb.states) >= 300 and containment(xb, b) == (True, None)
+    assert not is_empty(x)[0] and lasso_membership(x, cex).accepted
+    for left in (x, xb):
+        assert left._adjacency is not None and left._masks is None
+
+
 def seeded_pairs() -> list[tuple[Nbw, Nbw]]:
     return [(random_nbw(s, 3 + s % 5), random_nbw(s + 7, 2 + s % 4)) for s in range(3000, 3400)]
 
