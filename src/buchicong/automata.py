@@ -266,9 +266,18 @@ def _find_accepting_lasso(
     the BFS path to it, and the cycle is a shortest way back to it inside
     its component, trying letters in order and the targets of one letter in
     the order successors lists them.  The search stops at that lasso: the
-    BFS runs only as far as the candidates need, and one resumable Tarjan
-    search tests the candidates in order on its own keys, numbering nothing
-    and expanding each node once over all candidates."""
+    BFS runs only as far as the candidates need.
+
+    A candidate that no Tarjan run has reached is tested first by its own
+    return search, which skips the nodes finished runs reached: none of
+    them leads back to it.  No node outside its component leads back into
+    it either, so a search that returns finds the cycle above.  Only a
+    search that fails starts the resumable Tarjan run from the candidate,
+    which settles every node it reaches, so no later return search enters
+    them and successors is called once per node over all candidates.  This
+    is the early cycle detection of on-the-fly emptiness checks (Schwoon
+    and Esparza, "A Note on On-the-Fly Verification Algorithms", TACAS
+    2005)."""
     out: dict = {}  # node -> successors(node), for the nodes expanded so far
 
     def edges(x: Hashable) -> Edges:
@@ -277,9 +286,29 @@ def _find_accepting_lasso(
             e = out[x] = successors(x)
         return e
 
+    def way_back(target: Hashable, on) -> tuple[list, list[int]] | None:
+        """(cycle_nodes, cycle_letters) of a shortest way back to target
+        through the nodes x with done.get(x) is on, or None."""
+        back = {target: None}  # node -> (node, letter index) of the edge the search reached it by
+        queue = [target]
+        for node in queue:  # the loop visits the nodes appended while it runs
+            for k, targets in enumerate(edges(node)):
+                if target in targets:
+                    cycle_nodes, cycle_letters = [node], [k]
+                    while node != target:
+                        node, k = back[node]
+                        cycle_nodes.append(node)
+                        cycle_letters.append(k)
+                    return cycle_nodes[::-1], cycle_letters[::-1]
+                for x in targets:
+                    if x not in back and done.get(x) is on:
+                        back[x] = node, k
+                        queue.append(x)
+        return None
+
     keys, _, pred, via, steps = explore(roots, edges)
     visit = cyclic_components(lambda x: itertools.chain.from_iterable(edges(x)))
-    cycles: dict = {}  # node -> the node set of its component, for nodes on a cycle
+    done: dict = {}  # node -> its component's node set if cyclic, else (), once a Tarjan run has finished it
     i = 0
     while True:
         while i == len(keys):
@@ -287,31 +316,19 @@ def _find_accepting_lasso(
                 return None
         target = keys[i]
         if is_acc(target):
-            for nodes, cyclic in visit(target):
-                if cyclic:
-                    cycles.update(dict.fromkeys(nodes, set(nodes)))
-            if target in cycles:
-                break
+            on = done.get(target)  # None while no Tarjan run has reached the target
+            if on != ():
+                cycle = way_back(target, on)
+                if cycle is not None:
+                    break
+                if on is not None:
+                    raise AssertionError("node in cyclic component must close a cycle")
+                for nodes, cyclic in visit(target):
+                    done.update(dict.fromkeys(nodes, set(nodes) if cyclic else ()))
+                continue  # the target again, now settled: a cyclic one searches its component
         i += 1
     stem_nodes, stem_letters = path_to(pred, via, i)
-
-    on = cycles[target]  # the return search runs inside the target's component
-    back = {target: None}  # node -> (node, letter index) of the edge the return search reached it by
-    queue = [target]
-    for node in queue:  # the loop visits the nodes appended while it runs
-        for k, targets in enumerate(edges(node)):
-            if target in targets:
-                cycle_nodes, cycle_letters = [node], [k]
-                while node != target:
-                    node, k = back[node]
-                    cycle_nodes.append(node)
-                    cycle_letters.append(k)
-                return [keys[j] for j in stem_nodes], stem_letters, cycle_nodes[::-1], cycle_letters[::-1]
-            for x in targets:
-                if x in on and x not in back:
-                    back[x] = node, k
-                    queue.append(x)
-    raise AssertionError("node in cyclic component must close a cycle")
+    return [keys[j] for j in stem_nodes], stem_letters, *cycle
 
 
 def cyclic_components(
@@ -395,7 +412,9 @@ def lasso_membership(a: Nbw, w: UpWord) -> MembershipVerdict:
         return [[base + r for r in rows[q][letters[pos]]]]
 
     roots = sorted(a.index(q) for q in a.initial)
-    hit = _find_accepting_lasso(roots, successors, lambda key: acc[key % n])
+    # keys below period_start are prefix positions, which lie on no cycle
+    period_start = len(w.prefix) * n
+    hit = _find_accepting_lasso(roots, successors, lambda key: key >= period_start and acc[key % n])
     if hit is None:
         return MembershipVerdict(False, None)
     stem_nodes, _, cycle_nodes, _ = hit

@@ -124,15 +124,22 @@ def _cuts(f: Fdfw, w: UpWord) -> Iterator[tuple[int, Word, int]]:
 def accepts_upword_general(f: Fdfw, w: UpWord) -> bool:
     """Acceptance by existence of some accepted decomposition.  Always sound;
     the reference semantics for arbitrary families.  Verdicts depend only on
-    (leading class, phase), so each pair is searched once."""
+    (leading class, phase), and the cut walk steps that key by a function of
+    itself, so every key after the first repeated one repeats too: the
+    search stops there.  A leading class whose progress DFW accepts nothing
+    captures no decomposition, so its powers are not walked."""
     w = w.canonical()
+    for sym in w.prefix + w.period:  # the walk may step on a symbol before any run reads it
+        if sym not in f.alphabet:
+            raise ValueError(f"symbol {sym!r} not in alphabet")
     seen: set[tuple[int, int]] = set()
     for t, rot, m in _cuts(f, w):
         key = (m, t % len(w.period))
-        if key not in seen:
-            seen.add(key)
-            if any(captured for _, captured in _normalized_powers(f, m, rot)):
-                return True
+        if key in seen:
+            return False
+        seen.add(key)
+        if f.progress[m].accepting and any(captured for _, captured in _normalized_powers(f, m, rot)):
+            return True
     return False
 
 

@@ -2,12 +2,15 @@
 written without sharing code with the construction it checks, plus
 test-only helpers over the library: `ordered_reach`, `pretty`,
 `epsilon_profile` and `image`.  `is_normalized`, `is_captured` and
-`accepts_decomposition` are the per-decomposition semantics of a family."""
+`accepts_decomposition` are the per-decomposition semantics of a family.
+`find_accepting_lasso_tarjan` shares the library's BFS and Tarjan routine
+and differs from the library's lasso search only in when it runs them."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Hashable, Iterable
 
 from buchicong import (
     Fdfw,
@@ -20,7 +23,7 @@ from buchicong import (
     letter_profile,
     ordered_step,
 )
-from buchicong.automata import cyclic_components
+from buchicong.automata import Edges, cyclic_components, explore, path_to
 
 
 def step(a: Nbw, subset: frozenset[str], sym: str) -> frozenset[str]:
@@ -214,3 +217,72 @@ def accepts_decomposition(f: Fdfw, prefix: Word, period: Word) -> bool:
     if not period:
         raise ValueError("period must be non-empty")
     return is_normalized(f, prefix, period) and is_captured(f, prefix, period)
+
+
+def find_accepting_lasso_tarjan(
+    roots: Iterable[Hashable],
+    successors: Callable[[Hashable], Edges],
+    is_acc: Callable[[Hashable], int],
+):
+    """Search the graph reachable from `roots`, whose edges leave node x as
+    successors(x) = [targets of letter 0, targets of letter 1, ...], for a
+    cycle through a node satisfying is_acc; nodes are hashable keys.
+    Returns the nodes and letter indices (stem_nodes, stem_letters,
+    cycle_nodes, cycle_letters), or None.
+
+    The answer is fixed by the BFS numbering of explore: roots first, then
+    each new target in the order successors lists it.  The target is the
+    first accepting node in that order that lies on a cycle, the stem is
+    the BFS path to it, and the cycle is a shortest way back to it inside
+    its component, trying letters in order and the targets of one letter in
+    the order successors lists them.  The search stops at that lasso: the
+    BFS runs only as far as the candidates need, and one resumable Tarjan
+    search tests the candidates in order on its own keys, numbering nothing
+    and expanding each node once over all candidates.
+
+    This is the Tarjan-first search that `automata._find_accepting_lasso`
+    replaced: every candidate is tested by a Tarjan run before its return
+    search.  The tests check that both return the same lasso."""
+    out: dict = {}  # node -> successors(node), for the nodes expanded so far
+
+    def edges(x: Hashable) -> Edges:
+        e = out.get(x)
+        if e is None:
+            e = out[x] = successors(x)
+        return e
+
+    keys, _, pred, via, steps = explore(roots, edges)
+    visit = cyclic_components(lambda x: itertools.chain.from_iterable(edges(x)))
+    cycles: dict = {}  # node -> the node set of its component, for nodes on a cycle
+    i = 0
+    while True:
+        while i == len(keys):
+            if next(steps, None) is None:
+                return None
+        target = keys[i]
+        if is_acc(target):
+            for nodes, cyclic in visit(target):
+                if cyclic:
+                    cycles.update(dict.fromkeys(nodes, set(nodes)))
+            if target in cycles:
+                break
+        i += 1
+    stem_nodes, stem_letters = path_to(pred, via, i)
+
+    on = cycles[target]  # the return search runs inside the target's component
+    back = {target: None}  # node -> (node, letter index) of the edge the return search reached it by
+    queue = [target]
+    for node in queue:  # the loop visits the nodes appended while it runs
+        for k, targets in enumerate(edges(node)):
+            if target in targets:
+                cycle_nodes, cycle_letters = [node], [k]
+                while node != target:
+                    node, k = back[node]
+                    cycle_nodes.append(node)
+                    cycle_letters.append(k)
+                return [keys[j] for j in stem_nodes], stem_letters, cycle_nodes[::-1], cycle_letters[::-1]
+            for x in targets:
+                if x in on and x not in back:
+                    back[x] = node, k
+                    queue.append(x)
+    raise AssertionError("node in cyclic component must close a cycle")

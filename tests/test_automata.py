@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from buchicong import (
     Alphabet,
     AlphabetMismatchError,
+    Lasso,
     Nbw,
     ParseError,
     UpWord,
@@ -34,7 +35,7 @@ from buchicong import (
 from buchicong import automata
 from buchicong.automata import _product_lasso, cyclic_components, explore, path_to
 from conftest import canonical_corpus, seeded_nbws, words
-from reference import reach, step
+from reference import find_accepting_lasso_tarjan, reach, step
 
 
 def inf_many(sym: str, other: str) -> Nbw:
@@ -318,6 +319,57 @@ def test_lasso_search_expands_each_node_a_bounded_number_of_times(monkeypatch):
     assert counts["cycle test"] <= 3 * len(a.states)
 
 
+def test_lasso_search_runs_no_tarjan_search_when_the_first_candidate_closes_a_cycle(monkeypatch):
+    # the first accepting state the BFS meets, hit, loops on a: its return
+    # search finds the cycle, so no candidate needs a Tarjan run
+    called = []
+    components = automata.cyclic_components
+
+    def counted_components(successors):
+        def counted(x):
+            called.append(x)
+            return successors(x)
+
+        return components(counted)
+
+    monkeypatch.setattr(automata, "cyclic_components", counted_components)
+    assert is_empty(inf_many("a", "b")) == (False, Lasso(("wait", "hit"), ("a",), ("hit",), ("a",)))
+    assert called == []
+
+
+def test_membership_with_accepting_prefix_states_matches_the_tarjan_first_search(monkeypatch):
+    # the oracle tests no prefix position as a candidate; the reference tests
+    # every accepting position and must find the same lasso
+    go = Nbw(
+        Alphabet(("a", "b")),
+        ("go", "stuck"),
+        frozenset({"go"}),
+        {("go", "a"): frozenset({"go"}), ("go", "b"): frozenset({"stuck"}), ("stuck", "a"): frozenset({"stuck"})},
+        frozenset({"go"}),
+    )
+    cases = [(go, UpWord(("a", "a", "b"), ("a",))), (go, UpWord(("a", "a"), ("a", "a", "b")))]
+    for s in range(20):
+        a = random_nbw(s, 1 + s % 4)
+        every = Nbw(a.alphabet, a.states, a.initial, a.transitions, frozenset(a.states))
+        cases += [(every, w) for w in canonical_corpus(a.alphabet, 3, 2) if w.prefix]
+    calls = []
+    search = automata._find_accepting_lasso
+
+    def recorded(roots, successors, is_acc):
+        hit = search(roots, successors, is_acc)
+        calls.append((roots, successors, hit))
+        return hit
+
+    monkeypatch.setattr(automata, "_find_accepting_lasso", recorded)
+    verdicts = set()
+    for a, w in cases:
+        verdicts.add(lasso_membership(a, w).accepted)
+        roots, successors, hit = calls.pop()
+        n, acc = len(a.states), a.adjacency()[1]
+        assert hit == find_accepting_lasso_tarjan(roots, successors, lambda key: acc[key % n]), (a, w)
+    assert verdicts == {False, True}
+
+
 def test_simulation_reduction_keeps_the_language_and_never_grows():
     def transitions(c: Nbw) -> int:
         return sum(map(len, c.transitions.values()))
@@ -385,6 +437,26 @@ def test_cyclic_components_match_mutual_reachability(adj):
         for j in range(len(adj)):
             mutual = i == j or (j in reaches[i] and i in reaches[j])
             assert (comp[i] == comp[j]) == mutual
+
+
+@st.composite
+def lasso_graphs(draw):
+    """An int_graphs() graph with drawn roots and accepting nodes."""
+    adj = draw(int_graphs())
+    node = st.integers(min_value=0, max_value=len(adj) - 1)
+    return adj, draw(st.lists(node, max_size=3)), draw(st.sets(node))
+
+
+# node 0 is accepting and on no cycle, and its Tarjan run settles the cycle
+# 1 -> 2 -> 1 before the BFS meets the accepting node 2; from root 3, the
+# accepting node 4 steps into that settled cycle before it loops back
+@example(([[[1]], [[2]], [[1]]], [0], {0, 2}))
+@example(([[[1]], [[2]], [[1]], [[4]], [[1, 3]]], [0, 3], {0, 4}))
+@given(lasso_graphs())
+def test_lasso_search_matches_the_tarjan_first_search(graph):
+    adj, roots, acc = graph
+    want = find_accepting_lasso_tarjan(roots, adj.__getitem__, acc.__contains__)
+    assert automata._find_accepting_lasso(roots, adj.__getitem__, acc.__contains__) == want
 
 
 @example([[[0]], [[]], [[3]], [[2, 4]], [[]]])

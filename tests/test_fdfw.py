@@ -160,6 +160,34 @@ def test_general_acceptance_matches_brute_force_on_random_families():
             assert accepts_upword_general(f, w) == _brute_force_accepts(f, w), (serialize_fdfw(f), str(w))
 
 
+def test_general_acceptance_without_accepting_classes_walks_no_powers(monkeypatch):
+    # every key (leading class, phase) repeats within |leading| * |v| cuts,
+    # and a progress DFW that accepts nothing needs no walk over powers
+    built = complement_fdfw_optimal(random_nbw(1729, 4))
+    f = Fdfw(built.alphabet, built.leading, {m: p.with_accepting(frozenset()) for m, p in built.progress.items()})
+    cuts = fdfw._cuts
+    read = []
+
+    def counted(f, w):
+        for cut in cuts(f, w):
+            read.append(cut)
+            yield cut
+
+    def no_powers(f, m, rot):
+        raise AssertionError("walked the powers of a leading class that accepts nothing")
+
+    monkeypatch.setattr(fdfw, "_cuts", counted)
+    monkeypatch.setattr(fdfw, "_normalized_powers", no_powers)
+    assert len(f.leading) > 1
+    for w in canonical_corpus(f.alphabet, 2, 3):
+        read.clear()
+        assert not accepts_upword_general(f, w)
+        assert len(read) <= len(f.leading) * len(w.period) + 1, str(w)
+    # no run reads the period before the walk steps on it
+    with pytest.raises(ValueError, match="symbol '9' not in alphabet"):
+        accepts_upword_general(f, UpWord(("a",), ("9",)))
+
+
 # sha256 over the general and saturated verdicts of every canonical word with
 # |u|, |v| <= 2 and over the words and decompositions that
 # check_saturation_sampled(f, 2, 2, cap=3) reports, on 300 random families
