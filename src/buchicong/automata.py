@@ -505,9 +505,20 @@ def _product_lasso(a: Nbw, b: Nbw) -> UpWord | None:
 
     The verdict: the product is non-empty exactly when some reachable cyclic
     component of the pair graph, on the keys q * |a| + p, holds a pair with
-    p accepting in a and a pair with q accepting in b.  One Tarjan pass
-    decides it and stops at the first such component, so a product found
-    empty costs one pass and stores no edges.
+    p accepting in a and a pair with q accepting in b.  A cycle of pairs
+    projects to a cycle of b, so each pair component lies inside one
+    component of b, and an accepting one inside a live component: a cyclic
+    one that holds an accepting state of b.  One Tarjan pass over b alone
+    finds them.  Then one forward search reaches every pair.  A pair whose
+    q lies in no live component is only searched; any other starts a
+    Tarjan run, unless an earlier run reached it, that follows only the
+    edges staying inside q's component and hands the edges of its pairs
+    that leave it back to the forward search.  So each pair is expanded
+    once, Tarjan sees only the pairs of live components, the verdict stops
+    at the first accepting pair component, and a product found empty
+    stores no edges.  This is the decomposition of the product by the
+    components of the property automaton (Renault, Duret-Lutz, Kordon and
+    Poitrenaud, TACAS 2013).
 
     The witness: a non-empty product is searched again with intersect's
     two-copy counter c, keyed c * |a||b| + q * |a| + p, since a node of an
@@ -516,35 +527,74 @@ def _product_lasso(a: Nbw, b: Nbw) -> UpWord | None:
     number the nodes as intersect does, so the target, the stem and the
     cycle length are those of is_empty(intersect(a, b)); only the cycle's
     letters can differ, at a tie within a letter.  Both passes read the
-    adjacency() rows of a and b, the latter scaled by |a| once per call."""
+    adjacency() rows of a and b, the latter scaled by |a| once per pass."""
     (rows_a, acc_a), (rows_b, acc_b) = a.adjacency(), b.adjacency()
-    na = len(a.states)
+    na, nb = len(a.states), len(b.states)
     syms = a.alphabet.symbols
-    # the successors q' of b as q' * |a|; tuples, which the collector stops
-    # tracking, so that the rows do not slow its later passes
-    rows_b = [tuple([tuple([na * qq for qq in t]) for t in row]) for row in rows_b]
+    # live[q]: the number of q's component of b if that component is live, else -1
+    live = [-1] * nb
+    visit = cyclic_components(lambda q: itertools.chain.from_iterable(rows_b[q]))
+    for number, (nodes, cyclic) in enumerate(comp for q in range(nb) for comp in visit(q)):
+        if cyclic and any(acc_b[q] for q in nodes):
+            for q in nodes:
+                live[q] = number
 
-    def letters(pair: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Per symbol, the successors of the pair's two states."""
-        q, p = divmod(pair, na)
-        return zip(rows_a[p], rows_b[q])
+    def split(q: int, stay: bool) -> tuple[tuple[int, ...], ...]:
+        """Per symbol, the successors r of q as r * |a|: those in q's live
+        component if stay, else the others.  Tuples, which the collector
+        stops tracking, so that the rows do not slow its later passes."""
+        return tuple([tuple([na * r for r in t if (live[r] == live[q] >= 0) == stay]) for t in rows_b[q]])
+
+    inner = [split(q, True) for q in range(nb)]
+    outer = [split(q, False) for q in range(nb)]
+    # whether q has an edge out of its live component; most states of live
+    # components have none, and listing their empty rows cost a third of the gain
+    leaves = [any(row) for row in outer]
 
     roots = [
         b.index(q) * na + a.index(p)
         for p in a.sort_states(a.initial)
         for q in b.sort_states(b.initial)
     ]
-    visit = cyclic_components(lambda pair: [pa + qb for ta, tb in letters(pair) for pa in ta for qb in tb])
-    if not any(
-        cyclic
-        and any(acc_a[pair % na] for pair in nodes)
-        and any(acc_b[pair // na] for pair in nodes)
-        for root in roots
-        for nodes, cyclic in visit(root)
-    ):
+    # the forward search is a loop of its own: explore, which can take a
+    # Tarjan run's leaving edges only once the run is over, took the 40
+    # holding searches of contains-product (seed 1729) from 0.18 s to 0.24 s
+    # on a 2-vCPU VM
+    queue = list(dict.fromkeys(roots))
+    seen = set(queue)  # the pairs queued or expanded by a Tarjan run
+
+    def inside(pair: int) -> list[int]:
+        """Tarjan's successors of a pair in a live component: its targets in
+        that component.  Its other targets go to the forward search."""
+        seen.add(pair)  # so that no leaving edge queues it again
+        q, p = divmod(pair, na)
+        row = rows_a[p]
+        if leaves[q]:
+            for y in [pa + qb for ta, tb in zip(row, outer[q]) for pa in ta for qb in tb]:
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        return [pa + qb for ta, tb in zip(row, inner[q]) for pa in ta for qb in tb]
+
+    runs = cyclic_components(inside)
+    for pair in queue:  # the loop visits the pairs appended while it runs
+        q, p = divmod(pair, na)
+        if live[q] < 0:  # inside's loop written out: calling inside here measured slower
+            for y in [pa + qb for ta, tb in zip(rows_a[p], outer[q]) for pa in ta for qb in tb]:
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        elif any(
+            cyclic and any(acc_a[x % na] for x in nodes) and any(acc_b[x // na] for x in nodes)
+            for nodes, cyclic in runs(pair)
+        ):
+            break
+    else:
         return None
 
-    count = na * len(b.states)
+    # the witness pass reads the successors r of b as r * |a|, tuples like inner and outer
+    rows_b = [tuple([tuple([na * r for r in t]) for t in row]) for row in rows_b]
+    count = na * nb
 
     def successors(key: int) -> tuple[tuple[int, ...], ...]:
         c, pair = divmod(key, count)
@@ -554,7 +604,7 @@ def _product_lasso(a: Nbw, b: Nbw) -> UpWord | None:
         else:
             base = count if acc_a[p] else 0
         # tuples, like the rows: the search keeps every node's edges
-        return tuple([tuple([base + pa + qb for pa in ta for qb in tb]) for ta, tb in letters(pair)])
+        return tuple([tuple([base + pa + qb for pa in ta for qb in tb]) for ta, tb in zip(rows_a[p], rows_b[q])])
 
     hit = _find_accepting_lasso(
         roots, successors, lambda key: key >= count and acc_b[(key - count) // na]

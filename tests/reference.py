@@ -4,26 +4,25 @@ test-only helpers over the library: `ordered_reach`, `pretty`,
 `epsilon_profile` and `image`.  `is_normalized`, `is_captured` and
 `accepts_decomposition` are the per-decomposition semantics of a family.
 `find_accepting_lasso_tarjan` shares the library's BFS and Tarjan routine
-and differs from the library's lasso search only in when it runs them."""
+and differs from the library's lasso search only in when it runs them;
+`product_verdict_tarjan` is the product verdict that runs Tarjan over
+every pair."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Iterator
 
 from buchicong import (
     Fdfw,
     Nbw,
-    PreorderedSubset,
     Profile,
     Word,
-    compose,
-    initial_preordered,
-    letter_profile,
-    ordered_step,
 )
 from buchicong.automata import Edges, cyclic_components, explore, path_to
+from buchicong.preorder import PreorderedSubset, initial_preordered, ordered_step
+from buchicong.profiles import compose, letter_profile
 
 
 def step(a: Nbw, subset: frozenset[str], sym: str) -> frozenset[str]:
@@ -286,3 +285,38 @@ def find_accepting_lasso_tarjan(
                     back[x] = node, k
                     queue.append(x)
     raise AssertionError("node in cyclic component must close a cycle")
+
+
+def product_verdict_tarjan(a: Nbw, b: Nbw) -> bool:
+    """Whether intersect(a, b) is non-empty, decided by one Tarjan pass over
+    every reachable pair of the pair graph, on the keys q * |a| + p: the
+    product is non-empty exactly when some cyclic component holds a pair
+    with p accepting in a and a pair with q accepting in b.  The pass stops
+    at the first such component.
+
+    This is the verdict that `automata._product_lasso` ran before it handed
+    Tarjan only the pairs whose q lies in a live component of b.  The tests
+    check that both give the same verdict."""
+    (rows_a, acc_a), (rows_b, acc_b) = a.adjacency(), b.adjacency()
+    na = len(a.states)
+    # the successors q' of b as q' * |a|
+    rows_b = [tuple([tuple([na * qq for qq in t]) for t in row]) for row in rows_b]
+
+    def letters(pair: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Per symbol, the successors of the pair's two states."""
+        q, p = divmod(pair, na)
+        return zip(rows_a[p], rows_b[q])
+
+    roots = [
+        b.index(q) * na + a.index(p)
+        for p in a.sort_states(a.initial)
+        for q in b.sort_states(b.initial)
+    ]
+    visit = cyclic_components(lambda pair: [pa + qb for ta, tb in letters(pair) for pa in ta for qb in tb])
+    return any(
+        cyclic
+        and any(acc_a[pair % na] for pair in nodes)
+        and any(acc_b[pair // na] for pair in nodes)
+        for root in roots
+        for nodes, cyclic in visit(root)
+    )

@@ -24,8 +24,8 @@ from buchicong import (
     periodic_membership_from_profile,
     progress_congruence_improved,
     subset_congruence,
-    unpack_profile,
 )
+from buchicong.profiles import unpack_profile
 from conftest import edge_members, pool_automaton, record_criterion, single_word_family, witnesses
 from reference import image, ordered_reach, ordered_run_dag, state_mask
 

@@ -35,7 +35,7 @@ from buchicong import (
 from buchicong import automata
 from buchicong.automata import _product_lasso, cyclic_components, explore, path_to
 from conftest import canonical_corpus, seeded_nbws, words
-from reference import find_accepting_lasso_tarjan, reach, step
+from reference import find_accepting_lasso_tarjan, product_verdict_tarjan, reach, step
 
 
 def inf_many(sym: str, other: str) -> Nbw:
@@ -393,6 +393,133 @@ def test_product_search_with_an_automaton_without_transitions_is_empty():
     a = inf_many("a", "b")
     nothing = Nbw(a.alphabet, ("r",), frozenset({"r"}), {}, frozenset())
     assert _product_lasso(a, nothing) is None
+
+
+@st.composite
+def layered_nbws(draw, symbols: tuple[str, ...] = ("a", "b")) -> Nbw:
+    """An automaton whose states fall into two to four layers, with edges
+    only inside a layer or into a later one, so it has at least one
+    component per layer: cyclic or trivial, with or without an accepting
+    state."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=4))
+    layer = [k for k, size in enumerate(sizes) for _ in range(size)]
+    states = tuple(f"s{i}" for i in range(len(layer)))
+    trans = {}
+    for i, q in enumerate(states):
+        later = [r for j, r in enumerate(states) if layer[j] >= layer[i]]
+        for sym in symbols:
+            targets = draw(st.sets(st.sampled_from(later), max_size=2))
+            if targets:
+                trans[q, sym] = frozenset(targets)
+    initial = {states[0], *draw(st.sets(st.sampled_from(states), max_size=1))}
+    accepting = draw(st.sets(st.sampled_from(states)))
+    return Nbw(Alphabet(symbols), states, frozenset(initial), trans, frozenset(accepting))
+
+
+@given(seeded_nbws(max_states=5), layered_nbws())
+def test_product_verdict_matches_the_tarjan_pass_over_every_pair(a, b):
+    assert (_product_lasso(a, b) is None) == (not product_verdict_tarjan(a, b))
+
+
+def universal(alphabet: Alphabet) -> Nbw:
+    """One accepting state that loops on every symbol."""
+    return Nbw(alphabet, ("u",), frozenset({"u"}), {("u", sym): frozenset({"u"}) for sym in alphabet}, frozenset({"u"}))
+
+
+def chain(edges: dict[tuple[str, str], str], accepting: str) -> Nbw:
+    """A deterministic automaton over a, b from its edges, starting in x."""
+    states = tuple(dict.fromkeys(["x", *(q for q, _ in edges), *edges.values()]))
+    trans = {key: frozenset({r}) for key, r in edges.items()}
+    return Nbw(Alphabet(("a", "b")), states, frozenset({"x"}), trans, frozenset(accepting.split()))
+
+
+PRODUCT_VERDICT_CASES = {
+    # x accepts but lies on no cycle; the cycle it leads to does not accept
+    "accepting state on a trivial component": (universal, chain({("x", "a"): "y", ("y", "a"): "y"}, "x"), False),
+    # the cycle y z accepts nothing, and the accepting f has no edge
+    "only cycle without an accepting state": (
+        universal,
+        chain({("x", "a"): "y", ("y", "a"): "z", ("z", "a"): "y", ("x", "b"): "f"}, "f"),
+        False,
+    ),
+    # f's component is the single state f, cyclic through its self-loop
+    "self-loop": (universal, chain({("x", "a"): "f", ("f", "a"): "f"}, "f"), True),
+    # x's component, a b-loop, is not live: the forward search reaches
+    # (u, f) and starts the Tarjan run that finds the accepting component
+    "accepting component behind a component that is not live": (
+        universal,
+        chain({("x", "b"): "x", ("x", "a"): "f", ("f", "a"): "f"}, "f"),
+        True,
+    ),
+    # both components of b, x's b-loop and f's a-loop, are live, but a
+    # accepts only in f's: the Tarjan run inside x's component hands the
+    # edge on a to the forward search, which starts the run that finds it
+    "accepting component behind a live one": (
+        lambda alphabet: inf_many("a", "b"),
+        chain({("x", "b"): "x", ("x", "a"): "f", ("f", "a"): "f"}, "x f"),
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PRODUCT_VERDICT_CASES)
+def test_product_verdict_on_hand_made_components(case):
+    left, b, non_empty = PRODUCT_VERDICT_CASES[case]
+    a = left(b.alphabet)
+    assert product_verdict_tarjan(a, b) == non_empty
+    assert (_product_lasso(a, b) is not None) == non_empty
+
+
+def live_states(b: Nbw) -> set[int]:
+    """The state indices of b whose component is cyclic and holds an
+    accepting state, found by reachability alone."""
+    rows, acc = b.adjacency()
+    reaches = steps_reach(rows)
+    return {
+        q
+        for q in range(len(b.states))
+        if q in reaches[q] and any(acc[r] and r in reaches[q] and q in reaches[r] for r in range(len(b.states)))
+    }
+
+
+def test_product_verdict_runs_tarjan_only_inside_live_components(monkeypatch):
+    # on a product that is empty, the verdict is the only pass: the first
+    # Tarjan routine _product_lasso makes runs over the complement alone,
+    # and the second one is the verdict's, over the pairs
+    x, b = random_nbw(1729, 320), random_nbw(1730, 4)
+    a = intersect(x, b)
+    c = automata._simulation_reduce(fdfw_to_nbw(complement_fdfw_optimal(b)))
+    expanded: list[list] = []
+    components = automata.cyclic_components
+
+    def counted_components(successors):
+        calls = []
+        expanded.append(calls)
+
+        def counted(node):
+            calls.append(node)
+            return successors(node)
+
+        return components(counted)
+
+    monkeypatch.setattr(automata, "cyclic_components", counted_components)
+    assert _product_lasso(a, c) is None
+    monkeypatch.undo()
+    assert len(expanded) == 2
+    na, live = len(a.states), live_states(c)
+    assert live < set(range(len(c.states)))  # some pairs are only searched
+    pairs = expanded[1]
+    assert len(pairs) == len(set(pairs))
+    assert all(pair // na in live for pair in pairs)
+
+    (rows_a, _), (rows_c, _) = a.adjacency(), c.adjacency()
+    roots = [(a.index(p), c.index(q)) for p in a.initial for q in c.initial]
+    keys, _, _, _, steps = explore(
+        roots, lambda pq: [[(pp, qq) for pp in ta for qq in tc] for ta, tc in zip(rows_a[pq[0]], rows_c[pq[1]])]
+    )
+    for _ in steps:
+        pass
+    assert 0 < len(pairs) < len(keys)
 
 
 # --- dense graph core ---------------------------------------------------------------------

@@ -38,11 +38,11 @@ from buchicong import (
     serialize_fdfw,
     serialize_nbw,
     subset_congruence,
-    unpack_profile,
 )
 from buchicong import fdfw
 from buchicong.automata import _product_lasso, _simulation_reduce
 from buchicong.fdfw import _accepting_composition_closed
+from buchicong.profiles import unpack_profile
 from conftest import ARROW_CLASS_FAMILY, canonical_corpus, mixed_blocks_nbw, single_word_family, witnesses
 from reference import accepting_composition_closed, accepts_decomposition, image, is_captured, is_normalized
 

@@ -10,17 +10,20 @@ from buchicong import (
     Alphabet,
     Nbw,
     OptProgressState,
-    PreorderedSubset,
     complement_fdfw_optimal,
     gen_bn,
     gen_bn_dbw,
-    initial_preordered,
     optimal_leading_congruence,
     optimal_progress_congruence,
-    ordered_step,
 )
 from buchicong import random_nbw
-from buchicong.preorder import initial_progress_state, progress_step
+from buchicong.preorder import (
+    PreorderedSubset,
+    initial_preordered,
+    initial_progress_state,
+    ordered_step,
+    progress_step,
+)
 from conftest import seeded_nbws, witnesses, words
 from reference import (
     max_class_map_direct,

@@ -16,11 +16,9 @@ from buchicong import (
     UpWord,
     classical_congruence,
     complement_fdfw_improved,
-    compose,
     gen_bn,
     gen_bn_dbw,
     lasso_membership,
-    letter_profile,
     optimal_leading_congruence,
     optimal_progress_congruence,
     periodic_membership_from_profile,
@@ -28,9 +26,8 @@ from buchicong import (
     random_nbw,
     serialize_dfw,
     subset_congruence,
-    unpack_profile,
 )
-from buchicong.profiles import _row_compose
+from buchicong.profiles import _row_compose, compose, letter_profile, unpack_profile
 from conftest import edge_members, seeded_nbws, witnesses, words
 from reference import (
     epsilon_profile,

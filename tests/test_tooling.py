@@ -9,7 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from buchicong import fdfw, random_nbw, unpack_profile
+from buchicong import fdfw, random_nbw
+from buchicong.profiles import unpack_profile
 from reference import image
 
 ROOT = Path(__file__).resolve().parents[1]
