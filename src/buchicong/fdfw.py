@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .automata import (
     Alphabet,
@@ -246,74 +246,65 @@ def containment(a: Nbw, b: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> tuple[boo
 # --- complement builders -----------------------------------------------------
 
 
-def _complement_family(
-    a: Nbw,
-    lead: CongruenceDfw,
-    build_progress: Callable[..., CongruenceDfw],
-    accepting: Callable[[int, CongruenceDfw, int], bool],
-    budget: int,
-) -> Fdfw:
-    """Saturated family over `lead`: per leading class m, the progress DFW
-    prog = build_progress(a, lead, m, budget, memo=memo), accepting the class
-    ids p of prog that are normalized at m and for which accepting(m, prog, p)
-    holds.  One step memo serves every leading class of this build and is
-    dropped with it.
-
-    Normalization is decided on the leading DFW alone, by the return map:
-    back[p] is the leading class u v reaches for u in m and v in class p,
-    which is the same for every member v because the progress congruence
-    refines the leading one.  Parents precede their children in class-id
-    order, so one pass over `parent` and `via` fills it, and only classes
-    with back[p] == m reach `accepting`."""
-    lead_rows = [lead.rows[sym] for sym in a.alphabet.symbols]
-    progress: dict[int, CongruenceDfw] = {}
+def complement_fdfw_optimal(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw:
+    """Complement family over the ordered-subset congruences.  A progress
+    class of leading class m is normalized when its payload's `lead` is m,
+    and such a class accepts when `OptProgressState.accepts_period` rejects.
+    Class 0 holds only the empty word, no period, unless the scan met an edge
+    back into it, and is left non-accepting without one.  The improved
+    builder has no such rule, and the two differ there on purpose: both
+    families are pinned byte for byte.  One payload graph serves every
+    leading class of this build, and each progress DFW is filled on its
+    first read of rows or payloads, so readers of class counts and accepting
+    sets fill none."""
+    lead = optimal_leading_congruence(a, budget)
+    progress: dict = {}
     memo: dict = {}
     for m in range(len(lead)):
-        prog = build_progress(a, lead, m, budget, memo=memo)
-        back = [m]
-        for parent, k in zip(prog.parent[1:], prog.via[1:]):
-            back.append(lead_rows[k][back[parent]])
+        prog = optimal_progress_congruence(a, lead, m, budget, memo=memo)
+        base = lead.payloads[m].blocks
         progress[m] = prog.with_accepting(
-            frozenset(p for p, b in enumerate(back) if b == m and accepting(m, prog, p))
+            frozenset(p for p, st in prog.candidates if (p or prog.reentered) and not st.accepts_period(base))
         )
-    return Fdfw(a.alphabet, lead, progress, saturated=True)
-
-
-def complement_fdfw_optimal(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw:
-    """Complement family over the ordered-subset congruences.  A normalized
-    progress class of leading class m accepts when
-    `OptProgressState.accepts_period` rejects.  Class 0 with no edge into it
-    holds only the empty word, no period, and is left non-accepting; the rows
-    are searched for such an edge once per progress DFW, at class 0.  The
-    improved builder has no such rule, and the two differ there on purpose:
-    both families are pinned byte for byte."""
-
-    lead = optimal_leading_congruence(a, budget)
-
-    def accepting(m: int, prog: CongruenceDfw, p: int) -> bool:
-        if p == 0 and not any(0 in row for row in prog.rows.values()):
-            return False
-        return not prog.payloads[p].accepts_period(lead.payloads[m].blocks)
-
-    return _complement_family(a, lead, optimal_progress_congruence, accepting, budget)
+    f = Fdfw(a.alphabet, lead, progress, saturated=True)
+    for prog in f.progress.values():
+        prog.home = f.progress
+    return f
 
 
 def complement_fdfw_improved(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw:
     """Complement family over the subset leading congruence and pair profiles
-    over each leading class's states.  A normalized progress class accepts
-    when the folded periodic membership test on its unpacked payload fails.
-    Unlike the optimal builder, this accepts a class 0 with no edge into it
-    whenever the leading class holds no accepting state (the empty word's
-    profile then has no flagged pair); changing either builder's rule would
-    change its pinned output."""
-
+    over each leading class's states.  One row-image memo serves every
+    leading class of this build.  Normalization is decided on the leading
+    DFW alone, by the return map: back[p] is the leading class u v reaches
+    for u in m and v in class p, which is the same for every member v
+    because the progress congruence refines the leading one.  Parents
+    precede their children in class-id order, so one pass over `parent` and
+    `via` fills it.  A class with back[p] == m accepts when the folded
+    periodic membership test on its unpacked payload fails.  Unlike the
+    optimal builder, this accepts a class 0 with no edge into it whenever
+    the leading class holds no accepting state (the empty word's profile
+    then has no flagged pair); changing either builder's rule would change
+    its pinned output."""
     lead = subset_congruence(a, budget)
+    lead_rows = [lead.rows[sym] for sym in a.alphabet.symbols]
     n = len(a.states)
-
-    def accepting(m: int, prog: CongruenceDfw, p: int) -> bool:
-        return not periodic_membership_from_profile(unpack_profile(prog.payloads[p], n), lead.payloads[m])
-
-    return _complement_family(a, lead, progress_congruence_improved, accepting, budget)
+    progress: dict[int, CongruenceDfw] = {}
+    memo: dict = {}
+    for m in range(len(lead)):
+        prog = progress_congruence_improved(a, lead, m, budget, memo=memo)
+        back = [m]
+        for parent, k in zip(prog.parent[1:], prog.via[1:]):
+            back.append(lead_rows[k][back[parent]])
+        sources = lead.payloads[m]
+        progress[m] = prog.with_accepting(
+            frozenset(
+                p
+                for p, b in enumerate(back)
+                if b == m and not periodic_membership_from_profile(unpack_profile(prog.payloads[p], n), sources)
+            )
+        )
+    return Fdfw(a.alphabet, lead, progress, saturated=True)
 
 
 def complement_saturated_fdfw(f: Fdfw) -> Fdfw:

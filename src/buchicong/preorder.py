@@ -18,13 +18,15 @@ within n^n (n+1)^n on everything the suite measures.
 
 from __future__ import annotations
 
-import dataclasses
+from array import array
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .automata import Nbw
 from .profiles import (
     DEFAULT_CLASS_BUDGET,
+    BudgetExceededError,
     CongruenceDfw,
     build_congruence_dfw,
 )
@@ -173,45 +175,114 @@ def progress_step(a: Nbw, lead: CongruenceDfw, st: OptProgressState, sym: str) -
     return OptProgressState(nxt, tuple(back), via).check(lead.payloads[nxt].mask)
 
 
+class ScannedProgressDfw:
+    """A progress DFW of the optimal congruence whose class count is known
+    from its scan and whose `rows`, `payloads`, `parent` and `via` are filled
+    on first read.  `candidates` lists (class id, payload) for the classes
+    whose payload's `lead` is the leading class m the DFW belongs to, the
+    root first; `reentered` says whether some edge leads back into the root.
+    Any other attribute fills the DFW, an ordinary `CongruenceDfw`, and reads
+    it there.  `with_accepting` keeps the scan unfilled.  When `home` is set,
+    the fill also stores the filled DFW in `home[m]`, so that readers of the
+    family's dict read the filled DFW directly from then on."""
+
+    def __init__(self, alphabet, m, scan, candidates, reentered, accepting=None):
+        self.alphabet, self.m, self.initial, self.accepting = alphabet, m, 0, accepting
+        self.candidates, self.reentered, self.home = candidates, reentered, None
+        # the scan: the global ids in class order, the parent and via columns,
+        # and the payload graph's payload list and per-letter successor lists
+        self._scan, self._dfw = scan, None
+
+    def __len__(self) -> int:
+        return len(self._scan[0])
+
+    def with_accepting(self, accepting: frozenset[int]) -> "ScannedProgressDfw":
+        return ScannedProgressDfw(self.alphabet, self.m, self._scan, self.candidates, self.reentered, accepting)
+
+    def fill(self) -> CongruenceDfw:
+        if self._dfw is None:
+            order, parent, via, payloads, succ = self._scan
+            # rebuilt, not kept from the scan: kept for every unfilled DFW, the
+            # maps raised the peak of a process building rnd1732n7 from 26 MB
+            # to 53 MB, to save 0.03 s of its fill
+            local = dict(zip(order, range(len(order))))
+            # one itemgetter call per column; the root is picked twice and dropped
+            # again, because itemgetter answers a single key with a bare value
+            pick = itemgetter(*order, order[0])
+            rows = {
+                sym: array("i", itemgetter(*pick(row))(local)[:-1])
+                for sym, row in zip(self.alphabet.symbols, succ)
+            }
+            self._dfw = CongruenceDfw(self.alphabet, pick(payloads)[:-1], rows, parent, via, 0, self.accepting)
+            # readers that hold this object, as serialize_fdfw does, read the columns as plain
+            # attributes from now on: through __getattr__, the sweep's 48 optimal builds plus
+            # serialize_fdfw took 0.38 s, not 0.21 s
+            self.payloads, self.rows, self.parent, self.via = self._dfw.payloads, rows, parent, via
+            if self.home is not None:
+                self.home[self.m] = self._dfw
+        return self._dfw
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):  # protocol probes such as copy's __setstate__ fill nothing
+            raise AttributeError(name)
+        return getattr(self.fill(), name)
+
+
 def optimal_progress_congruence(
     a: Nbw,
     lead: CongruenceDfw,
     m: int,
     budget: int = DEFAULT_CLASS_BUDGET,
     memo: dict | None = None,
-) -> CongruenceDfw:
+) -> ScannedProgressDfw:
     """Progress congruence for class m of the optimal leading congruence `lead`.
     `memo` holds a payload graph: `memo["payloads"]` lists each distinct
     payload once, by global id, `memo["ids"]` maps it back, and `memo[k]` lists
     each id's successor on the symbol of index k, -1 until first stepped.  A
     step reads only the payload, the letter, `a` and `lead`, so the progress
     DFWs of every class of `lead` may share one graph, each a breadth-first
-    search over global ids renumbered in discovery order; without a memo, a
-    fresh graph is used."""
+    scan over global ids whose discovery order numbers the classes; without
+    a memo, a fresh graph is used.  The DFW is filled from the scan on first
+    read, and raises BudgetExceededError as `build_congruence_dfw` would."""
     memo = {} if memo is None else memo
     payloads, ids = memo.setdefault("payloads", []), memo.setdefault("ids", {})
-    succ = {sym: memo.setdefault(k, []) for k, sym in enumerate(a.alphabet.symbols)}
+    symbols = a.alphabet.symbols
+    succ = [memo.setdefault(k, []) for k in range(len(symbols))]
 
     def node(st: OptProgressState) -> int:
         g = ids.setdefault(st, len(payloads))
         if g == len(payloads):
             payloads.append(st)
-            for row in succ.values():
+            for row in succ:
                 row.append(-1)
         return g
 
-    def step(g: int, sym: str) -> int:
-        row = succ[sym]
-        nxt = row[g]
-        if nxt < 0:
-            nxt = row[g] = node(progress_step(a, lead, payloads[g], sym))
-        return nxt
-
-    dfw = build_congruence_dfw(
-        f"optimal-progress[{' '.join(lead.witness(m))}]",
-        a.alphabet,
-        node(initial_progress_state(lead, m)),
-        step,
-        budget,
-    )
-    return dataclasses.replace(dfw, payloads=tuple(payloads[g] for g in dfw.payloads))
+    phase = f"optimal-progress[{' '.join(lead.witness(m))}]"
+    root = node(initial_progress_state(lead, m))
+    order, seen = [root], {root}
+    parent, via = array("i", [-1]), array("i", [-1])
+    candidates, reentered = [(0, payloads[root])], False
+    letters = list(enumerate(succ))
+    # not build_congruence_dfw: its rows and payload column cost more than this
+    # scan when no reader fills them (rnd1732n7's optimal build: 0.44 s with
+    # it, 0.25 s with this loop, on a 2-vCPU VM).  The scan records the class
+    # order and the parent and via columns as it goes, which the fill could
+    # only recover by a second search.
+    for c, g in enumerate(order):
+        for k, row in letters:
+            nxt = row[g]
+            if nxt < 0:
+                nxt = row[g] = node(progress_step(a, lead, payloads[g], symbols[k]))
+            if nxt not in seen:
+                if len(order) >= budget:
+                    raise BudgetExceededError(len(order), budget, phase)
+                seen.add(nxt)
+                st = payloads[nxt]
+                if st.lead == m:
+                    candidates.append((len(order), st))
+                order.append(nxt)
+                parent.append(c)
+                via.append(k)
+            elif nxt == root:
+                reentered = True
+    return ScannedProgressDfw(a.alphabet, m, (order, parent, via, payloads, succ), candidates, reentered)

@@ -23,7 +23,7 @@ n bits reach_f[i], and rows outside the source set are zero.  `unpack_profile`
 turns such a payload back into a `Profile`.  The image of an improved
 progress class's profile is the state mask of the subset class its members
 lead the sources to; the complement builder reads that class off the leading
-DFW's rows by the return map of `fdfw._complement_family`, not off the code.
+DFW's rows by the return map of `fdfw.complement_fdfw_improved`, not off the code.
 """
 
 from __future__ import annotations

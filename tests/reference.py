@@ -6,10 +6,12 @@ test-only helpers over the library: `ordered_reach`, `pretty`,
 `find_accepting_lasso_tarjan` shares the library's BFS and Tarjan routine
 and differs from the library's lasso search only in when it runs them;
 `product_verdict_tarjan` is the product verdict that runs Tarjan over
-every pair."""
+every pair.  `complement_fdfw_optimal_eager` is the optimal complement
+builder that renumbers every progress DFW during the build."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator
@@ -21,8 +23,15 @@ from buchicong import (
     Word,
 )
 from buchicong.automata import Edges, cyclic_components, explore, path_to
-from buchicong.preorder import PreorderedSubset, initial_preordered, ordered_step
-from buchicong.profiles import compose, letter_profile
+from buchicong.preorder import (
+    PreorderedSubset,
+    initial_preordered,
+    initial_progress_state,
+    optimal_leading_congruence,
+    ordered_step,
+    progress_step,
+)
+from buchicong.profiles import DEFAULT_CLASS_BUDGET, build_congruence_dfw, compose, letter_profile
 
 
 def step(a: Nbw, subset: frozenset[str], sym: str) -> frozenset[str]:
@@ -320,3 +329,63 @@ def product_verdict_tarjan(a: Nbw, b: Nbw) -> bool:
         for root in roots
         for nodes, cyclic in visit(root)
     )
+
+
+def complement_fdfw_optimal_eager(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw:
+    """The optimal complement family, every progress DFW built whole during
+    the build.  Per leading class m, `build_congruence_dfw` explores the
+    progress congruence over one payload graph shared by the build (global
+    payload ids, one successor list per letter, -1 until first stepped) and
+    the classes are renumbered in discovery order.  The return map fills
+    back[p], the leading class u v reaches for u in m and v in class p, in
+    one pass over `parent` and `via`; a class with back[p] == m accepts when
+    `accepts_period` rejects, except class 0 when no row enters it.
+
+    This is the builder that `fdfw.complement_fdfw_optimal` replaced with a
+    scan whose DFWs are filled on first read.  The tests check that both give
+    the same families and the same budget errors."""
+    lead = optimal_leading_congruence(a, budget)
+    symbols = a.alphabet.symbols
+    lead_rows = [lead.rows[sym] for sym in symbols]
+    payloads: list = []
+    ids: dict = {}
+    succ: dict[str, list[int]] = {sym: [] for sym in symbols}
+
+    def node(st) -> int:
+        g = ids.setdefault(st, len(payloads))
+        if g == len(payloads):
+            payloads.append(st)
+            for row in succ.values():
+                row.append(-1)
+        return g
+
+    def step(g: int, sym: str) -> int:
+        row = succ[sym]
+        nxt = row[g]
+        if nxt < 0:
+            nxt = row[g] = node(progress_step(a, lead, payloads[g], sym))
+        return nxt
+
+    progress = {}
+    for m in range(len(lead)):
+        dfw = build_congruence_dfw(
+            f"optimal-progress[{' '.join(lead.witness(m))}]",
+            a.alphabet,
+            node(initial_progress_state(lead, m)),
+            step,
+            budget,
+        )
+        prog = dataclasses.replace(dfw, payloads=tuple(payloads[g] for g in dfw.payloads))
+        back = [m]
+        for parent, k in zip(prog.parent[1:], prog.via[1:]):
+            back.append(lead_rows[k][back[parent]])
+        entered = any(0 in row for row in prog.rows.values())
+        base = lead.payloads[m].blocks
+        progress[m] = prog.with_accepting(
+            frozenset(
+                p
+                for p, b in enumerate(back)
+                if b == m and (p or entered) and not prog.payloads[p].accepts_period(base)
+            )
+        )
+    return Fdfw(a.alphabet, lead, progress, saturated=True)

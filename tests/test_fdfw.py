@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import json
 import pickle
 import random
 
@@ -39,12 +40,20 @@ from buchicong import (
     serialize_nbw,
     subset_congruence,
 )
-from buchicong import fdfw
+from buchicong import fdfw, preorder
 from buchicong.automata import _product_lasso, _simulation_reduce
 from buchicong.fdfw import _accepting_composition_closed
-from buchicong.profiles import unpack_profile
+from buchicong.cli import main
+from buchicong.profiles import DEFAULT_CLASS_BUDGET, unpack_profile
 from conftest import ARROW_CLASS_FAMILY, canonical_corpus, mixed_blocks_nbw, single_word_family, witnesses
-from reference import accepting_composition_closed, accepts_decomposition, image, is_captured, is_normalized
+from reference import (
+    accepting_composition_closed,
+    accepts_decomposition,
+    complement_fdfw_optimal_eager,
+    image,
+    is_captured,
+    is_normalized,
+)
 
 
 # --- decomposition semantics -------------------------------------------------------
@@ -577,6 +586,78 @@ def test_shared_step_memo_keeps_the_budget_error(monkeypatch, variant):
     assert (alone.count, alone.phase) == (shared.count, shared.phase)
 
 
+def _optimal_outcome(build, a, budget):
+    """What a build of `a` within `budget` gives, read in the order that
+    fills least first: class counts, bound and accepting sets, then the
+    translation, then the serialized family; or the budget error's
+    (count, phase)."""
+    try:
+        f = build(a, budget)
+    except BudgetExceededError as err:
+        return err.count, err.phase
+    accepting = [f.progress[m].accepting for m in range(len(f.leading))]
+    head = f.size(), nbw_state_bound(f), accepting
+    return head, serialize_nbw(fdfw_to_nbw(f)), serialize_fdfw(f)
+
+
+def test_optimal_builder_matches_the_eager_reference():
+    automata = [gen_bn(n) for n in range(1, 5)] + [gen_bn_dbw(n) for n in range(1, 5)]
+    automata += [random_nbw(1729, 7)] + [random_nbw(s, 2 + s % 5) for s in range(2000, 2200)]
+    for a in automata:
+        assert _optimal_outcome(complement_fdfw_optimal, a, DEFAULT_CLASS_BUDGET) == _optimal_outcome(
+            complement_fdfw_optimal_eager, a, DEFAULT_CLASS_BUDGET
+        ), a
+
+
+@pytest.mark.parametrize("a", [random_nbw(1731, 5), random_nbw(1729, 7)], ids=["rnd1731n5", "rnd1729n7"])
+def test_optimal_builder_raises_the_eager_reference_budget_error(a):
+    # the budgets of test_shared_step_memo_keeps_the_budget_error: the
+    # leading count, the first class's size, and one below a later class
+    f = complement_fdfw_optimal_eager(a)
+    sizes = [len(f.progress[m]) for m in range(len(f.leading))]
+    later = max(range(1, len(sizes)), key=sizes.__getitem__)
+    raised = 0
+    for budget in (len(f.leading), sizes[0], sizes[later] - 1):
+        got = _optimal_outcome(complement_fdfw_optimal, a, budget)
+        assert got == _optimal_outcome(complement_fdfw_optimal_eager, a, budget), budget
+        raised += isinstance(got[1], str)
+    assert raised == 3
+
+
+def test_optimal_progress_dfws_fill_only_when_read(monkeypatch, tmp_path, capsys):
+    # the class counts, accepting sets and the complement report read no
+    # progress rows; the translation fills the leading classes with
+    # accepting classes, once; serializing fills every one, and a filled
+    # family hands out the DFWs made by the constructor
+    fills = []
+    real = preorder.CongruenceDfw
+
+    def counted(alphabet, payloads, *rest):
+        fills.append(payloads)
+        return real(alphabet, payloads, *rest)
+
+    monkeypatch.setattr(preorder, "CongruenceDfw", counted)
+    a = random_nbw(1732, 7)
+    f = complement_fdfw_optimal(a)
+    f.size(), nbw_state_bound(f), sum(len(p.accepting) for p in f.progress.values())
+    path = tmp_path / "a.nbw"
+    path.write_text(serialize_nbw(a))
+    assert main(["complement", "--in", str(path), "--variant", "optimal", "--json"]) == 0
+    [report] = json.loads(capsys.readouterr().out)
+    assert (report["leading_classes"], report["accepting_classes"]) == (325, 3)
+    assert fills == []
+    live = [m for m, p in f.progress.items() if p.accepting]
+    fdfw_to_nbw(f)
+    assert len(live) == len(fills) == 3
+    assert all(type(f.progress[m]) is real for m in live)
+    fdfw_to_nbw(f)
+    assert len(fills) == 3
+    g = complement_fdfw_optimal(a)
+    serialize_fdfw(g)
+    assert len(fills) == 3 + len(g.leading) == 3 + 325
+    assert all(type(p) is real for p in g.progress.values())
+
+
 def test_no_builder_calls_the_oracle(monkeypatch):
     # the oracle is ground truth for tests only: complement builders, the
     # translation and containment must decide everything on their own
@@ -608,9 +689,11 @@ def test_optimal_marking_reads_no_profile(monkeypatch):
 
 
 def test_progress_classes_return_where_their_payload_says():
-    # the marking decides normalization by the return map over the leading
-    # rows; it must agree with what each payload records: the optimal
-    # payload's `lead`, and the subset class of the improved profile's image
+    # the optimal marking reads normalization off the payload's `lead`, and
+    # the improved marking decides it by the return map over the leading
+    # rows; each must agree with where the class's witness returns: the
+    # optimal payload's `lead`, and the subset class of the improved
+    # profile's image
     automata = [gen_bn(k) for k in range(1, 5)] + [gen_bn_dbw(k) for k in range(1, 5)]
     automata += [random_nbw(s, 2 + s % 5) for s in range(2000, 2100)]
     for a in automata:
