@@ -5,6 +5,8 @@ test-only helpers over the library: `ordered_reach`, `pretty`,
 `accepts_decomposition` are the per-decomposition semantics of a family.
 `find_accepting_lasso_tarjan` shares the library's BFS and Tarjan routine
 and differs from the library's lasso search only in when it runs them;
+`lasso_membership_full` is the oracle that hands the whole word graph,
+prefix positions included, to the library's lasso search;
 `product_verdict_tarjan` is the product verdict that runs Tarjan over
 every pair.  `complement_fdfw_optimal_eager` is the optimal complement
 builder that renumbers every progress DFW during the build."""
@@ -18,11 +20,14 @@ from typing import Callable, Hashable, Iterable, Iterator
 
 from buchicong import (
     Fdfw,
+    Lasso,
+    MembershipVerdict,
     Nbw,
     Profile,
+    UpWord,
     Word,
 )
-from buchicong.automata import Edges, cyclic_components, explore, path_to
+from buchicong.automata import Edges, _find_accepting_lasso, cyclic_components, explore, path_to
 from buchicong.preorder import (
     PreorderedSubset,
     initial_preordered,
@@ -294,6 +299,50 @@ def find_accepting_lasso_tarjan(
                     back[x] = node, k
                     queue.append(x)
     raise AssertionError("node in cyclic component must close a cycle")
+
+
+def lasso_membership_full(a: Nbw, w: UpWord) -> MembershipVerdict:
+    """Ground-truth membership of the ultimately periodic word in L(a).
+
+    Builds the product of the automaton with the lasso-shaped word graph
+    (one position per letter of prefix and period, period positions cyclic)
+    and searches for a reachable cycle through an accepting state.  The
+    product state (q, pos) is keyed pos * |a| + q over the state index q.
+
+    This is the oracle that `automata.lasso_membership` replaced: the lasso
+    search runs from the initial states and numbers every prefix position,
+    where the library walks the prefix as layers and searches only the
+    period.  The tests check that both return the same verdict and witness."""
+    word = w.prefix + w.period
+    for sym in word:
+        if sym not in a.alphabet:
+            raise ValueError(f"symbol {sym!r} not in alphabet")
+    n = len(a.states)
+    rows, acc = a.adjacency()
+    letters = [a.alphabet.symbols.index(sym) for sym in word]
+
+    def successors(key: int) -> list[list[int]]:
+        pos, q = divmod(key, n)
+        base = (pos + 1 if pos + 1 < len(word) else len(w.prefix)) * n
+        return [[base + r for r in rows[q][letters[pos]]]]
+
+    roots = sorted(a.index(q) for q in a.initial)
+    # keys below period_start are prefix positions, which lie on no cycle
+    period_start = len(w.prefix) * n
+    hit = _find_accepting_lasso(roots, successors, lambda key: key >= period_start and acc[key % n])
+    if hit is None:
+        return MembershipVerdict(False, None)
+    stem_nodes, _, cycle_nodes, _ = hit
+    # each node reads one letter, the one at its position
+    return MembershipVerdict(
+        True,
+        Lasso(
+            tuple(a.states[key % n] for key in stem_nodes),
+            tuple(word[key // n] for key in stem_nodes[:-1]),
+            tuple(a.states[key % n] for key in cycle_nodes),
+            tuple(word[key // n] for key in cycle_nodes),
+        ),
+    )
 
 
 def product_verdict_tarjan(a: Nbw, b: Nbw) -> bool:

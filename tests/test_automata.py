@@ -6,7 +6,7 @@ import hashlib
 import itertools
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from buchicong import (
@@ -35,7 +35,7 @@ from buchicong import (
 from buchicong import automata
 from buchicong.automata import _product_lasso, cyclic_components, explore, path_to
 from conftest import canonical_corpus, seeded_nbws, words
-from reference import find_accepting_lasso_tarjan, product_verdict_tarjan, reach, step
+from reference import find_accepting_lasso_tarjan, lasso_membership_full, product_verdict_tarjan, reach, step
 
 
 def inf_many(sym: str, other: str) -> Nbw:
@@ -48,6 +48,17 @@ def inf_many(sym: str, other: str) -> Nbw:
         ("wait", other): frozenset({"wait"}),
     }
     return Nbw(alphabet, ("hit", "wait"), frozenset({"wait"}), trans, frozenset({"hit"}))
+
+
+def dead_end() -> Nbw:
+    """go loops on a and moves to stuck on b; stuck loops on a and has no b
+    successor, so no run survives the prefix b b.  Both states accept."""
+    trans = {
+        ("go", "a"): frozenset({"go"}),
+        ("go", "b"): frozenset({"stuck"}),
+        ("stuck", "a"): frozenset({"stuck"}),
+    }
+    return Nbw(Alphabet(("a", "b")), ("go", "stuck"), frozenset({"go"}), trans, frozenset({"go", "stuck"}))
 
 
 # --- words ----------------------------------------------------------------------
@@ -182,6 +193,75 @@ def test_membership_rejects_foreign_symbols():
     a = inf_many("a", "b")
     with pytest.raises(ValueError):
         lasso_membership(a, UpWord(("z",), ("a",)))
+    # a foreign symbol in the period only, and after a prefix that no run
+    # survives; the message names the first foreign symbol in word order
+    dead = dead_end()
+    assert reach(dead, ("b", "b")) == frozenset()
+    for b, w, sym in [
+        (a, UpWord(("a", "b"), ("a", "z")), "z"),
+        (dead, UpWord(("b", "b", "z"), ("a",)), "z"),
+        (dead, UpWord(("b", "b"), ("a", "z")), "z"),
+        (dead, UpWord(("b", "b", "y"), ("z",)), "y"),
+    ]:
+        with pytest.raises(ValueError, match=f"^symbol '{sym}' not in alphabet$"):
+            lasso_membership(b, w)
+
+
+@settings(max_examples=200)
+@given(seeded_nbws(6), st.booleans(), words(max_len=12), words(max_len=6).filter(bool))
+@example(dead_end(), False, ("b", "b"), ("a",))  # no run survives the prefix
+@example(dead_end(), False, ("a", "a", "b"), ("a", "b"))  # the period kills every run
+@example(dead_end(), False, ("a", "a", "b", "a"), ("a",))  # accepted; every prefix position accepts
+def test_membership_matches_the_search_over_the_whole_word_graph(a, every, u, v):
+    # with every state accepting, every prefix position is accepting too;
+    # the prefix walk must still find the lasso the whole search found
+    if every:
+        a = Nbw(a.alphabet, a.states, a.initial, a.transitions, frozenset(a.states))
+    w = UpWord(u, v)
+    assert lasso_membership(a, w) == lasso_membership_full(a, w)
+
+
+def test_membership_searches_only_the_period_from_its_first_layer(monkeypatch):
+    # the lasso search behind the oracle expands no prefix position, and its
+    # roots are the states at the period's first position, in the order the
+    # BFS of the whole word graph numbers them
+    searches = []
+    search = automata._find_accepting_lasso
+
+    def recorded(roots, successors, is_acc):
+        expanded = []
+
+        def counted(key):
+            expanded.append(key)
+            return successors(key)
+
+        searches.append((list(roots), expanded))
+        return search(roots, counted, is_acc)
+
+    monkeypatch.setattr(automata, "_find_accepting_lasso", recorded)
+    layers = set()
+    for s in range(12):
+        a = random_nbw(s, 1 + s % 6)
+        n, rows = len(a.states), a.adjacency()[0]
+        for w in canonical_corpus(a.alphabet, 4, 2):
+            lasso_membership(a, w)
+            roots, expanded = searches.pop()
+            start = len(w.prefix) * n
+            assert all(key >= start for key in expanded), (s, w)
+            letters = [a.alphabet.symbols.index(sym) for sym in w.prefix + w.period]
+
+            def whole(key):
+                pos, q = divmod(key, n)
+                base = (pos + 1 if pos + 1 < len(letters) else len(w.prefix)) * n
+                return [[base + r for r in rows[q][letters[pos]]]]
+
+            keys, _, pred, _, steps = explore(sorted(a.index(q) for q in a.initial), whole)
+            for _ in steps:
+                pass
+            first = [x for x, p in zip(keys, pred) if start <= x < start + n and (p < 0 or keys[p] < start)]
+            assert roots == first, (s, w)
+            layers.add(len(roots))
+    assert 0 in layers and max(layers) > 1
 
 
 @given(seeded_nbws(), words(max_len=2), words(max_len=3).filter(bool))

@@ -883,6 +883,29 @@ def test_search_outputs_are_pinned():
     assert h.hexdigest() == SEARCH_OUTPUTS_DIGEST
 
 
+# sha256 over the repr of every lasso_membership verdict on seeded words
+# whose prefixes have 3 to 12 letters, which the canonical corpus of the
+# digest above (|u| <= 2) never reaches; 500 of the 2,000 prefixes leave no run
+LONG_PREFIX_MEMBERSHIP_DIGEST = "09119f330db582529fa703326088cb7a42a543d0c91d2963205a2d72e93ab4f5"
+
+
+def long_prefix_words(a: Nbw, seed: int) -> list[UpWord]:
+    rng = random.Random(seed + 1_000_000)  # not random_nbw's stream for the same seed
+
+    def word(lo: int, hi: int) -> tuple[str, ...]:
+        return tuple(rng.choice(a.alphabet.symbols) for _ in range(rng.randint(lo, hi)))
+
+    return [UpWord(word(3, 12), word(1, 12)) for _ in range(10)]
+
+
+def test_long_prefix_membership_is_pinned():
+    h = hashlib.sha256()
+    for s, a in zip(range(2000, 2200), search_corpus()):
+        for w in long_prefix_words(a, s):
+            h.update(repr(lasso_membership(a, w)).encode())
+    assert h.hexdigest() == LONG_PREFIX_MEMBERSHIP_DIGEST
+
+
 def test_containment_verdicts_and_counterexamples_are_sound():
     # every verdict is the emptiness of the named product with the unreduced
     # translated complement, and every counterexample is a word of a that b
