@@ -52,7 +52,6 @@ from .profiles import (
     periodic_membership_from_profile,
     progress_congruence_improved,
     subset_congruence,
-    unpack_profile,
 )
 
 
@@ -281,14 +280,13 @@ def complement_fdfw_improved(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw
     because the progress congruence refines the leading one.  Parents
     precede their children in class-id order, so one pass over `parent` and
     `via` fills it.  A class with back[p] == m accepts when the folded
-    periodic membership test on its unpacked payload fails.  Unlike the
-    optimal builder, this accepts a class 0 with no edge into it whenever
-    the leading class holds no accepting state (the empty word's profile
-    then has no flagged pair); changing either builder's rule would change
-    its pinned output."""
+    periodic membership test on its profile, read off the class's row ids,
+    fails.  Unlike the optimal builder, this accepts a class 0 with no edge
+    into it whenever the leading class holds no accepting state (the empty
+    word's profile then has no flagged pair); changing either builder's rule
+    would change its pinned output."""
     lead = subset_congruence(a, budget)
     lead_rows = [lead.rows[sym] for sym in a.alphabet.symbols]
-    n = len(a.states)
     progress: dict[int, CongruenceDfw] = {}
     memo: dict = {}
     for m in range(len(lead)):
@@ -301,7 +299,7 @@ def complement_fdfw_improved(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw
             frozenset(
                 p
                 for p, b in enumerate(back)
-                if b == m and not periodic_membership_from_profile(unpack_profile(prog.payloads[p], n), sources)
+                if b == m and not periodic_membership_from_profile(prog.payloads.profile(p), sources)
             )
         )
     return Fdfw(a.alphabet, lead, progress, saturated=True)

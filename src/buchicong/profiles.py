@@ -17,18 +17,23 @@ Two constructions live here, both over the compiled successor rows of
 A profile is the NamedTuple (reach, reach_f) of plain tuples of row bitmasks
 over the state order of the automaton.  It has no size field, and only
 `compose` and `periodic_membership_from_profile` validate profiles.  The
-pair-profile congruences store each class as one packed int instead: row i
-occupies bits [2n*i, 2n*i + 2n), its low n bits holding reach[i] and its high
-n bits reach_f[i], and rows outside the source set are zero.  `unpack_profile`
-turns such a payload back into a `Profile`.  The image of an improved
-progress class's profile is the state mask of the subset class its members
-lead the sources to; the complement builder reads that class off the leading
-DFW's rows by the return map of `fdfw.complement_fdfw_improved`, not off the code.
+pair-profile congruences hand out each class's payload as one packed int:
+row i occupies bits [2n*i, 2n*i + 2n), its low n bits holding reach[i] and
+its high n bits reach_f[i], and rows outside the source set are zero.
+`unpack_profile` turns such a payload back into a `Profile`.  Inside, a
+class is the row id of each state, numbered per build from the rows its
+sources reach, and one step maps the ids through a per-letter table with a
+single `bytes.translate`; the payload column packs a class on read.  The
+image of an improved progress class's profile is the state mask of the
+subset class its members lead the sources to; the complement builder reads
+that class off the leading DFW's rows by the return map of
+`fdfw.complement_fdfw_improved`, not off the code.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
@@ -156,7 +161,7 @@ class CongruenceDfw:
     a DFW over finite words."""
 
     alphabet: Alphabet
-    payloads: tuple[Hashable, ...]
+    payloads: Sequence[Hashable]
     rows: Mapping[str, Sequence[int]]
     parent: Sequence[int]
     via: Sequence[int]
@@ -234,41 +239,112 @@ def subset_congruence(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> CongruenceD
     return build_congruence_dfw("subset", a.alphabet, init, lambda s, sym: _image(succ[sym], s), budget)
 
 
+class _PackedCodes(Sequence[int]):
+    """The payload column of a pair-profile congruence.  Class c is stored as
+    `ids[c*n:(c+1)*n]`, the row id of each of the n states, and reads as the
+    packed int of the module docstring.  `rows[r]` is the 2n-bit code of
+    row id r; id 0 marks the rows outside the sources and packs to zero."""
+
+    def __init__(self, ids: bytes | array, count: int, rows: list[int], n: int):
+        self.ids, self.count, self.rows, self.n = ids, count, rows, n
+        low = (1 << n) - 1
+        self._reach = [row & low for row in rows]
+        self._reach_f = [row >> n for row in rows]
+
+    def __len__(self) -> int:
+        return self.count
+
+    def _code(self, c: int) -> Sequence[int]:
+        if not 0 <= c < self.count:
+            raise IndexError("class id out of range")
+        return self.ids[c * self.n : (c + 1) * self.n]
+
+    def _pack(self, c: int) -> int:
+        rows, width = self.rows, 2 * self.n
+        out = 0
+        for i, r in enumerate(self._code(c)):
+            out |= rows[r] << width * i
+        return out
+
+    def __getitem__(self, c: int) -> int:
+        return self._pack(c + self.count if c < 0 else c)
+
+    def __iter__(self):
+        return map(self._pack, range(self.count))
+
+    def __eq__(self, other: object) -> bool:
+        # by value, as the tuple column was, so equal DFWs still compare equal
+        return tuple(self) == tuple(other) if isinstance(other, _PackedCodes) else NotImplemented
+
+    def profile(self, c: int) -> Profile:
+        """The profile of class c, read off its row ids."""
+        code = self._code(c)
+        return Profile(tuple(map(self._reach.__getitem__, code)), tuple(map(self._reach_f.__getitem__, code)))
+
+
 def _profile_congruence(
     a: Nbw, phase: str, sources: int, budget: int, memo: dict[str, dict] | None = None
 ) -> CongruenceDfw:
     """Right congruence refined by the pair profile's rows in the source mask
-    `sources`; the other rows stay zero.  Payloads are packed profiles (see
-    the module docstring).  Only source rows are composed, and each row image
-    is computed once per `memo`, which maps each letter to a dict from the
+    `sources`; the other rows stay zero.  Payloads read as packed profiles
+    (see the module docstring and `_PackedCodes`).  Each row image is
+    computed once per `memo`, which maps each letter to a dict from the
     2n-bit row codes found so far to their image codes.  Row images depend
     only on `a`, so builds over other source masks may share it; without
-    one, a fresh memo is used."""
+    one, a fresh memo is used.
+
+    Before the search, the rows reachable from the diagonal source rows are
+    numbered from 1, and each letter gets the table of its image ids.  A
+    class is the row id of every state, 0 outside the sources, so one step
+    maps each id through the letter's table: one `bytes.translate` while the
+    ids fit a byte, a tuple of ids otherwise.  Every reachable row is a row
+    of some class, so more than `budget` times |sources| rows mean more
+    than `budget` classes, and the build raises as the search would."""
     n = len(a.states)
     low = (1 << n) - 1
-    row_mask = (1 << 2 * n) - 1
-    shifts = [2 * n * i for i in _bits(sources)]
-    letters = {sym: letter_profile(a, sym) for sym in a.alphabet}
+    symbols = a.alphabet.symbols
+    letters = [letter_profile(a, sym) for sym in symbols]
     memo = {} if memo is None else memo
-    images: dict[str, dict[int, int]] = {sym: memo.setdefault(sym, {}) for sym in a.alphabet}
-
-    def step_profile(code: int, sym: str) -> int:
-        known = images[sym]
-        out = 0
-        for shift in shifts:
-            row = code >> shift & row_mask
-            img = known.get(row)
-            if img is None:
-                r, rf = _row_compose(row & low, row >> n, letters[sym])
-                img = known[row] = r | rf << n
-            out |= img << shift
-        return out
-
+    images = [memo.setdefault(sym, {}) for sym in symbols]
+    srcs = list(_bits(sources))
     # epsilon rows are diagonal: source i relates to itself only, and visits
     # acceptance when i is accepting
     acc = a.bitmasks()[1]
-    init = sum((1 << i | (acc & 1 << i) << n) << 2 * n * i for i in _bits(sources))
-    return build_congruence_dfw(phase, a.alphabet, init, step_profile, budget)
+    diagonal = [1 << i | (acc & 1 << i) << n for i in srcs]
+    rows = [0] + diagonal
+    ids = {row: r for r, row in enumerate(rows) if r}
+    tables: list[list[int]] = [[0] for _ in symbols]
+    limit = max(budget, 1) * len(srcs)
+    # row ids are handed out in discovery order, so the list is the queue
+    for row in itertools.islice(rows, 1, None):
+        for known, second, table in zip(images, letters, tables):
+            img = known.get(row)
+            if img is None:
+                r, rf = _row_compose(row & low, row >> n, second)
+                img = known[row] = r | rf << n
+            j = ids.get(img)
+            if j is None:
+                if len(ids) >= limit:
+                    # the search raises at its first class past max(budget, 1)
+                    raise BudgetExceededError(max(budget, 1), budget, phase)
+                j = ids[img] = len(rows)
+                rows.append(img)
+            table.append(j)
+    start = [0] * n
+    for r, i in enumerate(srcs, 1):
+        start[i] = r
+    if len(rows) <= 256:
+        # a translate table has 256 entries; those past the last id are never read
+        narrow = {sym: bytes(t).ljust(256, b"\0") for sym, t in zip(symbols, tables)}
+        init, step = bytes(start), lambda code, sym: code.translate(narrow[sym])
+    else:
+        wide = {sym: t.__getitem__ for sym, t in zip(symbols, tables)}
+        init, step = tuple(start), lambda code, sym: tuple(map(wide[sym], code))
+    dfw = build_congruence_dfw(phase, a.alphabet, init, step, budget)
+    # one flat column for the whole DFW: a bytes object per class costs 48 bytes
+    codes = dfw.payloads
+    column = b"".join(codes) if len(rows) <= 256 else array("L", itertools.chain.from_iterable(codes))
+    return dataclasses.replace(dfw, payloads=_PackedCodes(column, len(dfw), rows, n))
 
 
 def classical_congruence(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> CongruenceDfw:
@@ -287,6 +363,9 @@ def progress_congruence_improved(
     """Progress congruence for class m of the subset leading congruence
     `lead`: the pair profile over the class's state mask as sources.  The
     progress DFWs of every class of `lead` may share one row-image `memo`."""
-    return _profile_congruence(
-        a, f"improved-progress[{' '.join(lead.witness(m))}]", lead.payloads[m], budget, memo
-    )
+    try:
+        return _profile_congruence(a, "improved-progress", lead.payloads[m], budget, memo)
+    except BudgetExceededError as err:
+        # the phase is formatted only here: for every leading class of a
+        # complement-sweep pass, both builders' phases took 2.2 ms
+        raise BudgetExceededError(err.count, err.budget, f"improved-progress[{' '.join(lead.witness(m))}]") from None

@@ -9,7 +9,9 @@ and differs from the library's lasso search only in when it runs them;
 prefix positions included, to the library's lasso search;
 `product_verdict_tarjan` is the product verdict that runs Tarjan over
 every pair.  `complement_fdfw_optimal_eager` is the optimal complement
-builder that renumbers every progress DFW during the build."""
+builder that renumbers every progress DFW during the build, and
+`profile_congruence_packed` the pair-profile builder that steps packed
+ints row by row."""
 
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from buchicong import (
     UpWord,
     Word,
 )
-from buchicong.automata import Edges, _find_accepting_lasso, cyclic_components, explore, path_to
+from buchicong.automata import Edges, _bits, _find_accepting_lasso, cyclic_components, explore, path_to
 from buchicong.preorder import (
     PreorderedSubset,
     initial_preordered,
@@ -36,7 +38,14 @@ from buchicong.preorder import (
     ordered_step,
     progress_step,
 )
-from buchicong.profiles import DEFAULT_CLASS_BUDGET, build_congruence_dfw, compose, letter_profile
+from buchicong.profiles import (
+    DEFAULT_CLASS_BUDGET,
+    CongruenceDfw,
+    _row_compose,
+    build_congruence_dfw,
+    compose,
+    letter_profile,
+)
 
 
 def step(a: Nbw, subset: frozenset[str], sym: str) -> frozenset[str]:
@@ -183,6 +192,43 @@ def restrict(p: Profile, sources: int) -> Profile:
     reach = tuple(r if sources >> i & 1 else 0 for i, r in enumerate(p.reach))
     reach_f = tuple(rf if sources >> i & 1 else 0 for i, rf in enumerate(p.reach_f))
     return Profile(reach, reach_f)
+
+
+def profile_congruence_packed(
+    a: Nbw, phase: str, sources: int, budget: int, memo: dict[str, dict] | None = None
+) -> CongruenceDfw:
+    """Right congruence refined by the pair profile's rows in the source mask
+    `sources`; the other rows stay zero.  Payloads are packed profiles (see
+    the `buchicong.profiles` module docstring).  Only source rows are composed, and each row image
+    is computed once per `memo`, which maps each letter to a dict from the
+    2n-bit row codes found so far to their image codes.  Row images depend
+    only on `a`, so builds over other source masks may share it; without
+    one, a fresh memo is used."""
+    n = len(a.states)
+    low = (1 << n) - 1
+    row_mask = (1 << 2 * n) - 1
+    shifts = [2 * n * i for i in _bits(sources)]
+    letters = {sym: letter_profile(a, sym) for sym in a.alphabet}
+    memo = {} if memo is None else memo
+    images: dict[str, dict[int, int]] = {sym: memo.setdefault(sym, {}) for sym in a.alphabet}
+
+    def step_profile(code: int, sym: str) -> int:
+        known = images[sym]
+        out = 0
+        for shift in shifts:
+            row = code >> shift & row_mask
+            img = known.get(row)
+            if img is None:
+                r, rf = _row_compose(row & low, row >> n, letters[sym])
+                img = known[row] = r | rf << n
+            out |= img << shift
+        return out
+
+    # epsilon rows are diagonal: source i relates to itself only, and visits
+    # acceptance when i is accepting
+    acc = a.bitmasks()[1]
+    init = sum((1 << i | (acc & 1 << i) << n) << 2 * n * i for i in _bits(sources))
+    return build_congruence_dfw(phase, a.alphabet, init, step_profile, budget)
 
 
 def periodic_membership_tarjan(p: Profile, sources: int) -> bool:

@@ -418,8 +418,11 @@ def test_lasso_search_runs_no_tarjan_search_when_the_first_candidate_closes_a_cy
 
 
 def test_membership_with_accepting_prefix_states_matches_the_tarjan_first_search(monkeypatch):
-    # the oracle tests no prefix position as a candidate; the reference tests
-    # every accepting position and must find the same lasso
+    # the oracle searches only the period, from its first layer: the
+    # Tarjan-first search must find the same lasso from those roots, and the
+    # oracle over the whole word graph, which numbers every prefix position,
+    # the same verdict and witness; some case's run passes an accepting state
+    # at a prefix position
     go = Nbw(
         Alphabet(("a", "b")),
         ("go", "stuck"),
@@ -441,13 +444,17 @@ def test_membership_with_accepting_prefix_states_matches_the_tarjan_first_search
         return hit
 
     monkeypatch.setattr(automata, "_find_accepting_lasso", recorded)
-    verdicts = set()
+    verdicts, accepting_prefix = set(), 0
     for a, w in cases:
-        verdicts.add(lasso_membership(a, w).accepted)
+        got = lasso_membership(a, w)
+        verdicts.add(got.accepted)
         roots, successors, hit = calls.pop()
         n, acc = len(a.states), a.adjacency()[1]
         assert hit == find_accepting_lasso_tarjan(roots, successors, lambda key: acc[key % n]), (a, w)
+        assert got == lasso_membership_full(a, w), (a, w)
+        accepting_prefix += any(reach(a, w.prefix[:pos]) & a.accepting for pos in range(len(w.prefix)))
     assert verdicts == {False, True}
+    assert accepting_prefix > 0
 
 
 def test_simulation_reduction_keeps_the_language_and_never_grows():

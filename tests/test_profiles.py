@@ -27,12 +27,14 @@ from buchicong import (
     serialize_dfw,
     subset_congruence,
 )
-from buchicong.profiles import _row_compose, compose, letter_profile, unpack_profile
+from buchicong import profiles
+from buchicong.profiles import DEFAULT_CLASS_BUDGET, _row_compose, compose, letter_profile, unpack_profile
 from conftest import edge_members, seeded_nbws, witnesses, words
 from reference import (
     epsilon_profile,
     image,
     periodic_membership_tarjan,
+    profile_congruence_packed,
     reach,
     restrict,
     state_mask,
@@ -353,3 +355,55 @@ def test_one_build_composes_each_row_once_per_letter(monkeypatch):
             for sym in a.alphabet
         }
         assert calls[0] == len(rows)
+
+
+def _columns(dfw) -> tuple:
+    """Rows, parents, access letters and packed payloads, as plain lists."""
+    rows = {sym: list(row) for sym, row in dfw.rows.items()}
+    return rows, list(dfw.parent), list(dfw.via), list(dfw.payloads)
+
+
+def test_row_id_steps_build_the_packed_reference():
+    # classes stepped as byte strings of row ids equal the classes of the
+    # packed reference; of the DFWs built here, only random_nbw(1731, 11)'s
+    # first progress DFW closes over more than 255 rows and steps tuples of
+    # ids instead
+    automata = [gen_bn(n) for n in range(1, 5)] + [gen_bn_dbw(n) for n in range(1, 5)]
+    automata += [random_nbw(s, 2 + s % 5) for s in range(2000, 2100)]
+    for a in automata:
+        full = (1 << len(a.states)) - 1
+        pairs = [(classical_congruence(a), profile_congruence_packed(a, "classical", full, DEFAULT_CLASS_BUDGET))]
+        f = complement_fdfw_improved(a)
+        for m, prog in f.progress.items():
+            pairs.append((prog, profile_congruence_packed(a, "", f.leading.payloads[m], DEFAULT_CLASS_BUDGET)))
+        for got, ref in pairs:
+            assert type(got.payloads.ids) is bytes, a
+            assert _columns(got) == _columns(ref), a
+        # DFWs still compare by value, payload column included
+        assert pairs[0][0] == classical_congruence(a), a
+    a = random_nbw(1731, 11)
+    lead = subset_congruence(a)
+    got = progress_congruence_improved(a, lead, 0)
+    assert len(got.payloads.rows) > 256 and type(got.payloads.ids) is not bytes
+    assert _columns(got) == _columns(profile_congruence_packed(a, "", lead.payloads[0], DEFAULT_CLASS_BUDGET))
+
+
+def test_row_closure_raises_the_reference_budget_error(monkeypatch):
+    # random_nbw(1731, 11)'s progress DFW of leading class 1 has 482 classes
+    # over 479 rows of two sources: budget 2 stops the row closure before
+    # any search, budget 400 stops the search, and both raise as the packed
+    # reference
+    searches = []
+    search = profiles.build_congruence_dfw
+    monkeypatch.setattr(profiles, "build_congruence_dfw", lambda *args: searches.append(args) or search(*args))
+    a = random_nbw(1731, 11)
+    lead = subset_congruence(a)
+    phase = "improved-progress[a]"
+    for budget, searched in ((2, 0), (400, 1)):
+        searches.clear()
+        with pytest.raises(BudgetExceededError) as got:
+            progress_congruence_improved(a, lead, 1, budget)
+        with pytest.raises(BudgetExceededError) as want:
+            profile_congruence_packed(a, phase, lead.payloads[1], budget)
+        assert (got.value.count, got.value.phase) == (want.value.count, want.value.phase) == (budget, phase)
+        assert len(searches) == searched
