@@ -254,8 +254,8 @@ def complement_fdfw_optimal(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw:
     builder has no such rule, and the two differ there on purpose: both
     families are pinned byte for byte.  One payload graph serves every
     leading class of this build, and each progress DFW is filled on its
-    first read of rows or payloads, so readers of class counts and accepting
-    sets fill none."""
+    first read of rows or payloads, so readers of class counts, accepting
+    sets and witnesses fill none."""
     lead = optimal_leading_congruence(a, budget)
     progress: dict = {}
     memo: dict = {}
@@ -265,10 +265,7 @@ def complement_fdfw_optimal(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw:
         progress[m] = prog.with_accepting(
             frozenset(p for p, st in prog.candidates if (p or prog.reentered) and not st.accepts_period(base))
         )
-    f = Fdfw(a.alphabet, lead, progress, saturated=True)
-    for prog in f.progress.values():
-        prog.home = f.progress
-    return f
+    return Fdfw(a.alphabet, lead, progress, saturated=True)
 
 
 def complement_fdfw_improved(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw:
@@ -299,7 +296,7 @@ def complement_fdfw_improved(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw
             frozenset(
                 p
                 for p, b in enumerate(back)
-                if b == m and not periodic_membership_from_profile(prog.payloads.profile(p), sources)
+                if b == m and not periodic_membership_from_profile(prog.payloads[p], sources)
             )
         )
     return Fdfw(a.alphabet, lead, progress, saturated=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -175,57 +176,52 @@ def progress_step(a: Nbw, lead: CongruenceDfw, st: OptProgressState, sym: str) -
     return OptProgressState(nxt, tuple(back), via).check(lead.payloads[nxt].mask)
 
 
-class ScannedProgressDfw:
-    """A progress DFW of the optimal congruence whose class count is known
-    from its scan and whose `rows`, `payloads`, `parent` and `via` are filled
+class ScannedProgressDfw(CongruenceDfw):
+    """A progress DFW of the optimal congruence whose classes, `parent` and
+    `via` are known from its scan and whose `rows` and `payloads` are filled
     on first read.  `candidates` lists (class id, payload) for the classes
-    whose payload's `lead` is the leading class m the DFW belongs to, the
-    root first; `reentered` says whether some edge leads back into the root.
-    Any other attribute fills the DFW, an ordinary `CongruenceDfw`, and reads
-    it there.  `with_accepting` keeps the scan unfilled.  When `home` is set,
-    the fill also stores the filled DFW in `home[m]`, so that readers of the
-    family's dict read the filled DFW directly from then on."""
+    whose payload's `lead` is the leading class the DFW belongs to, the root
+    first; `reentered` says whether some edge leads back into the root.  The
+    fill drops the DFW's reference to the scan, so a shared payload graph
+    lives only as long as some DFW of its family is unfilled."""
 
-    def __init__(self, alphabet, m, scan, candidates, reentered, accepting=None):
-        self.alphabet, self.m, self.initial, self.accepting = alphabet, m, 0, accepting
-        self.candidates, self.reentered, self.home = candidates, reentered, None
-        # the scan: the global ids in class order, the parent and via columns,
-        # and the payload graph's payload list and per-letter successor lists
-        self._scan, self._dfw = scan, None
+    def __init__(self, alphabet, parent, via, candidates, reentered, scan, accepting=None):
+        # the scan: the global ids in class order, and the payload graph's
+        # payload list and per-letter successor lists
+        names = "alphabet", "parent", "via", "candidates", "reentered", "_scan", "accepting"
+        for name, value in zip(names, (alphabet, parent, via, candidates, reentered, scan, accepting)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self._scan[0])
+        return len(self.parent)
 
     def with_accepting(self, accepting: frozenset[int]) -> "ScannedProgressDfw":
-        return ScannedProgressDfw(self.alphabet, self.m, self._scan, self.candidates, self.reentered, accepting)
+        # shares the scan while unfilled, the columns once filled
+        dfw = object.__new__(ScannedProgressDfw)
+        dfw.__dict__.update(self.__dict__, accepting=accepting)
+        return dfw
 
-    def fill(self) -> CongruenceDfw:
-        if self._dfw is None:
-            order, parent, via, payloads, succ = self._scan
-            # rebuilt, not kept from the scan: kept for every unfilled DFW, the
-            # maps raised the peak of a process building rnd1732n7 from 26 MB
-            # to 53 MB, to save 0.03 s of its fill
-            local = dict(zip(order, range(len(order))))
-            # one itemgetter call per column; the root is picked twice and dropped
-            # again, because itemgetter answers a single key with a bare value
-            pick = itemgetter(*order, order[0])
-            rows = {
-                sym: array("i", itemgetter(*pick(row))(local)[:-1])
-                for sym, row in zip(self.alphabet.symbols, succ)
-            }
-            self._dfw = CongruenceDfw(self.alphabet, pick(payloads)[:-1], rows, parent, via, 0, self.accepting)
-            # readers that hold this object, as serialize_fdfw does, read the columns as plain
-            # attributes from now on: through __getattr__, the sweep's 48 optimal builds plus
-            # serialize_fdfw took 0.38 s, not 0.21 s
-            self.payloads, self.rows, self.parent, self.via = self._dfw.payloads, rows, parent, via
-            if self.home is not None:
-                self.home[self.m] = self._dfw
-        return self._dfw
+    def _fill(self) -> None:
+        order, payloads, succ = self._scan
+        # rebuilt, not kept from the scan: kept for every unfilled DFW, the
+        # maps raised the peak of a process building rnd1732n7 from 26 MB
+        # to 53 MB, to save 0.03 s of its fill
+        local = dict(zip(order, range(len(order))))
+        # one itemgetter call per column; the root is picked twice and dropped
+        # again, because itemgetter answers a single key with a bare value
+        pick = itemgetter(*order, order[0])
+        rows = {
+            sym: array("i", itemgetter(*pick(row))(local)[:-1])
+            for sym, row in zip(self.alphabet.symbols, succ)
+        }
+        for name, value in (("rows", rows), ("payloads", pick(payloads)[:-1]), ("_scan", None)):
+            object.__setattr__(self, name, value)
 
-    def __getattr__(self, name: str):
-        if name.startswith("_"):  # protocol probes such as copy's __setstate__ fill nothing
-            raise AttributeError(name)
-        return getattr(self.fill(), name)
+    # the first read of either column fills both into the instance dict,
+    # where later reads find them; a __getattr__ hook would slow every
+    # attribute read of the DFW, filled or not
+    rows = cached_property(lambda self: self._fill() or self.rows)
+    payloads = cached_property(lambda self: self._fill() or self.payloads)
 
 
 def optimal_progress_congruence(
@@ -242,8 +238,9 @@ def optimal_progress_congruence(
     step reads only the payload, the letter, `a` and `lead`, so the progress
     DFWs of every class of `lead` may share one graph, each a breadth-first
     scan over global ids whose discovery order numbers the classes; without
-    a memo, a fresh graph is used.  The DFW is filled from the scan on first
-    read, and raises BudgetExceededError as `build_congruence_dfw` would."""
+    a memo, a fresh graph is used.  The DFW's rows and payloads are filled
+    from the scan on first read.  Raises BudgetExceededError as
+    `build_congruence_dfw` would."""
     memo = {} if memo is None else memo
     payloads, ids = memo.setdefault("payloads", []), memo.setdefault("ids", {})
     symbols = a.alphabet.symbols
@@ -287,4 +284,4 @@ def optimal_progress_congruence(
                 via.append(k)
             elif nxt == root:
                 reentered = True
-    return ScannedProgressDfw(a.alphabet, m, (order, parent, via, payloads, succ), candidates, reentered)
+    return ScannedProgressDfw(a.alphabet, parent, via, candidates, reentered, (order, payloads, succ))

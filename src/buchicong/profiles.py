@@ -17,17 +17,15 @@ Two constructions live here, both over the compiled successor rows of
 A profile is the NamedTuple (reach, reach_f) of plain tuples of row bitmasks
 over the state order of the automaton.  It has no size field, and only
 `compose` and `periodic_membership_from_profile` validate profiles.  The
-pair-profile congruences hand out each class's payload as one packed int:
-row i occupies bits [2n*i, 2n*i + 2n), its low n bits holding reach[i] and
-its high n bits reach_f[i], and rows outside the source set are zero.
-`unpack_profile` turns such a payload back into a `Profile`.  Inside, a
-class is the row id of each state, numbered per build from the rows its
-sources reach, and one step maps the ids through a per-letter table with a
-single `bytes.translate`; the payload column packs a class on read.  The
-image of an improved progress class's profile is the state mask of the
+pair-profile congruences hand out each class's payload as its `Profile`,
+with the rows outside the source set zero.  Inside, a class is the row id
+of each state, numbered per build from the rows its sources reach, and one
+step maps the ids through a per-letter table with a single
+`bytes.translate`; the payload column builds a class's profile on read.
+The image of an improved progress class's profile is the state mask of the
 subset class its members lead the sources to; the complement builder reads
 that class off the leading DFW's rows by the return map of
-`fdfw.complement_fdfw_improved`, not off the code.
+`fdfw.complement_fdfw_improved`, not off the payload.
 """
 
 from __future__ import annotations
@@ -102,16 +100,6 @@ def compose(first: Profile, second: Profile) -> Profile:
     return Profile(tuple(r for r, _ in rows), tuple(rf for _, rf in rows))
 
 
-def unpack_profile(code: int, n: int) -> Profile:
-    """The profile a pair-profile congruence over n states packs into `code`:
-    row i is bits [2n*i, 2n*i + 2n), reach[i] low and reach_f[i] high."""
-    mask = (1 << n) - 1
-    return Profile(
-        tuple(code >> 2 * n * i & mask for i in range(n)),
-        tuple(code >> (2 * i + 1) * n & mask for i in range(n)),
-    )
-
-
 def periodic_membership_from_profile(p: Profile, sources: int) -> bool:
     """Whether s v^omega is accepted from some source state s, given the
     profile p of v built over the source mask S, with image(v) == S.
@@ -179,9 +167,10 @@ class CongruenceDfw:
 
     def run(self, word: Word, start: int | None = None) -> int:
         cur = self.initial if start is None else start
+        rows = self.rows
         try:
             for sym in word:
-                cur = self.rows[sym][cur]
+                cur = rows[sym][cur]
         except KeyError:
             raise ValueError(f"symbol {sym!r} not in alphabet") from None
         return cur
@@ -239,11 +228,11 @@ def subset_congruence(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> CongruenceD
     return build_congruence_dfw("subset", a.alphabet, init, lambda s, sym: _image(succ[sym], s), budget)
 
 
-class _PackedCodes(Sequence[int]):
+class _ProfileColumn(Sequence[Profile]):
     """The payload column of a pair-profile congruence.  Class c is stored as
-    `ids[c*n:(c+1)*n]`, the row id of each of the n states, and reads as the
-    packed int of the module docstring.  `rows[r]` is the 2n-bit code of
-    row id r; id 0 marks the rows outside the sources and packs to zero."""
+    `ids[c*n:(c+1)*n]`, the row id of each of the n states, and reads as its
+    `Profile`.  `rows[r]` is the row of id r as a 2n-bit code, reach low and
+    reach_f high; id 0 marks the rows outside the sources and is zero."""
 
     def __init__(self, ids: bytes | array, count: int, rows: list[int], n: int):
         self.ids, self.count, self.rows, self.n = ids, count, rows, n
@@ -254,42 +243,29 @@ class _PackedCodes(Sequence[int]):
     def __len__(self) -> int:
         return self.count
 
-    def _code(self, c: int) -> Sequence[int]:
-        if not 0 <= c < self.count:
-            raise IndexError("class id out of range")
-        return self.ids[c * self.n : (c + 1) * self.n]
-
-    def _pack(self, c: int) -> int:
-        rows, width = self.rows, 2 * self.n
-        out = 0
-        for i, r in enumerate(self._code(c)):
-            out |= rows[r] << width * i
-        return out
-
-    def __getitem__(self, c: int) -> int:
-        return self._pack(c + self.count if c < 0 else c)
+    def __getitem__(self, c: int | slice) -> Profile | tuple[Profile, ...]:
+        if isinstance(c, slice):
+            return tuple(map(self.__getitem__, range(self.count)[c]))
+        c = range(self.count)[c]
+        code = self.ids[c * self.n : (c + 1) * self.n]
+        return Profile(tuple(map(self._reach.__getitem__, code)), tuple(map(self._reach_f.__getitem__, code)))
 
     def __iter__(self):
-        return map(self._pack, range(self.count))
+        return map(self.__getitem__, range(self.count))
 
     def __eq__(self, other: object) -> bool:
         # by value, as the tuple column was, so equal DFWs still compare equal
-        return tuple(self) == tuple(other) if isinstance(other, _PackedCodes) else NotImplemented
-
-    def profile(self, c: int) -> Profile:
-        """The profile of class c, read off its row ids."""
-        code = self._code(c)
-        return Profile(tuple(map(self._reach.__getitem__, code)), tuple(map(self._reach_f.__getitem__, code)))
+        return tuple(self) == tuple(other) if isinstance(other, _ProfileColumn) else NotImplemented
 
 
 def _profile_congruence(
     a: Nbw, phase: str, sources: int, budget: int, memo: dict[str, dict] | None = None
 ) -> CongruenceDfw:
     """Right congruence refined by the pair profile's rows in the source mask
-    `sources`; the other rows stay zero.  Payloads read as packed profiles
-    (see the module docstring and `_PackedCodes`).  Each row image is
-    computed once per `memo`, which maps each letter to a dict from the
-    2n-bit row codes found so far to their image codes.  Row images depend
+    `sources`; the other rows stay zero.  Payloads read as profiles (see
+    `_ProfileColumn`).  Each row image is computed once per `memo`, which
+    maps each letter to a dict from the 2n-bit row codes found so far to
+    their image codes.  Row images depend
     only on `a`, so builds over other source masks may share it; without
     one, a fresh memo is used.
 
@@ -344,7 +320,7 @@ def _profile_congruence(
     # one flat column for the whole DFW: a bytes object per class costs 48 bytes
     codes = dfw.payloads
     column = b"".join(codes) if len(rows) <= 256 else array("L", itertools.chain.from_iterable(codes))
-    return dataclasses.replace(dfw, payloads=_PackedCodes(column, len(dfw), rows, n))
+    return dataclasses.replace(dfw, payloads=_ProfileColumn(column, len(dfw), rows, n))
 
 
 def classical_congruence(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> CongruenceDfw:

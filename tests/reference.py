@@ -9,9 +9,9 @@ and differs from the library's lasso search only in when it runs them;
 prefix positions included, to the library's lasso search;
 `product_verdict_tarjan` is the product verdict that runs Tarjan over
 every pair.  `complement_fdfw_optimal_eager` is the optimal complement
-builder that renumbers every progress DFW during the build, and
+builder that renumbers every progress DFW during the build,
 `profile_congruence_packed` the pair-profile builder that steps packed
-ints row by row."""
+ints row by row, and `unpack_profile` reads its payloads as profiles."""
 
 from __future__ import annotations
 
@@ -199,7 +199,7 @@ def profile_congruence_packed(
 ) -> CongruenceDfw:
     """Right congruence refined by the pair profile's rows in the source mask
     `sources`; the other rows stay zero.  Payloads are packed profiles (see
-    the `buchicong.profiles` module docstring).  Only source rows are composed, and each row image
+    `unpack_profile`).  Only source rows are composed, and each row image
     is computed once per `memo`, which maps each letter to a dict from the
     2n-bit row codes found so far to their image codes.  Row images depend
     only on `a`, so builds over other source masks may share it; without
@@ -229,6 +229,17 @@ def profile_congruence_packed(
     acc = a.bitmasks()[1]
     init = sum((1 << i | (acc & 1 << i) << n) << 2 * n * i for i in _bits(sources))
     return build_congruence_dfw(phase, a.alphabet, init, step_profile, budget)
+
+
+def unpack_profile(code: int, n: int) -> Profile:
+    """The profile `profile_congruence_packed` over n states packs into
+    `code`: row i is bits [2n*i, 2n*i + 2n), reach[i] low and reach_f[i]
+    high."""
+    mask = (1 << n) - 1
+    return Profile(
+        tuple(code >> 2 * n * i & mask for i in range(n)),
+        tuple(code >> (2 * i + 1) * n & mask for i in range(n)),
+    )
 
 
 def periodic_membership_tarjan(p: Profile, sources: int) -> bool:

@@ -25,7 +25,6 @@ from buchicong import (
     progress_congruence_improved,
     subset_congruence,
 )
-from buchicong.profiles import unpack_profile
 from conftest import edge_members, pool_automaton, record_criterion, single_word_family, witnesses
 from reference import image, ordered_reach, ordered_run_dag, state_mask
 
@@ -278,7 +277,7 @@ def test_ac12_folded_membership_matches_oracle(pool_relations, complement_runs):
         for m, (u, sources) in enumerate(zip(witnesses(row.subset), row.subset.payloads)):
             prog = row.improved[m]
             for cid, v in members(prog).items():
-                p = unpack_profile(prog.payloads[cid], len(a.states))
+                p = prog.payloads[cid]
                 if image(p) == sources:
                     folded = periodic_membership_from_profile(p, sources)
                     compare("improved", row.aid, a, u, v, folded)

@@ -13,6 +13,7 @@ import pytest
 
 from buchicong import (
     BudgetExceededError,
+    CongruenceDfw,
     Fdfw,
     Nbw,
     ParseError,
@@ -44,7 +45,7 @@ from buchicong import fdfw, preorder
 from buchicong.automata import _product_lasso, _simulation_reduce
 from buchicong.fdfw import _accepting_composition_closed
 from buchicong.cli import main
-from buchicong.profiles import DEFAULT_CLASS_BUDGET, unpack_profile
+from buchicong.profiles import DEFAULT_CLASS_BUDGET
 from conftest import ARROW_CLASS_FAMILY, canonical_corpus, mixed_blocks_nbw, single_word_family, witnesses
 from reference import (
     accepting_composition_closed,
@@ -625,37 +626,48 @@ def test_optimal_builder_raises_the_eager_reference_budget_error(a):
 
 
 def test_optimal_progress_dfws_fill_only_when_read(monkeypatch, tmp_path, capsys):
-    # the class counts, accepting sets and the complement report read no
-    # progress rows; the translation fills the leading classes with
-    # accepting classes, once; serializing fills every one, and a filled
-    # family hands out the DFWs made by the constructor
+    # the class counts, accepting sets, witnesses and the complement report
+    # read no progress rows; the translation fills the leading classes with
+    # accepting classes, once; serializing fills every one, and each filled
+    # DFW is the object the family held before
     fills = []
-    real = preorder.CongruenceDfw
+    fill = preorder.ScannedProgressDfw._fill
 
-    def counted(alphabet, payloads, *rest):
-        fills.append(payloads)
-        return real(alphabet, payloads, *rest)
+    def counted(dfw):
+        fills.append(dfw)
+        fill(dfw)
 
-    monkeypatch.setattr(preorder, "CongruenceDfw", counted)
+    monkeypatch.setattr(preorder.ScannedProgressDfw, "_fill", counted)
     a = random_nbw(1732, 7)
     f = complement_fdfw_optimal(a)
+    before = dict(f.progress)
+    assert all(isinstance(p, CongruenceDfw) for p in before.values())
     f.size(), nbw_state_bound(f), sum(len(p.accepting) for p in f.progress.values())
+    for p in f.progress.values():
+        p.witness(len(p) - 1), p.parent, p.via
     path = tmp_path / "a.nbw"
     path.write_text(serialize_nbw(a))
     assert main(["complement", "--in", str(path), "--variant", "optimal", "--json"]) == 0
     [report] = json.loads(capsys.readouterr().out)
     assert (report["leading_classes"], report["accepting_classes"]) == (325, 3)
+    # the classes report prints each DFW's deepest witness
+    assert main(["classes", "--in", str(path), "--relation", "optimal-progress", "--json"]) == 0
+    [report] = json.loads(capsys.readouterr().out)
+    assert report["max_witness_len"] > 0
     assert fills == []
     live = [m for m, p in f.progress.items() if p.accepting]
     fdfw_to_nbw(f)
     assert len(live) == len(fills) == 3
-    assert all(type(f.progress[m]) is real for m in live)
+    assert [id(p) for p in fills] == [id(before[m]) for m in live]
     fdfw_to_nbw(f)
     assert len(fills) == 3
+    assert all(f.progress[m] is p for m, p in before.items())
     g = complement_fdfw_optimal(a)
+    before = dict(g.progress)
     serialize_fdfw(g)
     assert len(fills) == 3 + len(g.leading) == 3 + 325
-    assert all(type(p) is real for p in g.progress.values())
+    assert {id(p) for p in fills[3:]} == {id(p) for p in before.values()}
+    assert all(g.progress[m] is p and isinstance(p, CongruenceDfw) for m, p in before.items())
 
 
 def test_no_builder_calls_the_oracle(monkeypatch):
@@ -697,15 +709,16 @@ def test_progress_classes_return_where_their_payload_says():
     automata = [gen_bn(k) for k in range(1, 5)] + [gen_bn_dbw(k) for k in range(1, 5)]
     automata += [random_nbw(s, 2 + s % 5) for s in range(2000, 2100)]
     for a in automata:
-        n = len(a.states)
         opt, imp = complement_fdfw_optimal(a), complement_fdfw_improved(a)
         for m, prog in opt.progress.items():
             for p, st in enumerate(prog.payloads):
                 assert opt.leading.run(prog.witness(p), start=m) == st.lead, (a, m, p)
         for m, prog in imp.progress.items():
-            for p, code in enumerate(prog.payloads):
+            for p, profile in enumerate(prog.payloads):
                 back = imp.leading.run(prog.witness(p), start=m)
-                assert imp.leading.payloads[back] == image(unpack_profile(code, n)), (a, m, p)
+                assert imp.leading.payloads[back] == image(profile), (a, m, p)
+        # both builders' progress DFWs are CongruenceDfws, the optimal ones filled here
+        assert all(isinstance(p, CongruenceDfw) for f in (opt, imp) for p in f.progress.values())
 
 
 def test_congruences_step_on_compiled_masks(monkeypatch):

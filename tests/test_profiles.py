@@ -28,7 +28,7 @@ from buchicong import (
     subset_congruence,
 )
 from buchicong import profiles
-from buchicong.profiles import DEFAULT_CLASS_BUDGET, _row_compose, compose, letter_profile, unpack_profile
+from buchicong.profiles import DEFAULT_CLASS_BUDGET, _row_compose, compose, letter_profile
 from conftest import edge_members, seeded_nbws, witnesses, words
 from reference import (
     epsilon_profile,
@@ -39,6 +39,7 @@ from reference import (
     restrict,
     state_mask,
     step,
+    unpack_profile,
     word_profile,
 )
 from test_automata import inf_many
@@ -196,8 +197,7 @@ def test_closure_reader_agrees_with_the_tarjan_fold():
         f = complement_fdfw_improved(a)
         for m, prog in f.progress.items():
             sources = f.leading.payloads[m]
-            for code in prog.payloads:
-                p = unpack_profile(code, len(a.states))
+            for p in prog.payloads:
                 if image(p) == sources:
                     got = periodic_membership_from_profile(p, sources)
                     assert got == periodic_membership_tarjan(p, sources), (s, m, p)
@@ -224,17 +224,20 @@ def test_classical_bytes_are_pinned():
 
 @pytest.mark.parametrize("aid", ["bn3", "rnd1729n6"])
 def test_packed_payload_is_the_witness_profile_on_its_sources(aid):
-    # row i of a payload is bits [2n*i, 2n*i + 2n): reach[i] low, reach_f[i]
-    # high, zero outside the sources
+    # a payload is the profile of its class's witness, with every row
+    # outside the sources zero
     a = gen_bn(3) if aid == "bn3" else random_nbw(1729, 6)
     n = len(a.states)
     lead = subset_congruence(a)
     relations = [(classical_congruence(a), (1 << n) - 1)]
     relations += [(progress_congruence_improved(a, lead, m), lead.payloads[m]) for m in range(len(lead))]
     for dfw, sources in relations:
-        for code, w in zip(dfw.payloads, witnesses(dfw)):
-            p = unpack_profile(code, n)
+        for p, w in zip(dfw.payloads, witnesses(dfw)):
             assert p == restrict(word_profile(a, w), sources)
+        # slices read as tuples of profiles, as a tuple column would
+        column = tuple(dfw.payloads)
+        assert dfw.payloads[0:2] == column[0:2] and dfw.payloads[::-2] == column[::-2]
+        assert dfw.payloads[-1] == column[-1]
 
 
 def test_subset_classes_on_permutation_family(b3):
@@ -345,11 +348,10 @@ def test_one_build_composes_each_row_once_per_letter(monkeypatch):
     for a in [gen_bn(3), gen_bn_dbw(3), random_nbw(1731, 5), random_nbw(1729, 6)]:
         calls[0] = 0
         f = complement_fdfw_improved(a)
-        n = len(a.states)
         rows = {
             (p.reach[i], p.reach_f[i], sym)
             for m, prog in f.progress.items()
-            for p in (unpack_profile(code, n) for code in prog.payloads)
+            for p in prog.payloads
             for i in range(len(a.states))
             if f.leading.payloads[m] >> i & 1
             for sym in a.alphabet
@@ -357,10 +359,12 @@ def test_one_build_composes_each_row_once_per_letter(monkeypatch):
         assert calls[0] == len(rows)
 
 
-def _columns(dfw) -> tuple:
-    """Rows, parents, access letters and packed payloads, as plain lists."""
+def _columns(dfw, n: int | None = None) -> tuple:
+    """Rows, parents, access letters and payloads, as plain lists; given n,
+    the payloads are the packed reference's over n states, read as profiles."""
     rows = {sym: list(row) for sym, row in dfw.rows.items()}
-    return rows, list(dfw.parent), list(dfw.via), list(dfw.payloads)
+    payloads = list(dfw.payloads) if n is None else [unpack_profile(code, n) for code in dfw.payloads]
+    return rows, list(dfw.parent), list(dfw.via), payloads
 
 
 def test_row_id_steps_build_the_packed_reference():
@@ -378,14 +382,14 @@ def test_row_id_steps_build_the_packed_reference():
             pairs.append((prog, profile_congruence_packed(a, "", f.leading.payloads[m], DEFAULT_CLASS_BUDGET)))
         for got, ref in pairs:
             assert type(got.payloads.ids) is bytes, a
-            assert _columns(got) == _columns(ref), a
+            assert _columns(got) == _columns(ref, len(a.states)), a
         # DFWs still compare by value, payload column included
         assert pairs[0][0] == classical_congruence(a), a
     a = random_nbw(1731, 11)
     lead = subset_congruence(a)
     got = progress_congruence_improved(a, lead, 0)
     assert len(got.payloads.rows) > 256 and type(got.payloads.ids) is not bytes
-    assert _columns(got) == _columns(profile_congruence_packed(a, "", lead.payloads[0], DEFAULT_CLASS_BUDGET))
+    assert _columns(got) == _columns(profile_congruence_packed(a, "", lead.payloads[0], DEFAULT_CLASS_BUDGET), 11)
 
 
 def test_row_closure_raises_the_reference_budget_error(monkeypatch):

@@ -10,7 +10,6 @@ import sys
 from pathlib import Path
 
 from buchicong import fdfw, random_nbw
-from buchicong.profiles import unpack_profile
 from reference import image
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,9 +82,9 @@ def test_traced_improved_marking_reads_every_candidate_class():
         f = fdfw.complement_fdfw_improved(a)
         got = tracer.take()
     candidates = sum(
-        image(unpack_profile(code, len(a.states))) == f.leading.payloads[m]
+        image(p) == f.leading.payloads[m]
         for m, prog in f.progress.items()
-        for code in prog.payloads
+        for p in prog.payloads
     )
     assert candidates > 0
     assert got["calls"]["profiles.periodic_membership"] == candidates
