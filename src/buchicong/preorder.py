@@ -192,15 +192,6 @@ class ScannedProgressDfw(CongruenceDfw):
         for name, value in zip(names, (alphabet, parent, via, candidates, reentered, scan, accepting)):
             object.__setattr__(self, name, value)
 
-    def __len__(self) -> int:
-        return len(self.parent)
-
-    def with_accepting(self, accepting: frozenset[int]) -> "ScannedProgressDfw":
-        # shares the scan while unfilled, the columns once filled
-        dfw = object.__new__(ScannedProgressDfw)
-        dfw.__dict__.update(self.__dict__, accepting=accepting)
-        return dfw
-
     def _fill(self) -> None:
         order, payloads, succ = self._scan
         # rebuilt, not kept from the scan: kept for every unfilled DFW, the

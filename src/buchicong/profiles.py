@@ -30,6 +30,7 @@ that class off the leading DFW's rows by the return map of
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 from array import array
@@ -137,7 +138,7 @@ def periodic_membership_from_profile(p: Profile, sources: int) -> bool:
 # --- generic congruence explorer -------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CongruenceDfw:
     """Deterministic complete transition system over congruence classes,
     numbered from 0.  Class c has the payload `payloads[c]` that defines it,
@@ -146,7 +147,9 @@ class CongruenceDfw:
     `witness(c)` rebuilds c's canonical access word; `via` holds -1 for the
     initial class and for classes a parsed structure declares but never
     reaches.  `accepting` is optional and used when the structure doubles as
-    a DFW over finite words."""
+    a DFW over finite words.  A DFW is an identity object: `==` and `hash`
+    go by id, `repr` reads no column, and `with_accepting` copies the
+    instance dict, so a lazy DFW's copy shares its scan or its columns."""
 
     alphabet: Alphabet
     payloads: Sequence[Hashable]
@@ -157,7 +160,7 @@ class CongruenceDfw:
     accepting: frozenset[int] | None = None
 
     def __len__(self) -> int:
-        return len(self.payloads)
+        return len(self.parent)
 
     def witness(self, c: int) -> Word | None:
         """Shortest word reaching class c, ties broken by alphabet order, or
@@ -181,7 +184,9 @@ class CongruenceDfw:
         return self.run(word) in self.accepting
 
     def with_accepting(self, accepting: frozenset[int]) -> "CongruenceDfw":
-        return dataclasses.replace(self, accepting=accepting)
+        dfw = copy.copy(self)
+        object.__setattr__(dfw, "accepting", accepting)
+        return dfw
 
 
 def build_congruence_dfw(
@@ -249,13 +254,6 @@ class _ProfileColumn(Sequence[Profile]):
         c = range(self.count)[c]
         code = self.ids[c * self.n : (c + 1) * self.n]
         return Profile(tuple(map(self._reach.__getitem__, code)), tuple(map(self._reach_f.__getitem__, code)))
-
-    def __iter__(self):
-        return map(self.__getitem__, range(self.count))
-
-    def __eq__(self, other: object) -> bool:
-        # by value, as the tuple column was, so equal DFWs still compare equal
-        return tuple(self) == tuple(other) if isinstance(other, _ProfileColumn) else NotImplemented
 
 
 def _profile_congruence(

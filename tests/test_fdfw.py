@@ -627,9 +627,10 @@ def test_optimal_builder_raises_the_eager_reference_budget_error(a):
 
 def test_optimal_progress_dfws_fill_only_when_read(monkeypatch, tmp_path, capsys):
     # the class counts, accepting sets, witnesses and the complement report
-    # read no progress rows; the translation fills the leading classes with
-    # accepting classes, once; serializing fills every one, and each filled
-    # DFW is the object the family held before
+    # read no progress rows, nor do ==, hash, copy, repr and the flipped
+    # family; the translation fills the leading classes with accepting
+    # classes, once; serializing fills every one, and each filled DFW is the
+    # object the family held before
     fills = []
     fill = preorder.ScannedProgressDfw._fill
 
@@ -654,6 +655,12 @@ def test_optimal_progress_dfws_fill_only_when_read(monkeypatch, tmp_path, capsys
     assert main(["classes", "--in", str(path), "--relation", "optimal-progress", "--json"]) == 0
     [report] = json.loads(capsys.readouterr().out)
     assert report["max_witness_len"] > 0
+    # DFWs and families compare by identity and print no columns
+    p, q = f.progress[0], f.progress[1]
+    assert p == p and p != q and len({p, q}) == 2
+    assert copy.copy(p).accepting == p.accepting
+    complement_saturated_fdfw(f)
+    assert len(repr(f)) < 100_000
     assert fills == []
     live = [m for m, p in f.progress.items() if p.accepting]
     fdfw_to_nbw(f)
@@ -668,6 +675,8 @@ def test_optimal_progress_dfws_fill_only_when_read(monkeypatch, tmp_path, capsys
     assert len(fills) == 3 + len(g.leading) == 3 + 325
     assert {id(p) for p in fills[3:]} == {id(p) for p in before.values()}
     assert all(g.progress[m] is p and isinstance(p, CongruenceDfw) for m, p in before.items())
+    # a filled DFW's copy shares its columns
+    assert g.progress[0].with_accepting(frozenset()).rows is g.progress[0].rows
 
 
 def test_no_builder_calls_the_oracle(monkeypatch):

@@ -383,8 +383,12 @@ def test_row_id_steps_build_the_packed_reference():
         for got, ref in pairs:
             assert type(got.payloads.ids) is bytes, a
             assert _columns(got) == _columns(ref, len(a.states)), a
-        # DFWs still compare by value, payload column included
-        assert pairs[0][0] == classical_congruence(a), a
+        # DFWs compare by identity; a rebuilt twin has the same alphabet,
+        # initial class, accepting set and columns
+        got, twin = pairs[0][0], classical_congruence(a)
+        fields = [(d.alphabet, d.initial, d.accepting, _columns(d)) for d in (got, twin)]
+        assert fields[0] == fields[1], a
+        assert got == got and got != twin and len({got, twin}) == 2, a
     a = random_nbw(1731, 11)
     lead = subset_congruence(a)
     got = progress_congruence_improved(a, lead, 0)
