@@ -277,7 +277,9 @@ def _find_accepting_lasso(
     them and successors is called once per node over all candidates.  This
     is the early cycle detection of on-the-fly emptiness checks (Schwoon
     and Esparza, "A Note on On-the-Fly Verification Algorithms", TACAS
-    2005)."""
+    2005).  It is the search behind is_empty and the witness pass of
+    _product_lasso; lasso_membership finds the same lasso on the word graph
+    by a layered walk of its own."""
     out: dict = {}  # node -> successors(node), for the nodes expanded so far
 
     def edges(x: Hashable) -> Edges:
@@ -395,12 +397,27 @@ def lasso_membership(a: Nbw, w: UpWord) -> MembershipVerdict:
 
     Searches the product of the automaton with the lasso-shaped word graph
     (one position per letter of prefix and period, period positions cyclic)
-    for a reachable cycle through an accepting state.  The product state
-    (q, pos) is keyed pos * |a| + q over the state index q.  No prefix
-    position lies on a cycle, so the prefix is walked as one layer of
-    states per position, in the order the lasso search's BFS would number
-    them, and the lasso search starts from the period's first layer; the
-    witness is the one that search would find from the initial states.
+    for a reachable cycle through an accepting state.  The answer is the
+    lasso _find_accepting_lasso would find from the initial states: the
+    first accepting node in BFS order that lies on a cycle, the BFS stem to
+    it and the BFS shortest way back to it.
+
+    In this graph every node has one edge list, so the BFS layer at depth
+    d holds the states first reached at position d, wrapped into the
+    period, and the search is one layered walk over the whole lasso: a
+    layer is built from the one before in BFS order, skipping the states an
+    earlier layer held at the same position, and each state keeps the
+    state that reached it first.  No prefix position lies on a cycle, so
+    the walk tests the accepting states of each period layer, in order, and
+    stops at the first that closes a cycle.  A candidate's return search is
+    a layered walk of its own, which skips the nodes a Tarjan run settled:
+    none of them leads back to an unsettled candidate.  Only when it fails
+    does cyclic_components run from the candidate, to settle every node it
+    reaches; later candidates a run settled on no cycle are skipped.  The
+    way back found is the one a return search confined to the candidate's
+    component finds: a node outside that component cannot lead back into
+    it, so it is never the parent of a node inside, and the nodes inside
+    are reached in the same order either way.
     """
     index = {sym: k for k, sym in enumerate(a.alphabet.symbols)}
     word = w.prefix + w.period
@@ -408,48 +425,104 @@ def lasso_membership(a: Nbw, w: UpWord) -> MembershipVerdict:
         letters = [index[sym] for sym in word]
     except KeyError as e:
         raise ValueError(f"symbol {e.args[0]!r} not in alphabet") from None
-    n = len(a.states)
+    n, start, m = len(a.states), len(w.prefix), len(w.period)
     rows, acc = a.adjacency()
+    after = [*range(1, len(word)), start]  # the position after each
+    # per position: the states a Tarjan run settled, and those of them on a cycle
+    settled, looped = [0] * len(word), [0] * len(word)
+    visit = None
 
-    def successors(key: int) -> list[list[int]]:
-        pos, q = divmod(key, n)
-        base = (pos + 1 if pos + 1 < len(word) else len(w.prefix)) * n
-        return [[base + r for r in rows[q][letters[pos]]]]
+    # the return search is a layered walk too, not a generic search over
+    # keys: sharing _find_accepting_lasso's return search took the 3,000
+    # oracle calls of a member-queries pass (seed 1729) from 0.059-0.066 s
+    # to 0.079-0.092 s over ten interleaved rounds
+    def way_back(t0: int, q0: int, blocked: list[int]) -> list[int] | None:
+        """The states of a shortest way from q0 at position t0 back to it,
+        through no state blocked at its position; None if there is none."""
+        seen = blocked[:]
+        seen[t0] |= 1 << q0
+        layer: Iterable[int] = (q0,)
+        backs = []  # per step: each state of the next layer -> the state that reached it first
+        t = t0
+        while layer:
+            k, t = letters[t], after[t]
+            s = seen[t]
+            back: dict[int, int] = {}
+            for q in layer:
+                targets = rows[q][k]
+                if t == t0 and q0 in targets:
+                    return _path(backs, q)
+                for r in targets:
+                    if not s >> r & 1:
+                        s |= 1 << r
+                        back[r] = q
+            seen[t] = s
+            backs.append(back)
+            layer = back
+        return None
 
-    # a layered walk, not a cycle question: handed to the lasso search, the
-    # prefix nodes were 27,718 of the 62,100 nodes it expanded in a
-    # member-queries pass at seed 1729, and walking them here took the 9,000
-    # oracle calls of seeds 1729, 1 and 2 from 0.43-0.46 s to 0.36-0.37 s
+    def closes(t: int, q: int) -> list[int] | None:
+        """The way back to the candidate q at position t, or None when it
+        lies on no cycle."""
+        nonlocal visit
+        if settled[t] >> q & 1:
+            # a candidate a run settled on a cycle searches outside the settled acyclic nodes
+            return way_back(t, q, [s ^ c for s, c in zip(settled, looped)]) if looped[t] >> q & 1 else None
+        cycle = way_back(t, q, settled)
+        if cycle is None:
+            if visit is None:
+                visit = cyclic_components(
+                    lambda key: [after[key // n] * n + r for r in rows[key % n][letters[key // n]]]
+                )
+            for nodes, cyclic in visit(t * n + q):
+                for key in nodes:
+                    settled[key // n] |= 1 << key % n
+                    if cyclic:
+                        looped[key // n] |= 1 << key % n
+        return cycle
+
     layer: Iterable[int] = sorted(a.index(q) for q in a.initial)
-    ups = []  # per prefix letter: each state of the next layer, in discovery order -> the state that reached it first
-    for k in letters[: len(w.prefix)]:
-        up: dict[int, int] = {}
+    seen = [0] * len(word)  # per position: the states a layer has held there
+    seen[0] = sum(1 << q for q in layer)
+    ups = []  # per step: each state of the next layer, in discovery order -> the state that reached it first
+    t = 0
+    while layer:
+        k, nt = letters[t], after[t]
+        s = seen[nt]
+        up = {}
         for q in layer:
+            if acc[q] and t >= start:  # no prefix position lies on a cycle
+                cycle = closes(t, q)
+                if cycle is not None:
+                    # each state reads the letter at its position
+                    return MembershipVerdict(
+                        True,
+                        Lasso(
+                            tuple(a.states[r] for r in _path(ups, q)),
+                            w.prefix + tuple(w.period[d % m] for d in range(len(ups) - start)),
+                            tuple(a.states[r] for r in cycle),
+                            tuple(w.period[(t - start + d) % m] for d in range(len(cycle))),
+                        ),
+                    )
             for r in rows[q][k]:
-                if r not in up:
+                if not s >> r & 1:
+                    s |= 1 << r
                     up[r] = q
+        seen[nt] = s
         ups.append(up)
         layer = up
-    period_start = len(w.prefix) * n
-    hit = _find_accepting_lasso([period_start + q for q in layer], successors, lambda key: acc[key % n])
-    if hit is None:
-        return MembershipVerdict(False, None)
-    stem_nodes, _, cycle_nodes, _ = hit
-    q = stem_nodes[0] - period_start
-    prefix_states = []
+        t = nt
+    return MembershipVerdict(False, None)
+
+
+def _path(ups: list[dict[int, int]], q: int) -> list[int]:
+    """The states, first layer first, of the path to q that the parents
+    `ups` of a layered walk record, ups[i] those of layer i + 1."""
+    path = [q]
     for up in reversed(ups):
         q = up[q]
-        prefix_states.append(a.states[q])
-    # each node reads one letter, the one at its position
-    return MembershipVerdict(
-        True,
-        Lasso(
-            tuple(prefix_states[::-1]) + tuple(a.states[key % n] for key in stem_nodes),
-            w.prefix + tuple(word[key // n] for key in stem_nodes[:-1]),
-            tuple(a.states[key % n] for key in cycle_nodes),
-            tuple(word[key // n] for key in cycle_nodes),
-        ),
-    )
+        path.append(q)
+    return path[::-1]
 
 
 def is_empty(a: Nbw) -> tuple[bool, Lasso | None]:

@@ -6,7 +6,8 @@ test-only helpers over the library: `ordered_reach`, `pretty`,
 `find_accepting_lasso_tarjan` shares the library's BFS and Tarjan routine
 and differs from the library's lasso search only in when it runs them;
 `lasso_membership_full` is the oracle that hands the whole word graph,
-prefix positions included, to the library's lasso search;
+prefix positions included, to the library's lasso search or to
+`find_accepting_lasso_tarjan`;
 `product_verdict_tarjan` is the product verdict that runs Tarjan over
 every pair.  `complement_fdfw_optimal_eager` is the optimal complement
 builder that renumbers every progress DFW during the build,
@@ -358,18 +359,19 @@ def find_accepting_lasso_tarjan(
     raise AssertionError("node in cyclic component must close a cycle")
 
 
-def lasso_membership_full(a: Nbw, w: UpWord) -> MembershipVerdict:
+def lasso_membership_full(a: Nbw, w: UpWord, search=_find_accepting_lasso) -> MembershipVerdict:
     """Ground-truth membership of the ultimately periodic word in L(a).
 
     Builds the product of the automaton with the lasso-shaped word graph
     (one position per letter of prefix and period, period positions cyclic)
-    and searches for a reachable cycle through an accepting state.  The
-    product state (q, pos) is keyed pos * |a| + q over the state index q.
+    and hands it to `search`, a lasso search with the signature of
+    `automata._find_accepting_lasso`, which it defaults to.  The product
+    state (q, pos) is keyed pos * |a| + q over the state index q.
 
     This is the oracle that `automata.lasso_membership` replaced: the lasso
-    search runs from the initial states and numbers every prefix position,
-    where the library walks the prefix as layers and searches only the
-    period.  The tests check that both return the same verdict and witness."""
+    search runs from the initial states over generic keys and numbers every
+    prefix position, where the library walks the whole lasso as layers of
+    states.  The tests check that both return the same verdict and witness."""
     word = w.prefix + w.period
     for sym in word:
         if sym not in a.alphabet:
@@ -386,7 +388,7 @@ def lasso_membership_full(a: Nbw, w: UpWord) -> MembershipVerdict:
     roots = sorted(a.index(q) for q in a.initial)
     # keys below period_start are prefix positions, which lie on no cycle
     period_start = len(w.prefix) * n
-    hit = _find_accepting_lasso(roots, successors, lambda key: key >= period_start and acc[key % n])
+    hit = search(roots, successors, lambda key: key >= period_start and acc[key % n])
     if hit is None:
         return MembershipVerdict(False, None)
     stem_nodes, _, cycle_nodes, _ = hit

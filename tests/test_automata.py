@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -221,47 +222,73 @@ def test_membership_matches_the_search_over_the_whole_word_graph(a, every, u, v)
     assert lasso_membership(a, w) == lasso_membership_full(a, w)
 
 
-def test_membership_searches_only_the_period_from_its_first_layer(monkeypatch):
-    # the lasso search behind the oracle expands no prefix position, and its
-    # roots are the states at the period's first position, in the order the
-    # BFS of the whole word graph numbers them
-    searches = []
-    search = automata._find_accepting_lasso
-
-    def recorded(roots, successors, is_acc):
-        expanded = []
-
-        def counted(key):
-            expanded.append(key)
-            return successors(key)
-
-        searches.append((list(roots), expanded))
-        return search(roots, counted, is_acc)
-
-    monkeypatch.setattr(automata, "_find_accepting_lasso", recorded)
+def test_membership_matches_the_tarjan_first_search_from_the_initial_states():
+    # the oracle walks the whole lasso as layers of states: it must find the
+    # lasso that the Tarjan-first search and the return-first search find
+    # over the whole word graph from the initial states, with the period's
+    # first layer empty in some cases and holding several states in others
     layers = set()
     for s in range(12):
         a = random_nbw(s, 1 + s % 6)
-        n, rows = len(a.states), a.adjacency()[0]
         for w in canonical_corpus(a.alphabet, 4, 2):
-            lasso_membership(a, w)
-            roots, expanded = searches.pop()
-            start = len(w.prefix) * n
-            assert all(key >= start for key in expanded), (s, w)
-            letters = [a.alphabet.symbols.index(sym) for sym in w.prefix + w.period]
-
-            def whole(key):
-                pos, q = divmod(key, n)
-                base = (pos + 1 if pos + 1 < len(letters) else len(w.prefix)) * n
-                return [[base + r for r in rows[q][letters[pos]]]]
-
-            keys, _, pred, _, steps = explore(sorted(a.index(q) for q in a.initial), whole)
-            for _ in steps:
-                pass
-            first = [x for x, p in zip(keys, pred) if start <= x < start + n and (p < 0 or keys[p] < start)]
-            assert roots == first, (s, w)
-            layers.add(len(roots))
+            got = lasso_membership(a, w)
+            assert got == lasso_membership_full(a, w, find_accepting_lasso_tarjan), (s, w)
+            assert got == lasso_membership_full(a, w), (s, w)
+            layers.add(len(reach(a, w.prefix)))
     assert 0 in layers and max(layers) > 1
+
+
+def test_membership_on_translated_complements_matches_the_search_over_the_whole_word_graph():
+    # the automata member-queries reads: the translated complements of both
+    # builders on five-state automata, on words with |u| in 0..12 and |v| in
+    # 1..12; at |v| = 1 the one period position is its own successor.  The
+    # complements of seeds 1, 3, 9 and 13 have 24 to 180 states, and every
+    # finite word has a run in them, so the 5- and 7-state complements of
+    # seeds 14 and 35 bring the prefixes that kill every run
+    rng = random.Random("translated complements")
+    sizes, verdicts, dead = [], set(), 0
+    for s in (1, 3, 9, 13, 14, 35):
+        a = random_nbw(s, 5)
+        for build in (complement_fdfw_optimal, complement_fdfw_improved):
+            c = fdfw_to_nbw(build(a))
+            sizes.append(len(c.states))
+            for i in range(52):
+                u = tuple(rng.choice(c.alphabet.symbols) for _ in range(i % 13))
+                v = tuple(rng.choice(c.alphabet.symbols) for _ in range(1 + i % 12))
+                got = lasso_membership(c, UpWord(u, v))
+                assert got == lasso_membership_full(c, UpWord(u, v)), (s, build.__name__, u, v)
+                verdicts.add(got.accepted)
+                dead += not reach(c, u)
+    assert sum(size >= 24 for size in sizes) == 8 and max(sizes) >= 150
+    assert verdicts == {False, True} and dead > 0
+
+
+def test_membership_with_accepting_prefix_states_matches_the_tarjan_first_search():
+    # a run may pass an accepting state at a prefix position, which lies on
+    # no cycle: the oracle must still find the lasso that the Tarjan-first
+    # search and the return-first search find over the whole word graph,
+    # and some case's run passes such a state
+    go = Nbw(
+        Alphabet(("a", "b")),
+        ("go", "stuck"),
+        frozenset({"go"}),
+        {("go", "a"): frozenset({"go"}), ("go", "b"): frozenset({"stuck"}), ("stuck", "a"): frozenset({"stuck"})},
+        frozenset({"go"}),
+    )
+    cases = [(go, UpWord(("a", "a", "b"), ("a",))), (go, UpWord(("a", "a"), ("a", "a", "b")))]
+    for s in range(20):
+        a = random_nbw(s, 1 + s % 4)
+        every = Nbw(a.alphabet, a.states, a.initial, a.transitions, frozenset(a.states))
+        cases += [(every, w) for w in canonical_corpus(a.alphabet, 3, 2) if w.prefix]
+    verdicts, accepting_prefix = set(), 0
+    for a, w in cases:
+        got = lasso_membership(a, w)
+        verdicts.add(got.accepted)
+        assert got == lasso_membership_full(a, w, find_accepting_lasso_tarjan), (a, w)
+        assert got == lasso_membership_full(a, w), (a, w)
+        accepting_prefix += any(reach(a, w.prefix[:pos]) & a.accepting for pos in range(len(w.prefix)))
+    assert verdicts == {False, True}
+    assert accepting_prefix > 0
 
 
 @given(seeded_nbws(), words(max_len=2), words(max_len=3).filter(bool))
@@ -415,46 +442,6 @@ def test_lasso_search_runs_no_tarjan_search_when_the_first_candidate_closes_a_cy
     monkeypatch.setattr(automata, "cyclic_components", counted_components)
     assert is_empty(inf_many("a", "b")) == (False, Lasso(("wait", "hit"), ("a",), ("hit",), ("a",)))
     assert called == []
-
-
-def test_membership_with_accepting_prefix_states_matches_the_tarjan_first_search(monkeypatch):
-    # the oracle searches only the period, from its first layer: the
-    # Tarjan-first search must find the same lasso from those roots, and the
-    # oracle over the whole word graph, which numbers every prefix position,
-    # the same verdict and witness; some case's run passes an accepting state
-    # at a prefix position
-    go = Nbw(
-        Alphabet(("a", "b")),
-        ("go", "stuck"),
-        frozenset({"go"}),
-        {("go", "a"): frozenset({"go"}), ("go", "b"): frozenset({"stuck"}), ("stuck", "a"): frozenset({"stuck"})},
-        frozenset({"go"}),
-    )
-    cases = [(go, UpWord(("a", "a", "b"), ("a",))), (go, UpWord(("a", "a"), ("a", "a", "b")))]
-    for s in range(20):
-        a = random_nbw(s, 1 + s % 4)
-        every = Nbw(a.alphabet, a.states, a.initial, a.transitions, frozenset(a.states))
-        cases += [(every, w) for w in canonical_corpus(a.alphabet, 3, 2) if w.prefix]
-    calls = []
-    search = automata._find_accepting_lasso
-
-    def recorded(roots, successors, is_acc):
-        hit = search(roots, successors, is_acc)
-        calls.append((roots, successors, hit))
-        return hit
-
-    monkeypatch.setattr(automata, "_find_accepting_lasso", recorded)
-    verdicts, accepting_prefix = set(), 0
-    for a, w in cases:
-        got = lasso_membership(a, w)
-        verdicts.add(got.accepted)
-        roots, successors, hit = calls.pop()
-        n, acc = len(a.states), a.adjacency()[1]
-        assert hit == find_accepting_lasso_tarjan(roots, successors, lambda key: acc[key % n]), (a, w)
-        assert got == lasso_membership_full(a, w), (a, w)
-        accepting_prefix += any(reach(a, w.prefix[:pos]) & a.accepting for pos in range(len(w.prefix)))
-    assert verdicts == {False, True}
-    assert accepting_prefix > 0
 
 
 def test_simulation_reduction_keeps_the_language_and_never_grows():
