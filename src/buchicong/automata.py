@@ -274,27 +274,21 @@ def _find_accepting_lasso(
     it either, so a search that returns finds the cycle above.  Only a
     search that fails starts the resumable Tarjan run from the candidate,
     which settles every node it reaches, so no later return search enters
-    them and successors is called once per node over all candidates.  This
+    them.  Over all candidates, successors is called at most four times per
+    node: by the BFS, by the Tarjan runs, by the one failed return search
+    that walks it, and by the return search that closes the lasso.  This
     is the early cycle detection of on-the-fly emptiness checks (Schwoon
     and Esparza, "A Note on On-the-Fly Verification Algorithms", TACAS
     2005).  It is the search behind is_empty and the witness pass of
     _product_lasso; lasso_membership finds the same lasso on the word graph
     by a layered walk of its own."""
-    out: dict = {}  # node -> successors(node), for the nodes expanded so far
-
-    def edges(x: Hashable) -> Edges:
-        e = out.get(x)
-        if e is None:
-            e = out[x] = successors(x)
-        return e
-
     def way_back(target: Hashable, on) -> tuple[list, list[int]] | None:
         """(cycle_nodes, cycle_letters) of a shortest way back to target
         through the nodes x with done.get(x) is on, or None."""
         back = {target: None}  # node -> (node, letter index) of the edge the search reached it by
         queue = [target]
         for node in queue:  # the loop visits the nodes appended while it runs
-            for k, targets in enumerate(edges(node)):
+            for k, targets in enumerate(successors(node)):
                 if target in targets:
                     cycle_nodes, cycle_letters = [node], [k]
                     while node != target:
@@ -308,8 +302,8 @@ def _find_accepting_lasso(
                         queue.append(x)
         return None
 
-    keys, _, pred, via, steps = explore(roots, edges)
-    visit = cyclic_components(lambda x: itertools.chain.from_iterable(edges(x)))
+    keys, _, pred, via, steps = explore(roots, successors)
+    visit = cyclic_components(lambda x: itertools.chain.from_iterable(successors(x)))
     done: dict = {}  # node -> its component's node set if cyclic, else (), once a Tarjan run has finished it
     i = 0
     while True:
@@ -691,15 +685,14 @@ def _product_lasso(a: Nbw, b: Nbw) -> UpWord | None:
     rows_b = [tuple([tuple([na * r for r in t]) for t in row]) for row in rows_b]
     count = na * nb
 
-    def successors(key: int) -> tuple[tuple[int, ...], ...]:
+    def successors(key: int) -> list[list[int]]:
         c, pair = divmod(key, count)
         q, p = divmod(pair, na)
         if c:
             base = 0 if acc_b[q] else count
         else:
             base = count if acc_a[p] else 0
-        # tuples, like the rows: the search keeps every node's edges
-        return tuple([tuple([base + pa + qb for pa in ta for qb in tb]) for ta, tb in zip(rows_a[p], rows_b[q])])
+        return [[base + pa + qb for pa in ta for qb in tb] for ta, tb in zip(rows_a[p], rows_b[q])]
 
     hit = _find_accepting_lasso(
         roots, successors, lambda key: key >= count and acc_b[(key - count) // na]

@@ -21,7 +21,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 from typing import NamedTuple
 
 from .automata import Nbw
@@ -198,14 +197,10 @@ class ScannedProgressDfw(CongruenceDfw):
         # maps raised the peak of a process building rnd1732n7 from 26 MB
         # to 53 MB, to save 0.03 s of its fill
         local = dict(zip(order, range(len(order))))
-        # one itemgetter call per column; the root is picked twice and dropped
-        # again, because itemgetter answers a single key with a bare value
-        pick = itemgetter(*order, order[0])
-        rows = {
-            sym: array("i", itemgetter(*pick(row))(local)[:-1])
-            for sym, row in zip(self.alphabet.symbols, succ)
-        }
-        for name, value in (("rows", rows), ("payloads", pick(payloads)[:-1]), ("_scan", None)):
+        symbols = self.alphabet.symbols
+        rows = {sym: array("i", [local[row[g]] for g in order]) for sym, row in zip(symbols, succ)}
+        payloads = tuple([payloads[g] for g in order])
+        for name, value in (("rows", rows), ("payloads", payloads), ("_scan", None)):
             object.__setattr__(self, name, value)
 
     # the first read of either column fills both into the instance dict,
@@ -245,6 +240,7 @@ def optimal_progress_congruence(
                 row.append(-1)
         return g
 
+    phase = f"optimal-progress[{' '.join(lead.witness(m))}]"
     root = node(initial_progress_state(lead, m))
     order, seen = [root], {root}
     parent, via = array("i", [-1]), array("i", [-1])
@@ -262,9 +258,6 @@ def optimal_progress_congruence(
                 nxt = row[g] = node(progress_step(a, lead, payloads[g], symbols[k]))
             if nxt not in seen:
                 if len(order) >= budget:
-                    # the phase is formatted only here: for every leading class of
-                    # a complement-sweep pass, both builders' phases took 2.2 ms
-                    phase = f"optimal-progress[{' '.join(lead.witness(m))}]"
                     raise BudgetExceededError(len(order), budget, phase)
                 seen.add(nxt)
                 st = payloads[nxt]

@@ -337,9 +337,5 @@ def progress_congruence_improved(
     """Progress congruence for class m of the subset leading congruence
     `lead`: the pair profile over the class's state mask as sources.  The
     progress DFWs of every class of `lead` may share one row-image `memo`."""
-    try:
-        return _profile_congruence(a, "improved-progress", lead.payloads[m], budget, memo)
-    except BudgetExceededError as err:
-        # the phase is formatted only here: for every leading class of a
-        # complement-sweep pass, both builders' phases took 2.2 ms
-        raise BudgetExceededError(err.count, err.budget, f"improved-progress[{' '.join(lead.witness(m))}]") from None
+    phase = f"improved-progress[{' '.join(lead.witness(m))}]"
+    return _profile_congruence(a, phase, lead.payloads[m], budget, memo)

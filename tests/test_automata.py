@@ -14,6 +14,7 @@ from buchicong import (
     Alphabet,
     AlphabetMismatchError,
     Lasso,
+    MembershipVerdict,
     Nbw,
     ParseError,
     UpWord,
@@ -389,17 +390,20 @@ def test_product_search_matches_the_named_product(a, b):
         assert lasso_membership(a, word).accepted and lasso_membership(b, word).accepted
 
 
-def test_lasso_search_expands_each_node_a_bounded_number_of_times(monkeypatch):
-    # k accepting chain states each step into one shared tail of k
-    # non-accepting states that ends in a self-loop, so no accepting state
-    # lies on a cycle; a cycle test that rescanned the tail for each of the
-    # k candidates would expand about k * k nodes
-    k = 2000
+def shared_tail_chain(k: int) -> Nbw:
+    """k accepting chain states that each step into one shared tail of k
+    non-accepting states ending in a self-loop, so no accepting state lies
+    on a cycle; a cycle test that rescanned the tail for each of the k
+    candidates would expand about k * k nodes."""
     chain = [f"c{i}" for i in range(k)]
     tail = [f"t{i}" for i in range(k)]
     trans = {(c, "a"): frozenset({tail[0], *chain[i + 1:i + 2]}) for i, c in enumerate(chain)}
     trans.update({(t, "a"): frozenset({tail[min(i + 1, k - 1)]}) for i, t in enumerate(tail)})
-    a = Nbw(Alphabet(("a",)), tuple(chain + tail), frozenset({"c0"}), trans, frozenset(chain))
+    return Nbw(Alphabet(("a",)), tuple(chain + tail), frozenset({"c0"}), trans, frozenset(chain))
+
+
+def test_lasso_search_expands_each_node_a_bounded_number_of_times(monkeypatch):
+    a = shared_tail_chain(2000)
     counts = {"expanded": 0, "cycle test": 0}
     search, components = automata._find_accepting_lasso, automata.cyclic_components
 
@@ -420,10 +424,36 @@ def test_lasso_search_expands_each_node_a_bounded_number_of_times(monkeypatch):
     monkeypatch.setattr(automata, "_find_accepting_lasso", counted_search)
     monkeypatch.setattr(automata, "cyclic_components", counted_components)
     assert is_empty(a) == (True, None)
-    # a few expansions per node, not one per (candidate, tail node) pair;
-    # the search reaches every node, so it expands each at least once
+    # every successors call is counted, so a few per node, not one per
+    # (candidate, tail node) pair: the BFS, the first candidate's failed
+    # return search and its Tarjan run each expand every node once; the
+    # search reaches every node, so it expands each at least once
     assert len(a.states) <= counts["expanded"] <= 3 * len(a.states)
     assert counts["cycle test"] <= 3 * len(a.states)
+
+
+def test_membership_oracle_reads_each_row_a_bounded_number_of_times():
+    # on (epsilon, a) the word graph is the automaton itself; the failed
+    # return search of the first candidate must settle the graph, or each
+    # later candidate walks the whole tail again
+    a = shared_tail_chain(1000)
+    word = UpWord((), ("a",))
+
+    class CountedRows(tuple):
+        reads = 0
+
+        def __getitem__(self, q):
+            self.reads += 1
+            return tuple.__getitem__(self, q)
+
+    rows, acc = a.adjacency()
+    rows = CountedRows(rows)
+    object.__setattr__(a, "_adjacency", (rows, acc))
+    assert lasso_membership(a, word) == MembershipVerdict(False, None)
+    # the walk, the failed return search and the Tarjan run each read a
+    # node's row once
+    nodes, reads = len(a.states) * len(word.prefix + word.period), rows.reads
+    assert nodes <= reads <= 3 * nodes
 
 
 def test_lasso_search_runs_no_tarjan_search_when_the_first_candidate_closes_a_cycle(monkeypatch):
