@@ -379,15 +379,11 @@ def run_bounds_suite(automata: list[tuple[str, Nbw]], budget: int) -> list[dict]
         def measure(build_lead, build_progress):
             """(leading classes, progress max, progress sum, macrostates), None
             for what a blown budget left unknown.  The progress relations of
-            one leading DFW share a step memo, as in a complement build."""
+            one leading DFW share its step memo, as in a complement build."""
             lead = guarded(lambda: build_lead(a, budget))
             if lead is None:
                 return None, None, None, None
-            memo: dict = {}
-            sizes = [
-                guarded(lambda m=m: len(build_progress(a, lead, m, budget, memo=memo)))
-                for m in range(len(lead))
-            ]
+            sizes = [guarded(lambda m=m: len(build_progress(a, lead, m, budget))) for m in range(len(lead))]
             if None in sizes:
                 return len(lead), None, None, None
             return len(lead), max(sizes), sum(sizes), len(lead) + sum(sizes)

@@ -252,15 +252,14 @@ def complement_fdfw_optimal(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw:
     Class 0 holds only the empty word, no period, unless the scan met an edge
     back into it, and is left non-accepting without one.  The improved
     builder has no such rule, and the two differ there on purpose: both
-    families are pinned byte for byte.  One payload graph serves every
-    leading class of this build, and each progress DFW is filled on its
-    first read of rows or payloads, so readers of class counts, accepting
-    sets and witnesses fill none."""
+    families are pinned byte for byte.  The progress DFWs share the payload
+    graph in the leading DFW's step memo, and each is filled on its first
+    read of rows or payloads, so readers of class counts, accepting sets and
+    witnesses fill none."""
     lead = optimal_leading_congruence(a, budget)
     progress: dict = {}
-    memo: dict = {}
     for m in range(len(lead)):
-        prog = optimal_progress_congruence(a, lead, m, budget, memo=memo)
+        prog = optimal_progress_congruence(a, lead, m, budget)
         base = lead.payloads[m].blocks
         progress[m] = prog.with_accepting(
             frozenset(p for p, st in prog.candidates if (p or prog.reentered) and not st.accepts_period(base))
@@ -270,11 +269,11 @@ def complement_fdfw_optimal(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw:
 
 def complement_fdfw_improved(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw:
     """Complement family over the subset leading congruence and pair profiles
-    over each leading class's states.  One row-image memo serves every
-    leading class of this build.  Normalization is decided on the leading
-    DFW alone, by the return map: back[p] is the leading class u v reaches
-    for u in m and v in class p, which is the same for every member v
-    because the progress congruence refines the leading one.  Parents
+    over each leading class's states.  The progress DFWs share the row
+    images in the leading DFW's step memo.  Normalization is decided on the
+    leading DFW alone, by the return map: back[p] is the leading class u v
+    reaches for u in m and v in class p, which is the same for every member
+    v because the progress congruence refines the leading one.  Parents
     precede their children in class-id order, so one pass over `parent` and
     `via` fills it.  A class with back[p] == m accepts when the folded
     periodic membership test on its profile, read off the class's row ids,
@@ -285,9 +284,8 @@ def complement_fdfw_improved(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> Fdfw
     lead = subset_congruence(a, budget)
     lead_rows = [lead.rows[sym] for sym in a.alphabet.symbols]
     progress: dict[int, CongruenceDfw] = {}
-    memo: dict = {}
     for m in range(len(lead)):
-        prog = progress_congruence_improved(a, lead, m, budget, memo=memo)
+        prog = progress_congruence_improved(a, lead, m, budget)
         back = [m]
         for parent, k in zip(prog.parent[1:], prog.via[1:]):
             back.append(lead_rows[k][back[parent]])

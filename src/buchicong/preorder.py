@@ -181,8 +181,8 @@ class ScannedProgressDfw(CongruenceDfw):
     on first read.  `candidates` lists (class id, payload) for the classes
     whose payload's `lead` is the leading class the DFW belongs to, the root
     first; `reentered` says whether some edge leads back into the root.  The
-    fill drops the DFW's reference to the scan, so a shared payload graph
-    lives only as long as some DFW of its family is unfilled."""
+    fill drops the DFW's reference to the scan and with it the class order;
+    the payload graph stays in the leading DFW's step memo."""
 
     def __init__(self, alphabet, parent, via, candidates, reentered, scan, accepting=None):
         # the scan: the global ids in class order, and the payload graph's
@@ -211,23 +211,19 @@ class ScannedProgressDfw(CongruenceDfw):
 
 
 def optimal_progress_congruence(
-    a: Nbw,
-    lead: CongruenceDfw,
-    m: int,
-    budget: int = DEFAULT_CLASS_BUDGET,
-    memo: dict | None = None,
+    a: Nbw, lead: CongruenceDfw, m: int, budget: int = DEFAULT_CLASS_BUDGET
 ) -> ScannedProgressDfw:
-    """Progress congruence for class m of the optimal leading congruence `lead`.
-    `memo` holds a payload graph: `memo["payloads"]` lists each distinct
-    payload once, by global id, `memo["ids"]` maps it back, and `memo[k]` lists
-    each id's successor on the symbol of index k, -1 until first stepped.  A
-    step reads only the payload, the letter, `a` and `lead`, so the progress
-    DFWs of every class of `lead` may share one graph, each a breadth-first
-    scan over global ids whose discovery order numbers the classes; without
-    a memo, a fresh graph is used.  The DFW's rows and payloads are filled
-    from the scan on first read.  Raises BudgetExceededError as
+    """Progress congruence for class m of the optimal leading congruence
+    `lead`, built from `a`.  A step reads only the payload, the letter, `a`
+    and `lead`, so the progress DFWs of every class of `lead` share one
+    payload graph, kept in its step memo: `memo["payloads"]` lists each
+    distinct payload once, by global id, `memo["ids"]` maps it back, and
+    `memo[k]` lists each id's successor on the symbol of index k, -1 until
+    first stepped.  Each DFW is a breadth-first scan over global ids whose
+    discovery order numbers the classes.  The DFW's rows and payloads are
+    filled from the scan on first read.  Raises BudgetExceededError as
     `build_congruence_dfw` would."""
-    memo = {} if memo is None else memo
+    memo = lead._step_memo
     payloads, ids = memo.setdefault("payloads", []), memo.setdefault("ids", {})
     symbols = a.alphabet.symbols
     succ = [memo.setdefault(k, []) for k in range(len(symbols))]

@@ -35,6 +35,7 @@ import dataclasses
 import itertools
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
 from .automata import Alphabet, Nbw, Word, _bits, _image, path_to
@@ -149,7 +150,11 @@ class CongruenceDfw:
     reaches.  `accepting` is optional and used when the structure doubles as
     a DFW over finite words.  A DFW is an identity object: `==` and `hash`
     go by id, `repr` reads no column, and `with_accepting` copies the
-    instance dict, so a lazy DFW's copy shares its scan or its columns."""
+    instance dict, so a lazy DFW's copy shares its scan or its columns.
+    `_step_memo` is a dict made on first read, in which the progress
+    builders keep the step state that the progress DFWs of every class of
+    this leading DFW share: the optimal payload graph or the improved row
+    images."""
 
     alphabet: Alphabet
     payloads: Sequence[Hashable]
@@ -158,6 +163,8 @@ class CongruenceDfw:
     via: Sequence[int]
     initial: int = 0
     accepting: frozenset[int] | None = None
+
+    _step_memo = cached_property(lambda self: {})
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -256,16 +263,13 @@ class _ProfileColumn(Sequence[Profile]):
         return Profile(tuple(map(self._reach.__getitem__, code)), tuple(map(self._reach_f.__getitem__, code)))
 
 
-def _profile_congruence(
-    a: Nbw, phase: str, sources: int, budget: int, memo: dict[str, dict] | None = None
-) -> CongruenceDfw:
+def _profile_congruence(a: Nbw, phase: str, sources: int, budget: int, memo: dict) -> CongruenceDfw:
     """Right congruence refined by the pair profile's rows in the source mask
     `sources`; the other rows stay zero.  Payloads read as profiles (see
     `_ProfileColumn`).  Each row image is computed once per `memo`, which
     maps each letter to a dict from the 2n-bit row codes found so far to
-    their image codes.  Row images depend
-    only on `a`, so builds over other source masks may share it; without
-    one, a fresh memo is used.
+    their image codes.  Row images depend only on `a`, so builds over other
+    source masks may share it.
 
     Before the search, the rows reachable from the diagonal source rows are
     numbered from 1, and each letter gets the table of its image ids.  A
@@ -278,7 +282,6 @@ def _profile_congruence(
     low = (1 << n) - 1
     symbols = a.alphabet.symbols
     letters = [letter_profile(a, sym) for sym in symbols]
-    memo = {} if memo is None else memo
     images = [memo.setdefault(sym, {}) for sym in symbols]
     srcs = list(_bits(sources))
     # epsilon rows are diagonal: source i relates to itself only, and visits
@@ -324,18 +327,15 @@ def _profile_congruence(
 def classical_congruence(a: Nbw, budget: int = DEFAULT_CLASS_BUDGET) -> CongruenceDfw:
     """Right congruence refined by the full pair profile of the word: every
     state is a source."""
-    return _profile_congruence(a, "classical", (1 << len(a.states)) - 1, budget)
+    return _profile_congruence(a, "classical", (1 << len(a.states)) - 1, budget, {})
 
 
 def progress_congruence_improved(
-    a: Nbw,
-    lead: CongruenceDfw,
-    m: int,
-    budget: int = DEFAULT_CLASS_BUDGET,
-    memo: dict[str, dict] | None = None,
+    a: Nbw, lead: CongruenceDfw, m: int, budget: int = DEFAULT_CLASS_BUDGET
 ) -> CongruenceDfw:
     """Progress congruence for class m of the subset leading congruence
-    `lead`: the pair profile over the class's state mask as sources.  The
-    progress DFWs of every class of `lead` may share one row-image `memo`."""
+    `lead`, built from `a`: the pair profile over the class's state mask as
+    sources.  The progress DFWs of every class of `lead` share its step memo
+    as their row-image memo."""
     phase = f"improved-progress[{' '.join(lead.witness(m))}]"
-    return _profile_congruence(a, phase, lead.payloads[m], budget, memo)
+    return _profile_congruence(a, phase, lead.payloads[m], budget, lead._step_memo)

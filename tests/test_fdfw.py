@@ -4,6 +4,7 @@ probing, and the translation back to a Büchi automaton."""
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import pickle
@@ -41,10 +42,10 @@ from buchicong import (
     serialize_nbw,
     subset_congruence,
 )
-from buchicong import fdfw, preorder
+from buchicong import fdfw, preorder, profiles
 from buchicong.automata import _product_lasso, _simulation_reduce
 from buchicong.fdfw import _accepting_composition_closed
-from buchicong.cli import main
+from buchicong.cli import main, run_bounds_suite
 from buchicong.profiles import DEFAULT_CLASS_BUDGET
 from conftest import ARROW_CLASS_FAMILY, canonical_corpus, mixed_blocks_nbw, single_word_family, witnesses
 from reference import (
@@ -545,11 +546,13 @@ _BUILDERS = {
 
 
 def _standalone(monkeypatch, variant):
-    """Make the complement builder of `variant` call its progress builder
-    without the shared memo, so each leading class starts a fresh one."""
+    """Make the complement builder of `variant` build each progress DFW over
+    a `dataclasses.replace` copy of its leading DFW.  The step memo is made
+    per instance on first read, and the copy is a new instance, so each
+    leading class starts a fresh one."""
     _, name = _BUILDERS[variant]
     original = getattr(fdfw, name)
-    monkeypatch.setattr(fdfw, name, lambda a, lead, m, budget, memo=None: original(a, lead, m, budget))
+    monkeypatch.setattr(fdfw, name, lambda a, lead, m, budget: original(a, dataclasses.replace(lead), m, budget))
 
 
 @pytest.mark.parametrize("variant", sorted(_BUILDERS))
@@ -585,6 +588,39 @@ def test_shared_step_memo_keeps_the_budget_error(monkeypatch, variant):
     _standalone(monkeypatch, variant)
     alone = raised()
     assert (alone.count, alone.phase) == (shared.count, shared.phase)
+
+
+def test_progress_builders_share_the_step_memo_of_their_leading_dfw(monkeypatch, tmp_path, capsys):
+    # `classes --relation all` steps each distinct optimal payload as often
+    # as a complement build does, not once per leading class that reaches it
+    steps = []
+    step = preorder.progress_step
+    monkeypatch.setattr(preorder, "progress_step", lambda *args: steps.append(1) or step(*args))
+    a = random_nbw(1731, 5)
+    complement_fdfw_optimal(a)
+    built = len(steps)
+    steps.clear()
+    path = tmp_path / "a.nbw"
+    path.write_text(serialize_nbw(a))
+    assert main(["classes", "--in", str(path), "--relation", "all", "--json"]) == 0
+    assert (built, len(steps)) == (788, 788)
+    counts = {r["relation"]: r["classes"] for r in json.loads(capsys.readouterr().out)}
+    [row] = run_bounds_suite([("rnd1731n5", a)], DEFAULT_CLASS_BUDGET)
+    for relation, column in (("improved-progress", "improved_sum"), ("optimal-progress", "optimal_progress_sum")):
+        assert sum(c for name, c in counts.items() if name.startswith(relation + "[")) == row[column]
+    # a second improved build over the same subset DFW composes no row; a
+    # copy of the DFW starts a fresh memo
+    composed = []
+    compose = profiles._row_compose
+    monkeypatch.setattr(profiles, "_row_compose", lambda *args: composed.append(1) or compose(*args))
+    lead = subset_congruence(a)
+    profiles.progress_congruence_improved(a, lead, 0)
+    rebuilt = []
+    for over in (lead, dataclasses.replace(lead)):
+        composed.clear()
+        profiles.progress_congruence_improved(a, over, 0)
+        rebuilt.append(len(composed))
+    assert rebuilt == [0, 22]
 
 
 def _optimal_outcome(build, a, budget):

@@ -59,7 +59,7 @@ def test_tracing_only_imports_are_still_wrapped():
 def test_traced_build_counts_every_progress_relation():
     # the per-layer progress metrics count one traced call per leading class
     # and sum their class counts, even though the progress DFWs of one build
-    # share a step memo
+    # share the step memo of their leading DFW
     tracing = _load_tracing()
     a = random_nbw(1731, 5)
     for build, name in [
